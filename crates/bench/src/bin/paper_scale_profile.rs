@@ -406,8 +406,8 @@ fn profile_streaming(
     let (_, full_secs) = time(|| service.refresh_full().expect("refresh"));
     println!("  {label}: full refresh (1 insert)  {full_secs:>9.3}s");
 
-    // Prime the delta path: the first delta refresh builds the target-sum
-    // cache that consecutive deltas reuse.
+    // Prime the delta path: the first delta refresh after a full solve
+    // runs on cold caches and stays out of the stream's latencies.
     shared.with_write(|db| insert.insert(db, 1));
     service.refresh().expect("refresh");
     assert_eq!(

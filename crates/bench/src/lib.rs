@@ -7,12 +7,12 @@
 pub mod grid;
 pub mod scan_extract;
 
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use retro_eval::{EmbeddingKind, EmbeddingSuite};
 use retro_linalg::stats::Summary;
 use retro_linalg::Matrix;
-use serde::Serialize;
 
 /// Wall-clock one closure, returning `(result, seconds)`.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -105,7 +105,7 @@ pub fn movie_task_inputs<L: Clone>(
 }
 
 /// One row of an experiment report.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ReportRow {
     /// Series label (embedding kind, method name, parameter setting, …).
     pub label: String,
@@ -152,14 +152,62 @@ pub fn print_report(title: &str, metric: &str, rows: &[ReportRow]) {
     }
 }
 
-/// Serialize a report to JSON.
+/// Serialize a report to JSON: `{"title", "rows": [{"label", "mean",
+/// "std_dev", "min", "max", "n"}, ..]}`, indented by two spaces.
 pub fn report_json(title: &str, rows: &[ReportRow]) -> String {
-    #[derive(Serialize)]
-    struct Doc<'a> {
-        title: &'a str,
-        rows: &'a [ReportRow],
+    let mut out = format!("{{\n  \"title\": {},\n  \"rows\": ", json_string(title));
+    if rows.is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push('[');
+        for (i, row) in rows.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\n    {{\n      \"label\": {},", json_string(&row.label));
+            for (name, v) in
+                [("mean", row.mean), ("std_dev", row.std_dev), ("min", row.min), ("max", row.max)]
+            {
+                let _ = write!(out, "\n      \"{name}\": {},", json_number(v));
+            }
+            let _ = write!(out, "\n      \"n\": {}\n    }}", row.n);
+        }
+        out.push_str("\n  ]");
     }
-    serde_json::to_string_pretty(&Doc { title, rows }).expect("report serialization")
+    out.push_str("\n}");
+    out
+}
+
+/// A JSON number. JSON has no NaN or infinities, so those are `null`;
+/// integral values keep one decimal (`1.0`), others print in Rust's
+/// shortest round-trip form.
+fn json_number(v: f64) -> String {
+    if !v.is_finite() {
+        "null".into()
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.1}")
+    } else {
+        v.to_string()
+    }
+}
+
+/// A quoted JSON string with the mandatory escapes.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Write a JSON report under the workspace root's `results/` (created on
@@ -212,12 +260,140 @@ mod tests {
         assert_eq!(row.min, 0.8);
     }
 
+    /// Labels and numbers that exercise every escape and number form.
+    fn golden_rows() -> Vec<ReportRow> {
+        vec![
+            ReportRow::from_samples("RN", &[0.9, 0.8, 1.0]),
+            ReportRow::from_samples("PV \"q\" \\ /\n\r\t\u{1}é", &[0.5]),
+            ReportRow::from_samples("big", &[1e20, -3.25, 123456789.0]),
+            ReportRow {
+                label: "edge".into(),
+                mean: f64::NAN,
+                std_dev: f64::INFINITY,
+                min: -0.0,
+                max: 1e-7,
+                n: 0,
+            },
+        ]
+    }
+
+    /// The bytes the earlier serde-based writer produced for the same rows.
+    #[test]
+    fn report_json_matches_the_golden_bytes() {
+        let golden = r#"{
+  "title": "golden \"t\"",
+  "rows": [
+    {
+      "label": "RN",
+      "mean": 0.9,
+      "std_dev": 0.08164965809277258,
+      "min": 0.8,
+      "max": 1.0,
+      "n": 3
+    },
+    {
+      "label": "PV \"q\" \\ /\n\r\t\u0001é",
+      "mean": 0.5,
+      "std_dev": 0.0,
+      "min": 0.5,
+      "max": 0.5,
+      "n": 1
+    },
+    {
+      "label": "big",
+      "mean": 33333333333374484000,
+      "std_dev": 47140452079074070000,
+      "min": -3.25,
+      "max": 100000000000000000000,
+      "n": 3
+    },
+    {
+      "label": "edge",
+      "mean": null,
+      "std_dev": null,
+      "min": -0.0,
+      "max": 0.0000001,
+      "n": 0
+    }
+  ]
+}"#;
+        assert_eq!(report_json("golden \"t\"", &golden_rows()), golden);
+        assert_eq!(report_json("empty", &[]), "{\n  \"title\": \"empty\",\n  \"rows\": []\n}");
+    }
+
+    /// Consume one JSON value at `s[*i..]`; false when it is malformed.
+    fn json_value(s: &[u8], i: &mut usize) -> bool {
+        fn skip_ws(s: &[u8], i: &mut usize) {
+            while s.get(*i).is_some_and(|c| c.is_ascii_whitespace()) {
+                *i += 1;
+            }
+        }
+        fn eat(s: &[u8], i: &mut usize, c: u8) -> bool {
+            skip_ws(s, i);
+            let hit = s.get(*i) == Some(&c);
+            *i += hit as usize;
+            hit
+        }
+        fn string(s: &[u8], i: &mut usize) -> bool {
+            if !eat(s, i, b'"') {
+                return false;
+            }
+            while let Some(&c) = s.get(*i) {
+                *i += 1;
+                match c {
+                    b'"' => return true,
+                    b'\\' => *i += 1,
+                    c if c < 0x20 => return false,
+                    _ => {}
+                }
+            }
+            false
+        }
+        fn items(s: &[u8], i: &mut usize, close: u8, item: fn(&[u8], &mut usize) -> bool) -> bool {
+            *i += 1;
+            if eat(s, i, close) {
+                return true;
+            }
+            loop {
+                if !item(s, i) {
+                    return false;
+                }
+                if eat(s, i, close) {
+                    return true;
+                }
+                if !eat(s, i, b',') {
+                    return false;
+                }
+            }
+        }
+        skip_ws(s, i);
+        match s.get(*i) {
+            Some(b'{') => {
+                items(s, i, b'}', |s, i| string(s, i) && eat(s, i, b':') && json_value(s, i))
+            }
+            Some(b'[') => items(s, i, b']', json_value),
+            Some(b'"') => string(s, i),
+            Some(b'n') if s[*i..].starts_with(b"null") => {
+                *i += 4;
+                true
+            }
+            _ => {
+                let start = *i;
+                while s.get(*i).is_some_and(|c| b"+-.eE".contains(c) || c.is_ascii_digit()) {
+                    *i += 1;
+                }
+                std::str::from_utf8(&s[start..*i]).is_ok_and(|n| n.parse::<f64>().is_ok())
+            }
+        }
+    }
+
     #[test]
     fn report_json_is_valid() {
-        let rows = vec![ReportRow::from_samples("PV", &[0.5])];
-        let json = report_json("test", &rows);
-        let value: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(value["rows"][0]["label"], "PV");
+        for json in [report_json("golden", &golden_rows()), report_json("empty", &[])] {
+            let bytes = json.as_bytes();
+            let mut at = 0;
+            assert!(json_value(bytes, &mut at) && at == bytes.len(), "{json}");
+        }
     }
 
     #[test]

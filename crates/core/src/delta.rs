@@ -16,9 +16,8 @@
 //!   row among the appended rows (foreign keys are validated on insert, so
 //!   a pre-existing row can never reference a row that did not exist yet),
 //! * the *dirty set* — new value ids plus every endpoint of a fresh edge —
-//!   is handed to the subset solver
-//!   ([`crate::solver::delta::solve_delta`]); all other rows keep their
-//!   converged vectors verbatim.
+//!   is handed to the solver kernel's row-subset run; all other rows keep
+//!   their converged vectors verbatim.
 //!
 //! The classification is deliberately conservative: anything the log cannot
 //! prove to be an append (deletes, relational updates, `table_mut` access,
@@ -105,14 +104,6 @@ pub(crate) struct DeltaExtraction {
     /// Ascending value ids whose neighbourhood changed (never empty unless
     /// the appends turned out to be pure duplicates).
     pub dirty: Vec<u32>,
-    /// Per merged forward group `gi`: ids that became **targets** of the
-    /// forward direction (`2·gi`) and of the inverted direction (`2·gi+1`)
-    /// with these appends — exactly the rows a cached target-sum matrix is
-    /// missing.
-    pub new_targets: Vec<(Vec<u32>, Vec<u32>)>,
-    /// Number of forward groups in the previous problem (the merged group
-    /// list keeps them first, in order).
-    pub prev_groups: usize,
 }
 
 /// Extend `prev`'s problem with the appended rows. Returns `None` whenever
@@ -192,7 +183,6 @@ pub(crate) fn extract_delta(
     let mut groups = prev.problem.groups.clone();
     let mut relation_counts = prev.problem.relation_counts.clone();
     relation_counts.resize(n, 0);
-    let mut new_targets: Vec<(Vec<u32>, Vec<u32>)> = vec![(Vec::new(), Vec::new()); groups.len()];
     let by_name: HashMap<String, usize> =
         groups.iter().enumerate().map(|(i, g)| (g.name.clone(), i)).collect();
     let mut dirty_mask = vec![false; n];
@@ -220,20 +210,16 @@ pub(crate) fn extract_delta(
                     .filter(|e| group.edges.binary_search(e).is_err())
                     .collect();
                 if !fresh.is_empty() {
-                    let (tgt_fwd, tgt_inv) = &mut new_targets[gi];
                     for &(i, j) in &fresh {
                         dirty_mask[i as usize] = true;
                         dirty_mask[j as usize] = true;
                         // Degree 0 → first participation in this direction:
-                        // one more directed group for |Ri|, and a target the
-                        // other direction's sum has never seen.
+                        // one more directed group for |Ri|.
                         if fwd_deg[i as usize] == 0 {
                             relation_counts[i as usize] += 1;
-                            tgt_inv.push(i);
                         }
                         if inv_deg[j as usize] == 0 {
                             relation_counts[j as usize] += 1;
-                            tgt_fwd.push(j);
                         }
                         fwd_deg[i as usize] += 1;
                         inv_deg[j as usize] += 1;
@@ -248,19 +234,15 @@ pub(crate) fn extract_delta(
             None => {
                 // A group the previous extraction never produced (it was
                 // empty then). Append it: every distinct endpoint is a new
-                // participant and a new target of one direction.
-                let mut tgt_fwd = Vec::new();
-                let mut tgt_inv = Vec::new();
+                // participant.
                 for &(i, j) in &dgroup.edges {
                     dirty_mask[i as usize] = true;
                     dirty_mask[j as usize] = true;
                     if fwd_deg[i as usize] == 0 {
                         relation_counts[i as usize] += 1;
-                        tgt_inv.push(i);
                     }
                     if inv_deg[j as usize] == 0 {
                         relation_counts[j as usize] += 1;
-                        tgt_fwd.push(j);
                     }
                     fwd_deg[i as usize] += 1;
                     inv_deg[j as usize] += 1;
@@ -269,7 +251,6 @@ pub(crate) fn extract_delta(
                     fwd_deg[i as usize] = 0;
                     inv_deg[j as usize] = 0;
                 }
-                new_targets.push((tgt_fwd, tgt_inv));
                 groups.push(dgroup);
             }
         }
@@ -329,9 +310,8 @@ pub(crate) fn extract_delta(
     warm_data.extend_from_slice(&w0.as_slice()[prev_n * dim..]);
     let warm = Matrix::from_vec(n, dim, warm_data);
 
-    let prev_groups = prev.problem.groups.len();
     let problem = RetrofitProblem { catalog, groups, w0, oov, category_centroids, relation_counts };
-    Some(DeltaExtraction { problem, warm, dirty, new_targets, prev_groups })
+    Some(DeltaExtraction { problem, warm, dirty })
 }
 
 /// Merge two sorted, deduplicated edge lists (disjoint by construction —
@@ -500,10 +480,6 @@ mod tests {
         let g = &d.problem.groups[0];
         assert!(g.edges.contains(&(prometheus, ridley)));
         assert!(g.edges.windows(2).all(|w| w[0] < w[1]), "merged edges stay sorted");
-        // prometheus newly sources the forward direction → it is a new
-        // target of the inverted direction; ridley was already a target.
-        assert_eq!(d.new_targets[0].0, Vec::<u32>::new());
-        assert_eq!(d.new_targets[0].1, vec![prometheus]);
         // |Ri| merged: prometheus sources one directed group (the forward
         // title→name direction) → 1, like the other titles.
         assert_eq!(d.problem.relation_counts[prometheus as usize], 1);

@@ -544,18 +544,22 @@ impl Engine {
     }
 
     /// A [`PinnedGeneration`] whose store clone matches the service's
-    /// published snapshot exactly. When the fast path sees a write that
-    /// landed since publish, one observed refresh re-aligns: the clone is
-    /// taken under the same read guard as the extraction.
+    /// published snapshot exactly. The versions are compared under the
+    /// read guard, so the database is cloned once either way: there when
+    /// they match, or — when a write landed since publish — by one
+    /// observed refresh, under the same read guard as its extraction.
     fn aligned_generation(
         service: &Arc<EmbeddingService>,
     ) -> Result<Arc<PinnedGeneration>, RetroError> {
         let snapshot = service.snapshot();
-        let store = service.database().read().clone();
-        if store.write_version() == snapshot.write_version() {
-            return Ok(Arc::new(PinnedGeneration { snapshot, store: Arc::new(store) }));
-        }
-        let (snapshot, store) = service.refresh_observed(Database::clone)?;
+        let current = {
+            let db = service.database().read();
+            (db.write_version() == snapshot.write_version()).then(|| Database::clone(&db))
+        };
+        let (snapshot, store) = match current {
+            Some(store) => (snapshot, store),
+            None => service.refresh_observed(Database::clone)?,
+        };
         Ok(Arc::new(PinnedGeneration { snapshot, store: Arc::new(store) }))
     }
 
@@ -573,8 +577,14 @@ impl Engine {
     }
 
     /// The serving service behind `name` — the escape hatch for
-    /// service-level operations (snapshot persistence, background
-    /// refresh workers, session tuning).
+    /// service-level operations (snapshot persistence, session tuning).
+    ///
+    /// Sessions read the engine's generation cache, and only
+    /// [`Engine::refresh`] fills it. A service-level
+    /// [`EmbeddingService::refresh`] or
+    /// [`EmbeddingService::spawn_refresher`] publishes snapshots that
+    /// engine sessions never see; to keep sessions fresh, call
+    /// [`Engine::refresh_if_stale`] (from a timer or after writes).
     pub fn service(&self, name: &str) -> Result<Arc<EmbeddingService>, EngineError> {
         Ok(Arc::clone(&self.db(name)?.service))
     }
@@ -593,8 +603,8 @@ impl Engine {
     /// `name` — the write path (DDL/DML; reads belong in sessions, which
     /// is also where `NEAREST` is available). Passes the admission gate.
     /// The write makes published generations stale; call
-    /// [`Engine::refresh`] (or run a service-level refresh worker) to
-    /// publish a new one.
+    /// [`Engine::refresh`] or [`Engine::refresh_if_stale`] to publish a
+    /// new one.
     pub fn execute(&self, name: &str, sql_text: &str) -> Result<QueryResult, EngineError> {
         let _permit = self.gate.admit().map_err(EngineError::Overloaded)?;
         let edb = self.db(name)?;

@@ -12,8 +12,8 @@
 //! scoped**: it reads the store's change log, and when everything since the
 //! last converged state is an append it extends the previous problem in
 //! place (`crate::delta`) and re-solves only the rows whose neighbourhood
-//! changed (`crate::solver::delta`) — every other row is carried over
-//! verbatim. A one-row insert then costs milliseconds instead of a full
+//! changed — the solver kernel's row-subset run, with every other row
+//! carried over verbatim. A small insert then costs a fraction of a full
 //! re-extraction and re-solve. Anything the log cannot prove to be an
 //! append (deletes, relational updates, log overflow, an oversized dirty
 //! set) falls back to the full path automatically;
@@ -24,16 +24,18 @@
 use std::sync::Arc;
 
 use retro_embed::EmbeddingSet;
-use retro_linalg::{vector, Matrix};
+use retro_linalg::Matrix;
 use retro_store::Database;
 
 use crate::api::{Retro, RetroConfig, RetroError, RetroOutput, Solver};
 use crate::delta::{classify_changes, extract_delta, ChangeSummary, DeltaExtraction};
 use crate::hyper::ParamCheck;
 use crate::problem::RetrofitProblem;
-use crate::solver::delta::{build_target_sums, solve_delta};
 use crate::solver::mf::solve_mf;
 use crate::solver::parallel::{solve_rn_seeded_parallel, solve_ro_seeded_parallel};
+use crate::solver::rn::RnKernel;
+use crate::solver::ro::RoKernel;
+use crate::solver::RowKernel;
 
 /// The incremental-maintenance guide, rendered from `docs/INCREMENTAL.md`
 /// so its code examples compile and run as doc tests.
@@ -139,16 +141,6 @@ impl RefreshPlan {
     }
 }
 
-/// Target sums over the current converged matrix, reusable by the next
-/// delta refresh (they are parameter-free aggregates, so a delta only has
-/// to patch in the rows that became targets since).
-#[derive(Clone, Debug)]
-struct SumsCache {
-    /// The database write version of the state the sums were built over.
-    version: u64,
-    sums: Matrix,
-}
-
 /// A retrofitting session that keeps its last solution for warm starts.
 ///
 /// The converged state is held behind an `Arc` (it is only ever replaced,
@@ -169,7 +161,6 @@ pub struct IncrementalRetro {
     /// Database write version `state` is converged against; the anchor the
     /// change log is read from on the next refresh.
     state_version: Option<u64>,
-    sums_cache: Option<SumsCache>,
     last_refresh: Option<RefreshKind>,
 }
 
@@ -182,7 +173,6 @@ impl IncrementalRetro {
             delta_max_dirty_fraction: 0.5,
             state: None,
             state_version: None,
-            sums_cache: None,
             last_refresh: None,
         }
     }
@@ -193,13 +183,11 @@ impl IncrementalRetro {
     /// `db_version` must be the database write version `output` was
     /// converged against *when it was persisted*: it anchors the change log
     /// for the next refresh, so everything written since the snapshot is
-    /// picked up (as a delta when the log allows it). The sums cache and
-    /// refresh-kind report are cleared — they describe solver runs this
-    /// process never performed.
+    /// picked up (as a delta when the log allows it). The refresh-kind
+    /// report is cleared — it describes a run this process never performed.
     pub fn restore(&mut self, output: Arc<RetroOutput>, db_version: u64) {
         self.state = Some(output);
         self.state_version = Some(db_version);
-        self.sums_cache = None;
         self.last_refresh = None;
     }
 
@@ -244,7 +232,6 @@ impl IncrementalRetro {
     ) -> Result<&RetroOutput, RetroError> {
         let version = db.write_version();
         let out = self.engine.retrofit(db, base)?;
-        self.sums_cache = None;
         Ok(self.install(Arc::new(out), version, RefreshKind::Full))
     }
 
@@ -400,61 +387,30 @@ impl IncrementalRetro {
         match kind {
             PlanKind::NoChange { current } => {
                 // The previous output is exact for `db_version` too: keep
-                // the state (same `Arc`) and the sums cache, restamping
-                // both to the new version so the next delta anchors here.
-                if let Some(cache) = &mut self.sums_cache {
-                    if Some(cache.version) == self.state_version {
-                        cache.version = db_version;
-                    }
-                }
+                // the state (same `Arc`), restamped so the next delta
+                // anchors here.
                 self.install(current, db_version, RefreshKind::NoChange)
             }
             PlanKind::Delta(plan) => {
                 let DeltaPlan { extraction, convexity } = *plan;
-                let DeltaExtraction { problem, mut warm, dirty, new_targets, prev_groups } =
-                    extraction;
-                // Reuse cached target sums when they match the previous
-                // state: patch in the rows that became targets with these
-                // appends (rows of brand-new groups start at zero and get
-                // all their targets this way). Otherwise rebuild — O(E),
-                // still database-free.
-                let cached = self.sums_cache.take().filter(|cache| {
-                    Some(cache.version) == self.state_version
-                        && cache.sums.shape() == (prev_groups * 2, problem.dim())
-                });
-                let mut sums = match cached {
-                    Some(cache) => {
-                        let mut sums = Matrix::zeros(problem.groups.len() * 2, problem.dim());
-                        for r in 0..prev_groups * 2 {
-                            sums.set_row(r, cache.sums.row(r));
-                        }
-                        for (gi, (fwd, inv)) in new_targets.iter().enumerate() {
-                            for &id in fwd {
-                                vector::axpy(1.0, warm.row(id as usize), sums.row_mut(2 * gi));
-                            }
-                            for &id in inv {
-                                vector::axpy(1.0, warm.row(id as usize), sums.row_mut(2 * gi + 1));
-                            }
-                        }
-                        sums
-                    }
-                    None => build_target_sums(&problem, &warm),
-                };
-                let ro = self.engine.config.solver == Solver::Ro;
-                solve_delta(
-                    &problem,
-                    &self.engine.config.params,
-                    ro,
-                    self.refresh_iterations,
-                    &mut warm,
-                    &mut sums,
-                    &dirty,
-                );
-                self.sums_cache = Some(SumsCache { version: db_version, sums });
+                let DeltaExtraction { problem, warm: mut embeddings, dirty } = extraction;
+                let params = &self.engine.config.params;
+                let (iters, threads) = (self.refresh_iterations, params.threads);
+                match self.engine.config.solver {
+                    Solver::Ro => RoKernel::for_rows(&problem, params, &dirty).run_rows(
+                        &mut embeddings,
+                        iters,
+                        threads,
+                    ),
+                    // MF never plans a delta (`prepare_refresh` skips the
+                    // dispatch for it).
+                    Solver::Rn | Solver::Mf => RnKernel::for_rows(&problem, params, &dirty)
+                        .run_rows(&mut embeddings, iters, threads),
+                }
                 let out = RetroOutput {
                     catalog: problem.catalog.clone(),
                     problem,
-                    embeddings: warm,
+                    embeddings,
                     convexity,
                 };
                 self.install(Arc::new(out), db_version, RefreshKind::Delta)
@@ -480,7 +436,6 @@ impl IncrementalRetro {
                     // configured iteration count, exactly like `full_run`.
                     None => self.engine.solve(problem),
                 };
-                self.sums_cache = None;
                 self.install(Arc::new(out), db_version, RefreshKind::Full)
             }
         }
@@ -709,25 +664,5 @@ mod tests {
                 .fold(0.0f32, f32::max);
             assert!(max < 0.1, "'{text}' drifted by {max}");
         }
-    }
-
-    /// The cached target sums must give the same delta result as a cold
-    /// rebuild of the sums (second consecutive delta hits the cache).
-    #[test]
-    fn sums_cache_does_not_change_the_result() {
-        let mut db = db();
-        let mut inc = IncrementalRetro::new(RetroConfig::default());
-        inc.delta_max_dirty_fraction = 1.0;
-        inc.full_run(&db, &base()).unwrap();
-        sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
-        inc.refresh(&db, &base()).unwrap();
-        let mut uncached = inc.clone();
-        uncached.sums_cache = None;
-
-        sql::run_script(&mut db, "INSERT INTO movies VALUES (4, 'alien', 1)").unwrap();
-        let cached_out = inc.refresh(&db, &base()).unwrap().embeddings.clone();
-        assert_eq!(inc.last_refresh(), Some(RefreshKind::Delta));
-        let rebuilt_out = uncached.refresh(&db, &base()).unwrap().embeddings.clone();
-        assert!(cached_out.max_abs_diff(&rebuilt_out) < 1e-5);
     }
 }

@@ -239,8 +239,13 @@ pub(crate) fn decode(data: &[u8]) -> Result<PersistedGeneration, RetroError> {
         groups.push(RelationGroup::new(name, source_category, target_category, kind, edges));
     }
 
-    let mut data = Vec::with_capacity(value_count * dim);
-    for _ in 0..value_count * dim {
+    // `value_count × dim` f32s follow: a product past the address space,
+    // or past the bytes left, is a truncated image and must not size the
+    // allocation.
+    let truncated = || corrupt("truncated while reading embedding value");
+    let floats = value_count.checked_mul(dim).ok_or_else(truncated)?;
+    let mut data = Vec::with_capacity(floats.min((body.len() - cur.pos) / 4));
+    for _ in 0..floats {
         let bytes = cur.take(4, "embedding value")?;
         data.push(f32::from_le_bytes(bytes.try_into().expect("4 bytes")));
     }
@@ -320,5 +325,17 @@ mod tests {
         assert_eq!(decode(&future).unwrap_err(), corrupt("unsupported snapshot version 9"));
         // Truncating the body is caught by the checksum, not a panic.
         assert!(decode(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn crafted_dimension_is_typed_not_allocated() {
+        // dim = u32::MAX under a valid checksum: the matrix claims ~8.6G
+        // values the body does not hold.
+        let mut bytes = sample();
+        let dim_at = HEADER_LEN + 16;
+        bytes[dim_at..dim_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), corrupt("truncated while reading embedding value"));
     }
 }

@@ -22,6 +22,7 @@ use crate::hyper::Hyperparameters;
 use crate::problem::RetrofitProblem;
 use crate::solver::rn::RnKernel;
 use crate::solver::ro::{NegativeMode, RoKernel};
+use crate::solver::RowKernel;
 
 /// Run the RO solver with `threads` workers.
 ///

@@ -18,38 +18,34 @@
 //! All RN entry points ([`solve_rn`], [`solve_rn_seeded`], and the
 //! multi-threaded [`solve_rn_parallel`](super::solve_rn_parallel) /
 //! [`solve_rn_seeded_parallel`](super::solve_rn_seeded_parallel), plus
-//! `Retro::solve` and incremental warm starts through them) run one shared
-//! kernel (`RnKernel`), the RN counterpart of `RoKernel` in `ro.rs`. The
-//! kernel splits each iteration into
+//! `Retro::solve`, incremental warm starts and delta refresh) run one
+//! shared kernel (`RnKernel`), the RN counterpart of `RoKernel` in
+//! `ro.rs`, through the shared iteration loop `RowKernel`. Each sweep is
 //!
-//! 1. a **group-partition phase** — the Eq. 16 per-group target centroids
-//!    `t_r` (they read only the previous iterate `W`); groups are
-//!    partitioned across the worker pool and each group's centroid is
-//!    written by exactly one worker, so the result is independent of the
-//!    partition, and
-//! 2. a **row-partition phase** — `α·W0 + β·c + Γ·W` minus the negative
-//!    centroids, then row normalization, all *row-local* given the `t_r`.
+//! 1. a **group phase** — the Eq. 16 per-group target centroids `t_r`
+//!    (they read only the previous iterate `W`), and
+//! 2. a **row phase** — `α·W0 + β·c + Γ·W` minus the negative centroids,
+//!    then row normalization, all *row-local* given the `t_r`.
 //!
-//! Neither phase's floating-point order depends on how many workers the
-//! partitions are spread across, so results are **bit-identical** from 1 to
-//! N threads; the sequential entry points are the kernel at `threads = 1`
-//! (phases run inline on the calling thread). All per-iteration scratch
-//! (centroid matrix, ping-pong iterate buffers) lives in the kernel and is
-//! built once — the iteration loop allocates nothing, and a kernel reused
-//! across warm-start solves re-uses its buffers.
+//! Results are **bit-identical** from 1 to N threads; the sequential entry
+//! points are the kernel at `threads = 1`. A kernel built `for_rows`
+//! updates only a row subset, with every other row frozen — the
+//! delta-refresh solve.
 
 use retro_linalg::{vector, CooMatrix, CsrMatrix, Matrix};
 
+use super::{Degrees, RowKernel, Rows, Schedule};
 use crate::hyper::{per_source_weight, Hyperparameters};
 use crate::problem::RetrofitProblem;
 
-/// The assembled RN iteration: positive operator, constant-part
-/// coefficients, flattened target lists and per-node negative plans, plus
-/// all iteration scratch. Built once per solve (or held across warm-start
-/// solves); `run` then iterates with any number of worker threads.
+/// The assembled RN iteration for one row set: positive operator,
+/// constant-part coefficients, flattened target lists and per-slot
+/// negative plans, plus all iteration scratch. Built once per solve (or
+/// held across warm-start solves).
 pub(crate) struct RnKernel<'p> {
     problem: &'p RetrofitProblem,
-    /// Positive operator `Γ` (`γ^r_i` on every directed edge).
+    /// Positive operator `Γ` (`γ^r_i` on every directed edge), one row per
+    /// slot.
     pos: CsrMatrix,
     /// Eq. 12 β per node. The constant part `α·W0 + β·c` is not
     /// materialized — each row update recomputes it from `W0` and the
@@ -58,119 +54,112 @@ pub(crate) struct RnKernel<'p> {
     beta: Vec<f32>,
     /// The anchor weight α.
     alpha: f32,
-    /// Flattened group target lists (CSR-style offsets+data): group `g`
-    /// covers `tgt_ids[tgt_ptr[g] .. tgt_ptr[g+1]]`.
+    /// Flattened target lists of the live groups (CSR-style offsets+data):
+    /// group `g` covers `tgt_ids[tgt_ptr[g] .. tgt_ptr[g+1]]`.
     tgt_ptr: Vec<u32>,
     tgt_ids: Vec<u32>,
-    /// Per group: true when some row actually subtracts this group's
-    /// centroid (nonempty targets and ≥ 1 source with `δ^r_i ≠ 0`); dead
-    /// groups are skipped in the centroid phase.
-    live: Vec<bool>,
-    /// Flattened per-node negative plans (CSR-style by node, group order —
-    /// the order fixes each row's floating-point sequence): row `r`
+    /// Flattened per-slot negative plans (CSR-style by slot, group order —
+    /// the order fixes each row's floating-point sequence): slot `s`
     /// subtracts `neg_delta[k] · centroid(neg_group[k])` for
-    /// `k ∈ neg_ptr[r] .. neg_ptr[r+1]`.
+    /// `k ∈ neg_ptr[s] .. neg_ptr[s+1]`.
     neg_ptr: Vec<u32>,
     neg_group: Vec<u32>,
     neg_delta: Vec<f32>,
-    /// Scratch, hoisted out of the iteration loop: Eq. 16 centroids (one
-    /// row per directed group) and the ping-pong iterate buffers.
-    centroids: Matrix,
-    w: Matrix,
-    next: Matrix,
+    sched: Schedule,
 }
 
 impl<'p> RnKernel<'p> {
-    /// Assemble the kernel for one problem/parameter set.
-    ///
+    /// Assemble the kernel updating every row.
+    pub(crate) fn new(problem: &'p RetrofitProblem, params: &Hyperparameters) -> Self {
+        Self::build(problem, params, Rows::All(problem.len()))
+    }
+
+    /// Assemble the kernel updating only `dirty` (ascending, deduplicated
+    /// ids), every other row frozen: run it with
+    /// [`run_rows`](RowKernel::run_rows).
+    pub(crate) fn for_rows(
+        problem: &'p RetrofitProblem,
+        params: &Hyperparameters,
+        dirty: &[u32],
+    ) -> Self {
+        Self::build(problem, params, Rows::subset(problem.len(), dirty))
+    }
+
     /// Construction works directly from the forward relation groups with
     /// one degree-counting pass per group — the per-edge `γ^r_i` and
     /// per-source `δ^r_i` of Eq. 12/14 are computed on the fly from the
     /// out-degrees and `|Ri|` counts (the same expressions
     /// [`crate::hyper::derive_group_weights`] evaluates, so the same bits)
-    /// without materializing [`crate::problem::DirectedGroup`]s, their
-    /// `n`-length weight vectors, or inverted edge lists.
-    pub(crate) fn new(problem: &'p RetrofitProblem, params: &Hyperparameters) -> Self {
+    /// without materializing [`crate::problem::DirectedGroup`]s. Only the
+    /// kernel's rows get operator entries and negative plans, and only the
+    /// groups they read get target lists.
+    fn build(problem: &'p RetrofitProblem, params: &Hyperparameters, rows: Rows) -> Self {
         let n = problem.len();
-        let dim = problem.dim();
         let beta = problem.beta_weights(params);
         let counts = &problem.relation_counts;
         let n_groups = problem.groups.len() * 2;
 
         // Directed groups are ordered (forward, inverted) per forward
         // group, exactly like `RetrofitProblem::directed_groups`.
-        let mut coo = CooMatrix::new(n, n);
+        let mut coo = CooMatrix::new(rows.len(), n);
         let mut tgt_ptr = Vec::with_capacity(n_groups + 1);
         tgt_ptr.push(0u32);
         let mut tgt_ids: Vec<u32> = Vec::new();
         let mut live = vec![false; n_groups];
-        // Per-node negative entries in (group-major, ascending node) visit
-        // order: (node, directed group, δ^r_node). Flattened into CSR form
-        // by a stable counting sort below.
+        // Per-slot negative entries in group-major visit order:
+        // (slot, directed group, δ^r_node). Flattened into CSR form by a
+        // stable counting sort below.
         let mut neg_entries: Vec<(u32, u32, f32)> = Vec::new();
-        let mut fwd_deg = vec![0u32; n];
-        let mut inv_deg = vec![0u32; n];
+        let mut deg = Degrees::new(n);
         for (gi, group) in problem.groups.iter().enumerate() {
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] += 1;
-                inv_deg[j as usize] += 1;
-            }
+            deg.count(&group.edges);
             // Forward direction: γ^r_i = γ/(od(i)·(|Ri|+1)) on every edge,
             // δ^r_i = δ/(od(i)·(|Ri|+1)) for every distinct source.
             for &(i, j) in &group.edges {
-                let g = per_source_weight(params.gamma, fwd_deg[i as usize], counts[i as usize]);
-                coo.push(i as usize, j as usize, g);
+                if let Some(s) = rows.slot(i) {
+                    let g =
+                        per_source_weight(params.gamma, deg.fwd[i as usize], counts[i as usize]);
+                    coo.push(s, j as usize, g);
+                }
             }
             // Inverted direction: same formulas over the swapped edges.
             for &(i, j) in &group.edges {
-                let g = per_source_weight(params.gamma, inv_deg[j as usize], counts[j as usize]);
-                coo.push(j as usize, i as usize, g);
-            }
-            let g_fwd = (2 * gi) as u32;
-            let g_inv = g_fwd + 1;
-            // Distinct targets (ascending scan ≡ sorted + deduped): the
-            // forward direction's targets are the nodes with inverted
-            // out-degree, and vice versa.
-            let has_edges = !group.edges.is_empty();
-            for i in 0..n {
-                if inv_deg[i] > 0 {
-                    tgt_ids.push(i as u32);
+                if let Some(s) = rows.slot(j) {
+                    let g =
+                        per_source_weight(params.gamma, deg.inv[j as usize], counts[j as usize]);
+                    coo.push(s, i as usize, g);
                 }
             }
-            tgt_ptr.push(tgt_ids.len() as u32);
-            for i in 0..n {
-                if fwd_deg[i] > 0 {
-                    tgt_ids.push(i as u32);
-                }
-            }
-            tgt_ptr.push(tgt_ids.len() as u32);
-            if params.delta != 0.0 && has_edges {
-                for i in 0..n {
-                    if fwd_deg[i] > 0 {
-                        let delta = per_source_weight(params.delta, fwd_deg[i], counts[i]);
+            // The forward direction's sources are the distinct `i`, its
+            // targets the distinct `j`; the inverted direction swaps them.
+            let g_fwd = 2 * gi;
+            let directions = [(g_fwd, &deg.sources, &deg.fwd), (g_fwd + 1, &deg.targets, &deg.inv)];
+            if params.delta != 0.0 && !group.edges.is_empty() {
+                for &(g, sources, out_deg) in &directions {
+                    for &i in sources.iter() {
+                        let Some(s) = rows.slot(i) else { continue };
+                        let delta = per_source_weight(
+                            params.delta,
+                            out_deg[i as usize],
+                            counts[i as usize],
+                        );
                         if delta != 0.0 {
-                            neg_entries.push((i as u32, g_fwd, delta));
-                            live[g_fwd as usize] = true;
-                        }
-                    }
-                }
-                for i in 0..n {
-                    if inv_deg[i] > 0 {
-                        let delta = per_source_weight(params.delta, inv_deg[i], counts[i]);
-                        if delta != 0.0 {
-                            neg_entries.push((i as u32, g_inv, delta));
-                            live[g_inv as usize] = true;
+                            neg_entries.push((s as u32, g as u32, delta));
+                            live[g] = true;
                         }
                     }
                 }
             }
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] = 0;
-                inv_deg[j as usize] = 0;
+            for (g, targets) in [(g_fwd, &deg.targets), (g_fwd + 1, &deg.sources)] {
+                if live[g] {
+                    tgt_ids.extend_from_slice(targets);
+                }
+                tgt_ptr.push(tgt_ids.len() as u32);
             }
         }
         let pos = coo.to_csr();
-        let (neg_ptr, neg_group, neg_delta) = super::flatten_by_node(n, &neg_entries);
+        let (neg_ptr, neg_group, neg_delta) = super::flatten_by_node(rows.len(), &neg_entries);
+        let sched = Schedule::new(rows, live, &tgt_ptr, &tgt_ids, problem.dim());
 
         Self {
             problem,
@@ -179,114 +168,107 @@ impl<'p> RnKernel<'p> {
             alpha: params.alpha,
             tgt_ptr,
             tgt_ids,
-            live,
             neg_ptr,
             neg_group,
             neg_delta,
-            centroids: Matrix::zeros(n_groups, dim),
-            // `w` is created lazily by `run` (it is handed out as the
-            // result); `next` persists across runs.
-            w: Matrix::zeros(0, 0),
-            next: Matrix::zeros(n, dim),
+            sched,
         }
     }
 
-    /// Iterate the kernel. `seed` overrides the starting matrix (warm
-    /// start); `threads ≤ 1` runs both phases inline on the calling thread.
-    /// Results are bit-identical for every `threads` value. The iteration
-    /// loop performs no allocation: the only allocation per run is the
-    /// returned matrix itself (handed out by move, lazily replaced on the
-    /// next run), so repeated/warm-start solves reuse all other scratch.
-    pub(crate) fn run(
-        &mut self,
-        seed: Option<&Matrix>,
-        iterations: usize,
-        threads: usize,
-    ) -> Matrix {
-        let n = self.problem.len();
-        let dim = self.problem.dim();
-        if n == 0 || dim == 0 {
-            return Matrix::zeros(n, dim);
-        }
-        if let Some(s) = seed {
-            // Validate before touching the scratch: a panic below the
-            // `mem::replace` calls would leave the kernel with emptied
-            // buffers and a later run would silently compute nothing.
-            assert_eq!(s.shape(), (n, dim), "RN solver: seed shape mismatch");
-        }
-        if self.w.shape() != (n, dim) {
-            // The previous run handed its `w` buffer out as the result.
-            self.w = Matrix::zeros(n, dim);
-        }
-        // Move the scratch out of `self` so worker threads can borrow the
-        // immutable kernel state while writing disjoint chunks of it.
-        let mut w = std::mem::replace(&mut self.w, Matrix::zeros(0, 0));
-        let mut next = std::mem::replace(&mut self.next, Matrix::zeros(0, 0));
-        let mut centroids = std::mem::replace(&mut self.centroids, Matrix::zeros(0, 0));
-        match seed {
-            Some(s) => w.as_mut_slice().copy_from_slice(s.as_slice()),
-            None => w.as_mut_slice().copy_from_slice(self.problem.w0.as_slice()),
-        }
-
-        let threads = threads.max(1);
-        let n_groups = self.live.len();
-        let groups_per_chunk = n_groups.div_ceil(threads).max(1);
-        let rows_per_chunk = n.div_ceil(threads);
-
-        for _ in 0..iterations {
-            // Group-partition phase: the Eq. 16 target centroids. Each
-            // group's centroid is written by exactly one worker, so the
-            // partition never reorders any group's accumulation.
-            if n_groups > 0 {
-                if threads <= 1 {
-                    self.centroid_rows(&w, 0, centroids.as_mut_slice());
-                } else {
-                    let w_ref = &w;
-                    let this = &*self;
-                    std::thread::scope(|scope| {
-                        for (chunk_idx, chunk) in
-                            centroids.as_mut_slice().chunks_mut(groups_per_chunk * dim).enumerate()
-                        {
-                            let start = chunk_idx * groups_per_chunk;
-                            scope.spawn(move || this.centroid_rows(w_ref, start, chunk));
-                        }
-                    });
+    /// [`RowKernel::update_rows`] with the row dimension known at compile
+    /// time: the accumulator is a fixed-size stack array, which LLVM
+    /// promotes to vector registers across the gather and negative loops.
+    fn update_rows_fixed<const D: usize>(
+        &self,
+        w: &Matrix,
+        centroids: &Matrix,
+        start: usize,
+        chunk: &mut [f32],
+    ) {
+        let end = start + chunk.len() / D;
+        for (local, s) in (start..end).enumerate() {
+            if s + 4 < end {
+                // Overlap upcoming rows' data-dependent gathers with this
+                // row's arithmetic (see `CsrMatrix::prefetch_row`); a few
+                // rows of distance covers the DRAM latency.
+                self.pos.prefetch_row(s + 4, w);
+            }
+            let r = self.sched.rows.row(s);
+            let mut acc = [0.0f32; D];
+            let b = self.beta[r];
+            let w0r = &self.problem.w0.row(r)[..D];
+            let cr = &self.problem.centroid_of(r)[..D];
+            for j in 0..D {
+                acc[j] = self.alpha * w0r[j] + b * cr[j];
+            }
+            for (c, v) in self.pos.row(s) {
+                let x = &w.row(c)[..D];
+                for j in 0..D {
+                    acc[j] += v * x[j];
                 }
             }
-
-            // Row-partition phase: every output row depends only on the
-            // previous iterate and the centroids — disjoint row ranges are
-            // fully independent.
-            if threads <= 1 {
-                self.update_rows(&w, &centroids, 0, next.as_mut_slice());
-            } else {
-                let w_ref = &w;
-                let c_ref = &centroids;
-                let this = &*self;
-                std::thread::scope(|scope| {
-                    for (chunk_idx, chunk) in
-                        next.as_mut_slice().chunks_mut(rows_per_chunk * dim).enumerate()
-                    {
-                        let start = chunk_idx * rows_per_chunk;
-                        scope.spawn(move || this.update_rows(w_ref, c_ref, start, chunk));
-                    }
-                });
+            for k in self.neg_ptr[s] as usize..self.neg_ptr[s + 1] as usize {
+                let delta = self.neg_delta[k];
+                let c = &centroids.row(self.neg_group[k] as usize)[..D];
+                for j in 0..D {
+                    acc[j] += -delta * c[j];
+                }
             }
-            std::mem::swap(&mut w, &mut next);
+            vector::normalize(&mut acc);
+            chunk[local * D..(local + 1) * D].copy_from_slice(&acc);
         }
-
-        self.next = next;
-        self.centroids = centroids;
-        w
     }
 
-    /// Compute the centroids of groups `start..start + chunk.len()/dim`
-    /// into `chunk` (a row-major slice of the centroid matrix).
-    fn centroid_rows(&self, w: &Matrix, start: usize, chunk: &mut [f32]) {
+    /// [`RowKernel::update_rows`] for arbitrary dimensions.
+    fn update_rows_dyn(&self, w: &Matrix, centroids: &Matrix, start: usize, chunk: &mut [f32]) {
+        let dim = self.problem.dim();
+        let end = start + chunk.len() / dim;
+        for (local, s) in (start..end).enumerate() {
+            if s + 1 < end {
+                self.pos.prefetch_row(s + 1, w);
+            }
+            let r = self.sched.rows.row(s);
+            let out_row = &mut chunk[local * dim..(local + 1) * dim];
+            let b = self.beta[r];
+            for ((o, &w0v), &cv) in
+                out_row.iter_mut().zip(self.problem.w0.row(r)).zip(self.problem.centroid_of(r))
+            {
+                *o = self.alpha * w0v + b * cv;
+            }
+            self.pos.mul_row_into(s, w, 1.0, out_row);
+            for k in self.neg_ptr[s] as usize..self.neg_ptr[s + 1] as usize {
+                vector::axpy(
+                    -self.neg_delta[k],
+                    centroids.row(self.neg_group[k] as usize),
+                    out_row,
+                );
+            }
+            vector::normalize(out_row);
+        }
+    }
+}
+
+impl RowKernel for RnKernel<'_> {
+    const NAME: &'static str = "RN";
+
+    fn problem(&self) -> &RetrofitProblem {
+        self.problem
+    }
+
+    fn schedule(&self) -> &Schedule {
+        &self.sched
+    }
+
+    fn schedule_mut(&mut self) -> &mut Schedule {
+        &mut self.sched
+    }
+
+    /// The Eq. 16 centroids of the flagged groups.
+    fn group_rows(&self, w: &Matrix, groups: &[bool], start: usize, chunk: &mut [f32]) {
         let dim = self.problem.dim();
         for (local, g) in (start..start + chunk.len() / dim).enumerate() {
-            if !self.live[g] {
-                continue; // never read by any row — skip the work
+            if !groups[g] {
+                continue;
             }
             let c = &mut chunk[local * dim..(local + 1) * dim];
             let t0 = self.tgt_ptr[g] as usize;
@@ -299,14 +281,12 @@ impl<'p> RnKernel<'p> {
         }
     }
 
-    /// Compute output rows `start..start + chunk.len()/dim` into `chunk`:
-    /// constant part, `Γ·W`, negative centroids, row normalization — one
-    /// fused pass while the row is hot in cache.
-    ///
-    /// Dispatches to a const-dimension body for the common embedding
-    /// widths so the accumulator row lives in registers across the whole
-    /// sparse gather (the element-wise operation order is identical, so
-    /// the dispatch never changes a bit of the output).
+    /// Constant part, `Γ·W`, negative centroids, row normalization — one
+    /// fused pass while the row is hot in cache. Dispatches to a
+    /// const-dimension body for the common embedding widths so the
+    /// accumulator row lives in registers across the whole sparse gather
+    /// (the element-wise operation order is identical, so the dispatch
+    /// never changes a bit of the output).
     fn update_rows(&self, w: &Matrix, centroids: &Matrix, start: usize, chunk: &mut [f32]) {
         match self.problem.dim() {
             32 => self.update_rows_fixed::<32>(w, centroids, start, chunk),
@@ -314,76 +294,6 @@ impl<'p> RnKernel<'p> {
             96 => self.update_rows_fixed::<96>(w, centroids, start, chunk),
             128 => self.update_rows_fixed::<128>(w, centroids, start, chunk),
             _ => self.update_rows_dyn(w, centroids, start, chunk),
-        }
-    }
-
-    /// [`Self::update_rows`] with the row dimension known at compile time:
-    /// the accumulator is a fixed-size stack array, which LLVM promotes to
-    /// vector registers across the gather and negative loops.
-    fn update_rows_fixed<const D: usize>(
-        &self,
-        w: &Matrix,
-        centroids: &Matrix,
-        start: usize,
-        chunk: &mut [f32],
-    ) {
-        let end = start + chunk.len() / D;
-        for (local, r) in (start..end).enumerate() {
-            if r + 4 < end {
-                // Overlap upcoming rows' data-dependent gathers with this
-                // row's arithmetic (see `CsrMatrix::prefetch_row`); a few
-                // rows of distance covers the DRAM latency.
-                self.pos.prefetch_row(r + 4, w);
-            }
-            let mut acc = [0.0f32; D];
-            let b = self.beta[r];
-            let w0r = &self.problem.w0.row(r)[..D];
-            let cr = &self.problem.centroid_of(r)[..D];
-            for j in 0..D {
-                acc[j] = self.alpha * w0r[j] + b * cr[j];
-            }
-            for (c, v) in self.pos.row(r) {
-                let x = &w.row(c)[..D];
-                for j in 0..D {
-                    acc[j] += v * x[j];
-                }
-            }
-            for k in self.neg_ptr[r] as usize..self.neg_ptr[r + 1] as usize {
-                let delta = self.neg_delta[k];
-                let c = &centroids.row(self.neg_group[k] as usize)[..D];
-                for j in 0..D {
-                    acc[j] += -delta * c[j];
-                }
-            }
-            vector::normalize(&mut acc);
-            chunk[local * D..(local + 1) * D].copy_from_slice(&acc);
-        }
-    }
-
-    /// [`Self::update_rows`] for arbitrary dimensions.
-    fn update_rows_dyn(&self, w: &Matrix, centroids: &Matrix, start: usize, chunk: &mut [f32]) {
-        let dim = self.problem.dim();
-        let end = start + chunk.len() / dim;
-        for (local, r) in (start..end).enumerate() {
-            if r + 1 < end {
-                self.pos.prefetch_row(r + 1, w);
-            }
-            let out_row = &mut chunk[local * dim..(local + 1) * dim];
-            let b = self.beta[r];
-            for ((o, &w0v), &cv) in
-                out_row.iter_mut().zip(self.problem.w0.row(r)).zip(self.problem.centroid_of(r))
-            {
-                *o = self.alpha * w0v + b * cv;
-            }
-            self.pos.mul_row_into(r, w, 1.0, out_row);
-            for k in self.neg_ptr[r] as usize..self.neg_ptr[r + 1] as usize {
-                vector::axpy(
-                    -self.neg_delta[k],
-                    centroids.row(self.neg_group[k] as usize),
-                    out_row,
-                );
-            }
-            vector::normalize(out_row);
         }
     }
 }
@@ -554,9 +464,9 @@ mod tests {
         let n = p.len();
         let mut w = p.w0.clone();
         let mut next = Matrix::zeros(n, dim);
-        let mut centroids = Matrix::zeros(kernel.live.len(), dim);
+        let mut centroids = Matrix::zeros(kernel.sched.live.len(), dim);
         for _ in 0..5 {
-            kernel.centroid_rows(&w, 0, centroids.as_mut_slice());
+            kernel.group_rows(&w, &kernel.sched.live, 0, centroids.as_mut_slice());
             kernel.update_rows_dyn(&w, &centroids, 0, next.as_mut_slice());
             std::mem::swap(&mut w, &mut next);
         }

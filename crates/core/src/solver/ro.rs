@@ -16,28 +16,25 @@
 //! ## One kernel, every execution mode
 //!
 //! All RO entry points ([`solve_ro`], [`solve_ro_seeded`],
-//! [`solve_ro_enumerated`], and
-//! [`solve_ro_parallel`](super::solve_ro_parallel)) run through one shared
-//! kernel (`RoKernel`). The kernel splits each iteration into
+//! [`solve_ro_enumerated`], [`solve_ro_parallel`](super::solve_ro_parallel),
+//! and delta refresh) run one shared kernel (`RoKernel`) through the
+//! shared iteration loop `RowKernel`. Each sweep is
 //!
-//! 1. a **group-partition phase** — the per-group target sums `t_r`
-//!    (`O(n·D)` total; they read only the previous iterate `W`), with
-//!    groups partitioned across the worker pool so each group's sum is
-//!    written by exactly one worker, and
-//! 2. a **row-partition phase** — `P·W`, the negative term, the constant
-//!    part and the diagonal divide, all *row-local* given the `t_r`.
+//! 1. a **group phase** — the per-group target sums `t_r` (`O(n·D)`
+//!    total; they read only the previous iterate `W`), and
+//! 2. a **row phase** — `P·W`, the negative term, the constant part and
+//!    the diagonal divide, all *row-local* given the `t_r`.
 //!
 //! Because neither phase's floating-point order depends on the partition,
-//! the sequence of operations producing any given row or sum is identical
-//! for every thread count, so results are **bit-identical** from 1 to N
-//! threads. The sequential entry points are simply the kernel at
-//! `threads = 1` (phases run inline), which is what makes it impossible for
-//! the sequential and parallel paths to drift. All per-iteration scratch
-//! (target-sum matrix, ping-pong iterate buffers) lives in the kernel, so
-//! the iteration loop allocates nothing.
+//! results are **bit-identical** from 1 to N threads; the sequential entry
+//! points are the kernel at `threads = 1`, which is what makes it
+//! impossible for the sequential and parallel paths to drift. A blanket
+//! kernel built `for_rows` updates only a row subset, with every other
+//! row frozen — the delta-refresh solve.
 
 use retro_linalg::{vector, CooMatrix, CsrMatrix, Matrix};
 
+use super::{Degrees, RowKernel, Rows, Schedule};
 use crate::hyper::{delta_hat_weight, per_source_weight, Hyperparameters};
 use crate::problem::RetrofitProblem;
 
@@ -56,15 +53,15 @@ pub(crate) enum NegativeMode {
     Enumerated,
 }
 
-/// The assembled RO iteration: positive operator, diagonal, constant part,
-/// flattened per-node negative-term plans, and all iteration scratch.
-/// Built once per solve; `run` then iterates with any number of worker
-/// threads.
+/// The assembled RO iteration for one row set: positive operator,
+/// diagonal, flattened per-slot negative-term plans, and all iteration
+/// scratch. Built once per solve.
 pub(crate) struct RoKernel<'p> {
     problem: &'p RetrofitProblem,
-    /// Positive operator `P` (per-mode edge weights, see [`NegativeMode`]).
+    /// Positive operator `P` (per-mode edge weights, see [`NegativeMode`]),
+    /// one row per slot.
     pos: CsrMatrix,
-    /// The Eq. 10 diagonal `D` of coefficient sums.
+    /// The Eq. 10 diagonal `D` of coefficient sums, per slot.
     denom: Vec<f32>,
     /// Eq. 12 β per node. The constant part `α·W0 + β·c` is not
     /// materialized — each row update recomputes it from `W0` and the
@@ -74,17 +71,14 @@ pub(crate) struct RoKernel<'p> {
     /// The anchor weight α.
     alpha: f32,
     /// Flattened group target lists (CSR-style offsets+data): group `g`
-    /// covers `tgt_ids[tgt_ptr[g] .. tgt_ptr[g+1]]`.
+    /// covers `tgt_ids[tgt_ptr[g] .. tgt_ptr[g+1]]`. Blanket mode keeps
+    /// only the live groups' lists.
     tgt_ptr: Vec<u32>,
     tgt_ids: Vec<u32>,
-    /// Per group: true when some row consumes this group's target sum
-    /// (blanket mode, `δ̂r ≠ 0`, nonempty targets); dead groups skip the
-    /// sum phase.
-    live: Vec<bool>,
-    /// Blanket mode, flattened per-node plans (CSR-style by node, group
-    /// order — the order fixes each row's floating-point sequence): row `r`
-    /// subtracts `neg_coeff[k] · t_{neg_group[k]}` (`neg_coeff = 2δ̂r`) for
-    /// `k ∈ neg_ptr[r] .. neg_ptr[r+1]`.
+    /// Blanket mode, flattened per-slot plans (CSR-style by slot, group
+    /// order — the order fixes each row's floating-point sequence): slot
+    /// `s` subtracts `neg_coeff[k] · t_{neg_group[k]}` (`neg_coeff = 2δ̂r`)
+    /// for `k ∈ neg_ptr[s] .. neg_ptr[s+1]`.
     neg_ptr: Vec<u32>,
     neg_group: Vec<u32>,
     neg_coeff: Vec<f32>,
@@ -94,78 +88,77 @@ pub(crate) struct RoKernel<'p> {
     /// unoptimized Fig. 4 / Table 2 diagnostic path.
     node_pairs: Vec<Vec<(u32, f32, Vec<u32>)>>,
     mode: NegativeMode,
-    /// Scratch, hoisted out of the iteration loop: Eq. 15 target sums (one
-    /// row per directed group) and the ping-pong iterate buffers.
-    t_sums: Matrix,
-    w: Matrix,
-    next: Matrix,
+    sched: Schedule,
 }
 
 impl<'p> RoKernel<'p> {
-    /// Assemble the kernel for one problem/parameter set.
-    ///
-    /// Blanket mode (the hot path) constructs directly from the forward
-    /// relation groups with one degree-counting pass per group — the
-    /// per-edge `γ` weights and the shared `δ̂ = δ/(mc·mr)` of Eq. 13 are
-    /// computed on the fly from out-degrees and `|Ri|` counts (the same
-    /// expressions [`crate::hyper::derive_group_weights`] evaluates, so
-    /// the same bits) without materializing
-    /// [`crate::problem::DirectedGroup`]s. The enumerated mode (a cold
-    /// diagnostic path) keeps the directed-group construction.
+    /// Assemble the kernel updating every row.
     pub(crate) fn new(
         problem: &'p RetrofitProblem,
         params: &Hyperparameters,
         mode: NegativeMode,
     ) -> Self {
         match mode {
-            NegativeMode::Blanket => Self::new_blanket(problem, params),
+            NegativeMode::Blanket => Self::new_blanket(problem, params, Rows::All(problem.len())),
             NegativeMode::Enumerated => Self::new_enumerated(problem, params),
         }
     }
 
-    fn new_blanket(problem: &'p RetrofitProblem, params: &Hyperparameters) -> Self {
+    /// Assemble the blanket kernel updating only `dirty` (ascending,
+    /// deduplicated ids), every other row frozen: run it with
+    /// [`run_rows`](RowKernel::run_rows).
+    pub(crate) fn for_rows(
+        problem: &'p RetrofitProblem,
+        params: &Hyperparameters,
+        dirty: &[u32],
+    ) -> Self {
+        Self::new_blanket(problem, params, Rows::subset(problem.len(), dirty))
+    }
+
+    /// Blanket mode (the hot path) constructs directly from the forward
+    /// relation groups with one degree-counting pass per group — the
+    /// per-edge `γ` weights and the shared `δ̂ = δ/(mc·mr)` of Eq. 13 are
+    /// computed on the fly from out-degrees and `|Ri|` counts (the same
+    /// expressions [`crate::hyper::derive_group_weights`] evaluates, so
+    /// the same bits) without materializing
+    /// [`crate::problem::DirectedGroup`]s. Only the kernel's rows get
+    /// operator entries, diagonals and negative plans, and only the groups
+    /// they read get target lists.
+    fn new_blanket(problem: &'p RetrofitProblem, params: &Hyperparameters, rows: Rows) -> Self {
         let n = problem.len();
-        let dim = problem.dim();
         let beta = problem.beta_weights(params);
         let counts = &problem.relation_counts;
         let n_groups = problem.groups.len() * 2;
 
-        let mut coo = CooMatrix::new(n, n);
-        let mut denom = vec![0.0f32; n];
-        for (i, d) in denom.iter_mut().enumerate() {
-            *d = params.alpha + beta[i];
-        }
+        let mut coo = CooMatrix::new(rows.len(), n);
+        let mut denom: Vec<f32> =
+            (0..rows.len()).map(|s| params.alpha + beta[rows.row(s)]).collect();
         let mut tgt_ptr = Vec::with_capacity(n_groups + 1);
         tgt_ptr.push(0u32);
         let mut tgt_ids: Vec<u32> = Vec::new();
         let mut live = vec![false; n_groups];
-        // Per-node negative entries in (group-major, ascending node) visit
-        // order: (node, directed group, 2δ̂). Flattened into CSR form by a
-        // stable counting sort below.
+        // Per-slot negative entries in group-major visit order:
+        // (slot, directed group, 2δ̂). Flattened into CSR form by a stable
+        // counting sort below.
         let mut neg_entries: Vec<(u32, u32, f32)> = Vec::new();
-        let mut fwd_deg = vec![0u32; n];
-        let mut inv_deg = vec![0u32; n];
+        let mut deg = Degrees::new(n);
         // Per-edge weight scratch: the symmetric edge weight is identical
         // in both directions (f32 addition is commutative), so it is
         // computed once in the forward pass and reused for the inverted
         // edges.
         let mut edge_w: Vec<f32> = Vec::new();
         for (gi, group) in problem.groups.iter().enumerate() {
-            // One counting pass yields both directions' out-degrees, the
-            // Eq. 13 mr, and (via ascending scans) the distinct
-            // source/target sets.
-            let mut mr = 1usize;
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] += 1;
-                inv_deg[j as usize] += 1;
-                mr = mr.max(counts[i as usize] as usize + 1).max(counts[j as usize] as usize + 1);
-            }
-            let mut src_count = 0usize;
-            let mut t_count = 0usize;
-            for i in 0..n {
-                src_count += (fwd_deg[i] > 0) as usize;
-                t_count += (inv_deg[i] > 0) as usize;
-            }
+            // One counting pass yields both directions' out-degrees and
+            // distinct source/target sets; the Eq. 13 mr is the largest
+            // |Ri|+1 over the group's endpoints.
+            deg.count(&group.edges);
+            let mr = group
+                .edges
+                .iter()
+                .map(|&(i, j)| counts[i as usize].max(counts[j as usize]) as usize + 1)
+                .fold(1, usize::max);
+            let src_count = deg.sources.len();
+            let t_count = deg.targets.len();
             let mc = src_count.max(t_count).max(1);
             let dh =
                 if group.edges.is_empty() { 0.0 } else { delta_hat_weight(params.delta, mc, mr) };
@@ -174,72 +167,57 @@ impl<'p> RoKernel<'p> {
             // subtraction of t_r removes (Eq. 15); `γ^r_i + γ^r̄_j` is the
             // forward gamma at the source plus the inverted-direction
             // gamma at the target (and symmetrically for the inverted
-            // direction's edges).
+            // direction's edges). Per row, the diagonal accumulates in the
+            // order forward edges, forward blanket, inverted edges,
+            // inverted blanket.
             edge_w.clear();
             for &(i, j) in &group.edges {
                 let g_fwd =
-                    per_source_weight(params.gamma, fwd_deg[i as usize], counts[i as usize]);
+                    per_source_weight(params.gamma, deg.fwd[i as usize], counts[i as usize]);
                 let g_inv =
-                    per_source_weight(params.gamma, inv_deg[j as usize], counts[j as usize]);
+                    per_source_weight(params.gamma, deg.inv[j as usize], counts[j as usize]);
                 let w = g_fwd + g_inv + 2.0 * dh;
                 edge_w.push(w);
-                coo.push(i as usize, j as usize, w);
-                denom[i as usize] += w;
-            }
-            for i in 0..n {
-                if fwd_deg[i] > 0 {
-                    denom[i] -= 2.0 * dh * t_count as f32;
+                if let Some(s) = rows.slot(i) {
+                    coo.push(s, j as usize, w);
+                    denom[s] += w;
                 }
+            }
+            for s in deg.sources.iter().filter_map(|&i| rows.slot(i)) {
+                denom[s] -= 2.0 * dh * t_count as f32;
             }
             for (&(i, j), &w) in group.edges.iter().zip(&edge_w) {
-                coo.push(j as usize, i as usize, w);
-                denom[j as usize] += w;
-            }
-            for i in 0..n {
-                if inv_deg[i] > 0 {
-                    denom[i] -= 2.0 * dh * src_count as f32;
+                if let Some(s) = rows.slot(j) {
+                    coo.push(s, i as usize, w);
+                    denom[s] += w;
                 }
+            }
+            for s in deg.targets.iter().filter_map(|&j| rows.slot(j)) {
+                denom[s] -= 2.0 * dh * src_count as f32;
             }
 
-            // Distinct targets per direction (ascending scan ≡ sorted +
-            // deduped) and the per-direction negative plans.
-            let g_fwd_idx = (2 * gi) as u32;
-            let g_inv_idx = g_fwd_idx + 1;
-            for i in 0..n {
-                if inv_deg[i] > 0 {
-                    tgt_ids.push(i as u32);
-                }
-            }
-            tgt_ptr.push(tgt_ids.len() as u32);
-            for i in 0..n {
-                if fwd_deg[i] > 0 {
-                    tgt_ids.push(i as u32);
-                }
-            }
-            tgt_ptr.push(tgt_ids.len() as u32);
-            if dh != 0.0 && t_count > 0 {
-                for i in 0..n {
-                    if fwd_deg[i] > 0 {
-                        neg_entries.push((i as u32, g_fwd_idx, 2.0 * dh));
-                        live[g_fwd_idx as usize] = true;
+            // Per-direction negative plans and the live groups' target
+            // lists: the forward direction's sources are the distinct `i`
+            // and its targets the distinct `j`; the inverted one swaps them.
+            let g_fwd = 2 * gi;
+            for (g, sources, targets) in
+                [(g_fwd, &deg.sources, &deg.targets), (g_fwd + 1, &deg.targets, &deg.sources)]
+            {
+                if dh != 0.0 && !targets.is_empty() {
+                    for s in sources.iter().filter_map(|&i| rows.slot(i)) {
+                        neg_entries.push((s as u32, g as u32, 2.0 * dh));
+                        live[g] = true;
                     }
                 }
-            }
-            if dh != 0.0 && src_count > 0 {
-                for i in 0..n {
-                    if inv_deg[i] > 0 {
-                        neg_entries.push((i as u32, g_inv_idx, 2.0 * dh));
-                        live[g_inv_idx as usize] = true;
-                    }
+                if live[g] {
+                    tgt_ids.extend_from_slice(targets);
                 }
-            }
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] = 0;
-                inv_deg[j as usize] = 0;
+                tgt_ptr.push(tgt_ids.len() as u32);
             }
         }
         let pos = coo.to_csr();
-        let (neg_ptr, neg_group, neg_coeff) = super::flatten_by_node(n, &neg_entries);
+        let (neg_ptr, neg_group, neg_coeff) = super::flatten_by_node(rows.len(), &neg_entries);
+        let sched = Schedule::new(rows, live, &tgt_ptr, &tgt_ids, problem.dim());
 
         Self {
             problem,
@@ -249,23 +227,17 @@ impl<'p> RoKernel<'p> {
             alpha: params.alpha,
             tgt_ptr,
             tgt_ids,
-            live,
             neg_ptr,
             neg_group,
             neg_coeff,
             node_pairs: Vec::new(),
             mode: NegativeMode::Blanket,
-            t_sums: Matrix::zeros(n_groups, dim),
-            // `w` is created lazily by `run` (it is handed out as the
-            // result); `next` persists across runs.
-            w: Matrix::zeros(0, 0),
-            next: Matrix::zeros(n, dim),
+            sched,
         }
     }
 
     fn new_enumerated(problem: &'p RetrofitProblem, params: &Hyperparameters) -> Self {
         let n = problem.len();
-        let dim = problem.dim();
         let groups = problem.directed_groups(params, true);
         let beta = problem.beta_weights(params);
 
@@ -313,6 +285,8 @@ impl<'p> RoKernel<'p> {
                 node_pairs[s as usize].push((g as u32, 2.0 * dh, related));
             }
         }
+        // No group phase: the pair sweep reads targets straight from `W`.
+        let sched = Schedule::new(Rows::All(n), Vec::new(), &[0], &[], problem.dim());
 
         Self {
             problem,
@@ -322,151 +296,19 @@ impl<'p> RoKernel<'p> {
             alpha: params.alpha,
             tgt_ptr,
             tgt_ids,
-            live: vec![false; groups.len()],
             neg_ptr: vec![0u32; n + 1],
             neg_group: Vec::new(),
             neg_coeff: Vec::new(),
             node_pairs,
             mode: NegativeMode::Enumerated,
-            t_sums: Matrix::zeros(groups.len(), dim),
-            // `w` is created lazily by `run` (it is handed out as the
-            // result); `next` persists across runs.
-            w: Matrix::zeros(0, 0),
-            next: Matrix::zeros(n, dim),
+            sched,
         }
     }
 
-    /// Iterate the kernel. `seed` overrides the starting matrix (warm
-    /// start); `threads ≤ 1` runs both phases inline on the calling thread.
-    /// Results are bit-identical for every `threads` value. The iteration
-    /// loop performs no allocation: the only allocation per run is the
-    /// returned matrix itself (handed out by move, lazily replaced on the
-    /// next run), so repeated/warm-start solves reuse all other scratch.
-    pub(crate) fn run(
-        &mut self,
-        seed: Option<&Matrix>,
-        iterations: usize,
-        threads: usize,
-    ) -> Matrix {
-        let n = self.problem.len();
-        let dim = self.problem.dim();
-        if n == 0 || dim == 0 {
-            return Matrix::zeros(n, dim);
-        }
-        if let Some(s) = seed {
-            // Validate before touching the scratch: a panic below the
-            // `mem::replace` calls would leave the kernel with emptied
-            // buffers and a later run would silently compute nothing.
-            assert_eq!(s.shape(), (n, dim), "RO solver: seed shape mismatch");
-        }
-        if self.w.shape() != (n, dim) {
-            // The previous run handed its `w` buffer out as the result.
-            self.w = Matrix::zeros(n, dim);
-        }
-        // Move the scratch out of `self` so worker threads can borrow the
-        // immutable kernel state while writing disjoint chunks of it.
-        let mut w = std::mem::replace(&mut self.w, Matrix::zeros(0, 0));
-        let mut next = std::mem::replace(&mut self.next, Matrix::zeros(0, 0));
-        let mut t_sums = std::mem::replace(&mut self.t_sums, Matrix::zeros(0, 0));
-        match seed {
-            Some(s) => w.as_mut_slice().copy_from_slice(s.as_slice()),
-            None => w.as_mut_slice().copy_from_slice(self.problem.w0.as_slice()),
-        }
-
-        let threads = threads.max(1);
-        let n_groups = self.live.len();
-        let groups_per_chunk = n_groups.div_ceil(threads).max(1);
-        let rows_per_chunk = n.div_ceil(threads);
-
-        for _ in 0..iterations {
-            // Group-partition phase: the Eq. 15 target sums
-            // t_r = Σ_{k∈targets} v_k (only the blanket mode consumes
-            // them). Each group's sum is written by exactly one worker, so
-            // the partition never reorders any group's accumulation.
-            if self.mode == NegativeMode::Blanket && n_groups > 0 {
-                if threads <= 1 {
-                    self.sum_rows(&w, 0, t_sums.as_mut_slice());
-                } else {
-                    let w_ref = &w;
-                    let this = &*self;
-                    std::thread::scope(|scope| {
-                        for (chunk_idx, chunk) in
-                            t_sums.as_mut_slice().chunks_mut(groups_per_chunk * dim).enumerate()
-                        {
-                            let start = chunk_idx * groups_per_chunk;
-                            scope.spawn(move || this.sum_rows(w_ref, start, chunk));
-                        }
-                    });
-                }
-            }
-
-            // Row-partition phase: every output row depends only on the
-            // previous iterate and the t_sums — disjoint row ranges are
-            // fully independent.
-            if threads <= 1 {
-                self.update_rows(&w, &t_sums, 0, next.as_mut_slice());
-            } else {
-                let w_ref = &w;
-                let t_ref = &t_sums;
-                let this = &*self;
-                std::thread::scope(|scope| {
-                    for (chunk_idx, chunk) in
-                        next.as_mut_slice().chunks_mut(rows_per_chunk * dim).enumerate()
-                    {
-                        let start = chunk_idx * rows_per_chunk;
-                        scope.spawn(move || this.update_rows(w_ref, t_ref, start, chunk));
-                    }
-                });
-            }
-            std::mem::swap(&mut w, &mut next);
-        }
-
-        self.next = next;
-        self.t_sums = t_sums;
-        w
-    }
-
-    /// Compute the Eq. 15 sums of groups `start..start + chunk.len()/dim`
-    /// into `chunk` (a row-major slice of the target-sum matrix).
-    fn sum_rows(&self, w: &Matrix, start: usize, chunk: &mut [f32]) {
-        let dim = self.problem.dim();
-        for (local, g) in (start..start + chunk.len() / dim).enumerate() {
-            if !self.live[g] {
-                continue; // never read by any row — skip the work
-            }
-            let t_sum = &mut chunk[local * dim..(local + 1) * dim];
-            vector::zero(t_sum);
-            for &k in &self.tgt_ids[self.tgt_ptr[g] as usize..self.tgt_ptr[g + 1] as usize] {
-                vector::axpy(1.0, w.row(k as usize), t_sum);
-            }
-        }
-    }
-
-    /// Compute output rows `start..start + chunk.len()/dim` into `chunk`:
-    /// constant part, `P·W`, negative term, diagonal divide — one fused
-    /// pass while the row is hot in cache.
-    ///
-    /// Blanket mode dispatches to a const-dimension body for the common
-    /// embedding widths so the accumulator row lives in registers across
-    /// the whole sparse gather (the element-wise operation order is
-    /// identical, so the dispatch never changes a bit of the output).
-    fn update_rows(&self, w: &Matrix, t_sums: &Matrix, start: usize, chunk: &mut [f32]) {
-        if self.mode == NegativeMode::Blanket {
-            match self.problem.dim() {
-                32 => return self.update_rows_fixed::<32>(w, t_sums, start, chunk),
-                64 => return self.update_rows_fixed::<64>(w, t_sums, start, chunk),
-                96 => return self.update_rows_fixed::<96>(w, t_sums, start, chunk),
-                128 => return self.update_rows_fixed::<128>(w, t_sums, start, chunk),
-                _ => {}
-            }
-        }
-        self.update_rows_dyn(w, t_sums, start, chunk)
-    }
-
-    /// [`Self::update_rows`] (blanket mode) with the row dimension known at
-    /// compile time: the accumulator is a fixed-size stack array, which
-    /// LLVM promotes to vector registers across the gather and negative
-    /// loops.
+    /// [`RowKernel::update_rows`] (blanket mode) with the row dimension
+    /// known at compile time: the accumulator is a fixed-size stack array,
+    /// which LLVM promotes to vector registers across the gather and
+    /// negative loops.
     fn update_rows_fixed<const D: usize>(
         &self,
         w: &Matrix,
@@ -475,13 +317,14 @@ impl<'p> RoKernel<'p> {
         chunk: &mut [f32],
     ) {
         let end = start + chunk.len() / D;
-        for (local, r) in (start..end).enumerate() {
-            if r + 4 < end {
+        for (local, s) in (start..end).enumerate() {
+            if s + 4 < end {
                 // Overlap upcoming rows' data-dependent gathers with this
                 // row's arithmetic (see `CsrMatrix::prefetch_row`); a few
                 // rows of distance covers the DRAM latency.
-                self.pos.prefetch_row(r + 4, w);
+                self.pos.prefetch_row(s + 4, w);
             }
+            let r = self.sched.rows.row(s);
             let mut acc = [0.0f32; D];
             let b = self.beta[r];
             let w0r = &self.problem.w0.row(r)[..D];
@@ -489,13 +332,13 @@ impl<'p> RoKernel<'p> {
             for j in 0..D {
                 acc[j] = self.alpha * w0r[j] + b * cr[j];
             }
-            for (c, v) in self.pos.row(r) {
+            for (c, v) in self.pos.row(s) {
                 let x = &w.row(c)[..D];
                 for j in 0..D {
                     acc[j] += v * x[j];
                 }
             }
-            for k in self.neg_ptr[r] as usize..self.neg_ptr[r + 1] as usize {
+            for k in self.neg_ptr[s] as usize..self.neg_ptr[s + 1] as usize {
                 let coeff = self.neg_coeff[k];
                 let t = &t_sums.row(self.neg_group[k] as usize)[..D];
                 for j in 0..D {
@@ -503,7 +346,7 @@ impl<'p> RoKernel<'p> {
                 }
             }
             let out_row = &mut chunk[local * D..(local + 1) * D];
-            let d = self.denom[r];
+            let d = self.denom[s];
             if d.abs() > 1e-6 {
                 for j in 0..D {
                     acc[j] /= d;
@@ -517,15 +360,16 @@ impl<'p> RoKernel<'p> {
         }
     }
 
-    /// [`Self::update_rows`] for arbitrary dimensions and the enumerated
-    /// mode.
+    /// [`RowKernel::update_rows`] for arbitrary dimensions and the
+    /// enumerated mode.
     fn update_rows_dyn(&self, w: &Matrix, t_sums: &Matrix, start: usize, chunk: &mut [f32]) {
         let dim = self.problem.dim();
         let end = start + chunk.len() / dim;
-        for (local, r) in (start..end).enumerate() {
-            if r + 1 < end {
-                self.pos.prefetch_row(r + 1, w);
+        for (local, s) in (start..end).enumerate() {
+            if s + 1 < end {
+                self.pos.prefetch_row(s + 1, w);
             }
+            let r = self.sched.rows.row(s);
             let out_row = &mut chunk[local * dim..(local + 1) * dim];
             let b = self.beta[r];
             for ((o, &w0v), &cv) in
@@ -533,12 +377,12 @@ impl<'p> RoKernel<'p> {
             {
                 *o = self.alpha * w0v + b * cv;
             }
-            self.pos.mul_row_into(r, w, 1.0, out_row);
+            self.pos.mul_row_into(s, w, 1.0, out_row);
             match self.mode {
                 NegativeMode::Blanket => {
                     // Blanket negative term: −2δ̂r · t_r for every group this
                     // row sources.
-                    for k in self.neg_ptr[r] as usize..self.neg_ptr[r + 1] as usize {
+                    for k in self.neg_ptr[s] as usize..self.neg_ptr[s + 1] as usize {
                         vector::axpy(
                             -self.neg_coeff[k],
                             t_sums.row(self.neg_group[k] as usize),
@@ -561,7 +405,7 @@ impl<'p> RoKernel<'p> {
                 }
             }
             // Divide W' by the diagonal.
-            let d = self.denom[r];
+            let d = self.denom[s];
             if d.abs() > 1e-6 {
                 for o in out_row.iter_mut() {
                     *o /= d;
@@ -572,6 +416,57 @@ impl<'p> RoKernel<'p> {
                 out_row.copy_from_slice(w.row(r));
             }
         }
+    }
+}
+
+impl RowKernel for RoKernel<'_> {
+    const NAME: &'static str = "RO";
+
+    fn problem(&self) -> &RetrofitProblem {
+        self.problem
+    }
+
+    fn schedule(&self) -> &Schedule {
+        &self.sched
+    }
+
+    fn schedule_mut(&mut self) -> &mut Schedule {
+        &mut self.sched
+    }
+
+    /// The Eq. 15 sums `t_r = Σ_{k∈targets} v_k` of the flagged groups
+    /// (only the blanket mode has any).
+    fn group_rows(&self, w: &Matrix, groups: &[bool], start: usize, chunk: &mut [f32]) {
+        let dim = self.problem.dim();
+        for (local, g) in (start..start + chunk.len() / dim).enumerate() {
+            if !groups[g] {
+                continue;
+            }
+            let t_sum = &mut chunk[local * dim..(local + 1) * dim];
+            vector::zero(t_sum);
+            for &k in &self.tgt_ids[self.tgt_ptr[g] as usize..self.tgt_ptr[g + 1] as usize] {
+                vector::axpy(1.0, w.row(k as usize), t_sum);
+            }
+        }
+    }
+
+    /// Constant part, `P·W`, negative term, diagonal divide — one fused
+    /// pass while the row is hot in cache. Blanket mode dispatches to a
+    /// const-dimension body for the common embedding widths so the
+    /// accumulator row lives in registers across the whole sparse gather
+    /// (the element-wise operation order is identical, so the dispatch
+    /// never changes a bit of the output).
+    fn update_rows(&self, w: &Matrix, t_sums: &Matrix, start: usize, chunk: &mut [f32]) {
+        if self.mode == NegativeMode::Blanket {
+            match self.problem.dim() {
+                32 => return self.update_rows_fixed::<32>(w, t_sums, start, chunk),
+                64 => return self.update_rows_fixed::<64>(w, t_sums, start, chunk),
+                96 => return self.update_rows_fixed::<96>(w, t_sums, start, chunk),
+                128 => return self.update_rows_fixed::<128>(w, t_sums, start, chunk),
+                _ => {}
+            }
+        }
+        self.update_rows_dyn(w, t_sums, start, chunk)
     }
 }
 
@@ -789,9 +684,9 @@ mod tests {
         let n = p.len();
         let mut w = p.w0.clone();
         let mut next = Matrix::zeros(n, dim);
-        let mut t_sums = Matrix::zeros(kernel.live.len(), dim);
+        let mut t_sums = Matrix::zeros(kernel.sched.live.len(), dim);
         for _ in 0..5 {
-            kernel.sum_rows(&w, 0, t_sums.as_mut_slice());
+            kernel.group_rows(&w, &kernel.sched.live, 0, t_sums.as_mut_slice());
             kernel.update_rows_dyn(&w, &t_sums, 0, next.as_mut_slice());
             std::mem::swap(&mut w, &mut next);
         }

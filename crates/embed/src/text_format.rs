@@ -162,8 +162,16 @@ pub fn parse_binary(mut data: Bytes) -> Result<EmbeddingSet, FormatError> {
     }
     let count = data.get_u32_le() as usize;
     let dim = data.get_u32_le() as usize;
-    let mut tokens = Vec::with_capacity(count);
-    let mut vectors = Vec::with_capacity(count);
+    // Every entry holds at least a length word and `dim` values, so the
+    // bytes left bound how many entries can follow: a crafted count must
+    // not size the allocation.
+    let min_entry = dim
+        .checked_mul(4)
+        .and_then(|b| b.checked_add(4))
+        .ok_or_else(|| FormatError("truncated entry".into()))?;
+    let capacity = count.min(data.remaining() / min_entry);
+    let mut tokens = Vec::with_capacity(capacity);
+    let mut vectors = Vec::with_capacity(capacity);
     for _ in 0..count {
         if data.remaining() < 4 {
             return Err(FormatError("truncated token length".into()));
@@ -275,6 +283,19 @@ mod tests {
         let parsed = parse_binary(Bytes::from(v1)).unwrap();
         assert_eq!(parsed.tokens(), set.tokens());
         assert!(parsed.matrix().max_abs_diff(set.matrix()) < 1e-7);
+    }
+
+    #[test]
+    fn binary_rejects_a_crafted_count_without_allocating_it() {
+        // A v1 header (no checksum to forge) claiming u32::MAX entries
+        // and no body: a typed error, not a 100 GB allocation.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(MAGIC);
+        v1.extend_from_slice(&VERSION_UNCHECKSUMMED.to_le_bytes());
+        v1.extend_from_slice(&u32::MAX.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        let err = parse_binary(Bytes::from(v1)).unwrap_err();
+        assert_eq!(err, FormatError("truncated token length".into()));
     }
 
     #[test]

@@ -203,7 +203,11 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
             "change log holds {n_records} records but its capacity is {capacity}"
         )));
     }
-    let mut records = Vec::with_capacity(n_records);
+    // A record holds at least its version, table-name length and change
+    // tag, so the bytes left bound how many can follow: a crafted count
+    // must not size the allocation.
+    const MIN_RECORD_BYTES: usize = 8 + 4 + 1;
+    let mut records = Vec::with_capacity(n_records.min(cur.remaining() / MIN_RECORD_BYTES));
     for _ in 0..n_records {
         let version = cur.u64("change record version")?;
         let table = cur.string("change record table")?;

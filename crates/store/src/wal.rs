@@ -160,6 +160,11 @@ impl<'a> Cursor<'a> {
         self.pos >= self.data.len()
     }
 
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.data.len() - self.pos < n {
             return Err(StoreError::Corruption(format!(

@@ -373,3 +373,39 @@ fn nearest_is_bit_identical_to_the_exact_oracle_even_after_recovery() {
     }
     check_session(&restarted_fresh);
 }
+
+/// A write that lands after the serving snapshot was saved is folded in
+/// at registration: the first session after a crash already sees it, one
+/// generation past the persisted one.
+#[test]
+fn recovery_folds_in_writes_made_after_the_snapshot() {
+    let scratch = ScratchDir::new();
+    let embed_path = scratch.0.join("embeddings.rsrv");
+    let mut db = Database::open(&scratch.0).unwrap();
+    populate(&mut db, 8);
+    let survivor = Engine::with_defaults();
+    survivor.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+    let service = survivor.service("tmdb").unwrap();
+    service.save_snapshot(&embed_path).unwrap();
+    let persisted = survivor.session("tmdb").unwrap().generation();
+    survivor.execute("tmdb", &insert_sql(900)).unwrap();
+    let live_version = service.database().write_version();
+    drop((service, survivor));
+
+    let restarted = Engine::with_defaults();
+    restarted
+        .register_recovered(
+            "tmdb",
+            SharedDatabase::new(Database::recover(&scratch.0).unwrap()),
+            base(),
+            config(),
+            &embed_path,
+        )
+        .unwrap();
+    let session = restarted.session("tmdb").unwrap();
+    assert_eq!(session.generation(), persisted + 1);
+    assert_eq!(session.write_version(), live_version);
+    let rows = session.query("SELECT title FROM movies WHERE id = 900").unwrap().rows;
+    assert_eq!(rows, vec![vec![Value::from(movie_title(900))]]);
+    assert!(!nearest_rows(&session, &movie_title(900), 3).is_empty());
+}

@@ -208,6 +208,33 @@ fn a_checksummed_record_that_fails_to_decode_is_corruption() {
     }
 }
 
+/// A checksum-valid snapshot whose change log claims u32::MAX records
+/// under an unbounded capacity, with no record bytes behind the count:
+/// typed corruption, not a 240 GB allocation.
+#[test]
+fn crafted_change_record_count_is_typed_corruption() {
+    let scratch = ScratchDir::new();
+    std::fs::create_dir_all(&scratch.0).unwrap();
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0u64.to_le_bytes()); // wal sequence
+    payload.extend_from_slice(&0u64.to_le_bytes()); // write version
+    payload.extend_from_slice(&0u32.to_le_bytes()); // tables
+    payload.extend_from_slice(&0u32.to_le_bytes()); // table versions
+    payload.extend_from_slice(&u64::MAX.to_le_bytes()); // change log capacity
+    payload.extend_from_slice(&0u64.to_le_bytes()); // change log base
+    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // change records
+    let mut bytes = b"RSNP".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    std::fs::write(scratch.snapshot(), &bytes).unwrap();
+    match Database::recover(&scratch.0) {
+        Err(StoreError::Corruption(msg)) => assert!(msg.contains("change record"), "{msg}"),
+        other => panic!("crafted record count must be corruption, got {other:?}"),
+    }
+}
+
 #[test]
 fn snapshot_damage_is_typed_corruption() {
     let scratch = ScratchDir::new();
