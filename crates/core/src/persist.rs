@@ -279,6 +279,11 @@ mod tests {
     }
 
     #[test]
+    fn encode_matches_the_golden_bytes() {
+        assert_eq!(sample(), include_bytes!("../../../tests/fixtures/golden.rsrv").as_slice());
+    }
+
+    #[test]
     fn round_trip() {
         let bytes = sample();
         let decoded = decode(&bytes).unwrap();
