@@ -20,8 +20,8 @@
 //!   their converged vectors verbatim.
 //!
 //! The classification is deliberately conservative: anything the log cannot
-//! prove to be an append (deletes, relational updates, `table_mut` access,
-//! log overflow) falls back to a full refresh, as does a dirty set larger
+//! prove to be an append (deletes, relational updates, table creation, log
+//! overflow) falls back to a full refresh, as does a dirty set larger
 //! than [`crate::IncrementalRetro::delta_max_dirty_fraction`] of the
 //! catalog. See `docs/INCREMENTAL.md` for the accuracy contract (bounded
 //! drift, pinned by the root `delta_refresh` suite).
@@ -48,8 +48,8 @@ pub(crate) enum ChangeSummary {
     /// earliest start).
     Appends(BTreeMap<String, usize>),
     /// The log overflowed or recorded a change delta refresh cannot scope
-    /// (delete, relational update, table creation, unchecked `table_mut`
-    /// access): only a full refresh is safe.
+    /// (delete, relational update, table creation): only a full refresh is
+    /// safe.
     Full,
 }
 
@@ -81,7 +81,7 @@ pub(crate) fn classify_changes(db: &Database, since: u64) -> ChangeSummary {
                     return ChangeSummary::Full;
                 }
             }
-            TableChange::Created | TableChange::Unknown => return ChangeSummary::Full,
+            TableChange::Created => return ChangeSummary::Full,
         }
     }
     if any {

@@ -8,9 +8,8 @@
 //! write version so the next refresh catches up incrementally. See
 //! `docs/DURABILITY.md` for where this sits in the durability story.
 //!
-//! Layout: magic `RSRV`, u32 version, u32 CRC-32 over the body
-//! (`retro_store::wal::crc32` — the same checksum the store's WAL frames
-//! use), then the body: generation, write version, embedding dimension,
+//! Layout: magic `RSRV`, u32 version, u32 CRC-32 over the body, then the
+//! body: generation, write version, embedding dimension,
 //! the catalog (categories then values, both in id order, so replaying
 //! them through [`TextValueCatalog::add_category`] /
 //! [`TextValueCatalog::intern`] reproduces the exact dense id assignment),
@@ -19,9 +18,15 @@
 //! stored — they are recomputed from the base embedding at recovery, which
 //! is both smaller and self-checking: a snapshot recovered against the
 //! wrong base fails loudly instead of serving subtly wrong vectors.
+//!
+//! The framing — checksum, writers, cursor, header check — is the store's
+//! [`retro_store::codec`], shared with the WAL and store snapshots. Its
+//! [`StoreError::Corruption`] messages surface unchanged as
+//! [`RetroError::Persist`].
 
 use retro_linalg::Matrix;
-use retro_store::wal::crc32;
+use retro_store::codec::{self, crc32, put_str, put_u32, put_u64};
+use retro_store::StoreError;
 
 use crate::api::RetroError;
 use crate::catalog::TextValueCatalog;
@@ -51,19 +56,6 @@ pub(crate) struct PersistedGeneration {
     pub embeddings: Matrix,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn kind_tag(kind: RelationKind) -> u8 {
     match kind {
         RelationKind::RowWise => 0,
@@ -72,7 +64,7 @@ fn kind_tag(kind: RelationKind) -> u8 {
     }
 }
 
-fn kind_from_tag(tag: u8) -> Result<RelationKind, RetroError> {
+fn kind_from_tag(tag: u8) -> retro_store::Result<RelationKind> {
     match tag {
         0 => Ok(RelationKind::RowWise),
         1 => Ok(RelationKind::ForeignKey),
@@ -81,8 +73,17 @@ fn kind_from_tag(tag: u8) -> Result<RelationKind, RetroError> {
     }
 }
 
-pub(crate) fn corrupt(msg: impl Into<String>) -> RetroError {
-    RetroError::Persist(msg.into())
+fn corrupt(msg: impl Into<String>) -> StoreError {
+    StoreError::Corruption(msg.into())
+}
+
+/// A codec error as the embedding layer reports it: a corruption message
+/// unchanged, anything else (I/O) by its display text.
+pub(crate) fn persist_error(err: StoreError) -> RetroError {
+    RetroError::Persist(match err {
+        StoreError::Corruption(msg) => msg,
+        other => other.to_string(),
+    })
 }
 
 /// Serialize a published generation. Infallible: the inputs are in-memory
@@ -134,65 +135,20 @@ pub(crate) fn encode(
     out
 }
 
-/// A bounds-checked little-endian reader over the snapshot body.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], RetroError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.data.len())
-            .ok_or_else(|| corrupt(format!("truncated while reading {what}")))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, RetroError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, RetroError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, RetroError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, RetroError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|err| corrupt(format!("bad utf-8 in {what}: {err}")))
-    }
-}
-
 /// Decode a snapshot file's bytes. Verifies magic, version and checksum
 /// before trusting a single field; every structural problem is a typed
 /// [`RetroError::Persist`].
 pub(crate) fn decode(data: &[u8]) -> Result<PersistedGeneration, RetroError> {
-    if data.len() < HEADER_LEN {
-        return Err(corrupt("truncated header"));
-    }
-    if &data[0..4] != MAGIC {
-        return Err(corrupt("bad magic (not an embedding snapshot)"));
-    }
-    let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported snapshot version {version}")));
-    }
-    let stored = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    let body = &data[HEADER_LEN..];
-    if crc32(body) != stored {
+    decode_image(data).map_err(persist_error)
+}
+
+fn decode_image(data: &[u8]) -> retro_store::Result<PersistedGeneration> {
+    let mut cur = codec::check_header(data, MAGIC, VERSION, HEADER_LEN, "an embedding snapshot")?;
+    let stored = cur.u32("checksum")?;
+    if crc32(cur.rest()) != stored {
         return Err(corrupt("checksum mismatch"));
     }
 
-    let mut cur = Cursor { data: body, pos: 0 };
     let generation = cur.u64("generation")?;
     let write_version = cur.u64("write version")?;
     let dim = cur.u32("embedding dimension")? as usize;
@@ -239,20 +195,16 @@ pub(crate) fn decode(data: &[u8]) -> Result<PersistedGeneration, RetroError> {
         groups.push(RelationGroup::new(name, source_category, target_category, kind, edges));
     }
 
-    // `value_count × dim` f32s follow: a product past the address space,
-    // or past the bytes left, is a truncated image and must not size the
-    // allocation.
-    let truncated = || corrupt("truncated while reading embedding value");
-    let floats = value_count.checked_mul(dim).ok_or_else(truncated)?;
-    let mut data = Vec::with_capacity(floats.min((body.len() - cur.pos) / 4));
-    for _ in 0..floats {
-        let bytes = cur.take(4, "embedding value")?;
-        data.push(f32::from_le_bytes(bytes.try_into().expect("4 bytes")));
+    // `value_count × dim` f32s follow: a byte count past the address
+    // space is as truncated as one past the bytes left.
+    let what = "embedding value";
+    let len = value_count.checked_mul(dim).and_then(|n| n.checked_mul(4));
+    let raw = cur.take(len.unwrap_or(usize::MAX), what)?;
+    let data = raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")));
+    if !cur.is_empty() {
+        return Err(corrupt(format!("{} trailing bytes after snapshot", cur.remaining())));
     }
-    if cur.pos != body.len() {
-        return Err(corrupt(format!("{} trailing bytes after snapshot", body.len() - cur.pos)));
-    }
-    let embeddings = Matrix::from_vec(value_count, dim, data);
+    let embeddings = Matrix::from_vec(value_count, dim, data.collect());
 
     Ok(PersistedGeneration { generation, write_version, categories, values, groups, embeddings })
 }
@@ -260,6 +212,10 @@ pub(crate) fn decode(data: &[u8]) -> Result<PersistedGeneration, RetroError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn corrupt(msg: &str) -> RetroError {
+        RetroError::Persist(msg.into())
+    }
 
     fn sample() -> Vec<u8> {
         let mut catalog = TextValueCatalog::default();

@@ -449,14 +449,13 @@ impl EmbeddingService {
             &snap.output.problem.groups,
             &snap.output.embeddings,
         );
-        let io =
-            |err: std::io::Error| RetroError::Persist(format!("writing {}: {err}", path.display()));
+        let writing = |err: &dyn std::fmt::Display| {
+            RetroError::Persist(format!("writing {}: {err}", path.display()))
+        };
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(io)?;
+            std::fs::create_dir_all(parent).map_err(|err| writing(&err))?;
         }
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes).map_err(io)?;
-        std::fs::rename(&tmp, path).map_err(io)
+        retro_store::codec::write_atomic(path, &bytes).map_err(|err| writing(&err))
     }
 
     /// Restart serving from a snapshot file written by

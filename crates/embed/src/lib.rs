@@ -13,7 +13,7 @@
 //!   nearest-neighbour path in the workspace runs (deterministic,
 //!   `NaN`-free, thread-count invariant),
 //! * [`text_format`] — the standard word2vec *text* format (`token v1 … vD`
-//!   per line) plus a compact binary format (via `bytes`) for caching,
+//!   per line),
 //! * [`Tokenizer`] — the §3.1 trie-based longest-match tokenizer that maps a
 //!   database text value to a bag of dictionary phrases and averages their
 //!   vectors; values with no in-vocabulary token get the null vector (the

@@ -48,9 +48,6 @@ pub enum TableChange {
         /// Number of removed rows.
         rows: usize,
     },
-    /// The table was handed out via [`crate::Database::table_mut`]:
-    /// unchecked mutable access, so anything may have happened.
-    Unknown,
 }
 
 /// One recorded mutation: the table, the change, and the write version the

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::bulk::BulkLoader;
 use crate::changelog::{ChangeLog, ChangeRecord, TableChange};
+use crate::codec::io_err;
 use crate::error::StoreError;
 use crate::persist::{self, SNAPSHOT_FILE};
 use crate::schema::{ForeignKey, TableSchema};
@@ -121,7 +122,7 @@ impl Database {
     /// gap — is a typed [`StoreError::Corruption`].
     pub fn recover(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(wal::io_err)?;
+        std::fs::create_dir_all(dir).map_err(io_err)?;
         let (mut db, covered_seq) = match persist::load_snapshot(&dir.join(SNAPSHOT_FILE))? {
             Some((db, seq)) => (db, seq),
             None => (Database::default(), 0),
@@ -224,14 +225,14 @@ impl Database {
     /// consistent: its records are at or below the snapshot's sequence).
     pub fn persist(&self, dir: impl AsRef<Path>) -> Result<()> {
         let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(wal::io_err)?;
+        std::fs::create_dir_all(dir).map_err(io_err)?;
         let covered_seq = self.durability.as_ref().map_or(0, |d| d.wal.next_seq - 1);
         persist::write_snapshot(self, &dir.join(SNAPSHOT_FILE), covered_seq)?;
         if self.durability.as_ref().map_or(true, |d| d.dir != dir) {
             match std::fs::remove_file(dir.join(WAL_FILE)) {
                 Ok(()) => {}
                 Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-                Err(err) => return Err(wal::io_err(err)),
+                Err(err) => return Err(io_err(err)),
             }
         }
         Ok(())
@@ -271,13 +272,6 @@ impl Database {
             WalEntry::Delete { table, positions } => {
                 self.delete_rows(&table, &positions).map(|_| ())
             }
-            WalEntry::TableState { table, rows } => {
-                // `table_mut` records the same `Unknown` change the
-                // original edit session did; the guard then replaces the
-                // contents wholesale.
-                self.table_mut(&table)?.set_rows(rows);
-                Ok(())
-            }
             WalEntry::CreateIndex { table, column } => {
                 self.create_index(&table, &column).map(|_| ())
             }
@@ -289,10 +283,9 @@ impl Database {
     /// Every mutating operation — [`Database::create_table`],
     /// [`Database::insert`] and its batch variants, a committed
     /// [`Database::bulk`] load (CSV import and SQL `INSERT` route through
-    /// it), [`Database::update_rows`] / [`Database::delete_rows`] (SQL
-    /// `UPDATE`/`DELETE` that touched rows route through them), and any
-    /// [`Database::table_mut`] access — bumps this counter, so an observer
-    /// that remembers the version it last saw can detect "something
+    /// it), and [`Database::update_rows`] / [`Database::delete_rows`] (SQL
+    /// `UPDATE`/`DELETE` that touched rows route through them) — bumps
+    /// this counter, so an observer that remembers the version it last saw can detect "something
     /// changed" with one integer compare. A rolled-back bulk batch leaves
     /// the version (like the data) untouched. The counter is a *staleness
     /// signal*, not an exact mutation count: a path may bump it more than
@@ -348,12 +341,37 @@ impl Database {
         });
     }
 
-    /// Create a table from a schema, validating foreign-key declarations
-    /// against the already-present tables.
+    /// Create a table from a schema, validating the primary-key index and
+    /// the foreign-key declarations against the already-present tables.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
         if self.tables.contains_key(&schema.name) {
             return Err(StoreError::DuplicateTable(schema.name));
         }
+        schema.check_primary_key()?;
+        self.check_foreign_keys(&schema)?;
+        self.log_op(WalOp::CreateTable(&schema))?;
+        let name = schema.name.clone();
+        let fk_cols: Vec<usize> = schema
+            .foreign_keys
+            .iter()
+            .map(|fk| schema.column_index(&fk.column).expect("checked above"))
+            .collect();
+        let mut table = Table::new(schema);
+        // Auto-index every foreign-key column: FK validation on delete and
+        // the extraction/planner join paths all probe these. The indexes
+        // are derived from the schema, so WAL replay of the CreateTable
+        // record above re-creates them without any extra log record.
+        for col in fk_cols {
+            table.create_secondary_index(col).expect("fk columns are INTEGER");
+        }
+        self.tables.insert(name.clone(), table);
+        self.record_change(&name, TableChange::Created);
+        Ok(())
+    }
+
+    /// Error unless every foreign key of `schema` names one of its own
+    /// INTEGER columns and the primary key of a present table.
+    pub(crate) fn check_foreign_keys(&self, schema: &TableSchema) -> Result<()> {
         for fk in &schema.foreign_keys {
             if schema.column_index(&fk.column).is_none() {
                 return Err(StoreError::BadForeignKey(format!(
@@ -388,23 +406,6 @@ impl Database {
                 )));
             }
         }
-        self.log_op(WalOp::CreateTable(&schema))?;
-        let name = schema.name.clone();
-        let fk_cols: Vec<usize> = schema
-            .foreign_keys
-            .iter()
-            .map(|fk| schema.column_index(&fk.column).expect("checked above"))
-            .collect();
-        let mut table = Table::new(schema);
-        // Auto-index every foreign-key column: FK validation on delete and
-        // the extraction/planner join paths all probe these. The indexes
-        // are derived from the schema, so WAL replay of the CreateTable
-        // record above re-creates them without any extra log record.
-        for col in fk_cols {
-            table.create_secondary_index(col).expect("fk columns are INTEGER");
-        }
-        self.tables.insert(name.clone(), table);
-        self.record_change(&name, TableChange::Created);
         Ok(())
     }
 
@@ -558,41 +559,6 @@ impl Database {
     /// Look up a table.
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables.get(name).ok_or_else(|| StoreError::UnknownTable(name.to_owned()))
-    }
-
-    /// Look up a table mutably — the **assume-write escape hatch**, not the
-    /// everyday API.
-    ///
-    /// The caller gets unchecked mutable access, so this conservatively
-    /// records a [`TableChange::Unknown`] (bumping
-    /// [`Database::write_version`]) whether or not a write follows: the
-    /// version counter must never miss a mutation, and an `Unknown` record
-    /// correctly forces observers maintaining derived state onto their
-    /// full-rebuild path. That conservatism is exactly why **read-only
-    /// callers must use [`Database::table`] instead** — routing a read
-    /// through here invalidates every derived observer for nothing (at
-    /// serving scale, one spurious bump costs a full multi-second re-solve
-    /// where a real small write would have cost milliseconds). Callers that
-    /// want their writes tracked precisely should use
-    /// [`Database::update_rows`] / [`Database::delete_rows`], which record
-    /// what actually changed; nothing inside this crate calls `table_mut`
-    /// anymore.
-    ///
-    /// The returned [`TableGuard`] dereferences to the table. On a
-    /// durable database, dropping the guard logs the table's complete
-    /// post-edit row state to the WAL (the engine cannot see what the
-    /// borrower did, so it persists the result wholesale — the durable
-    /// mirror of the `Unknown` change record). On a poisoned log the
-    /// hand-out itself is refused, so no edit can go unlogged.
-    pub fn table_mut(&mut self, name: &str) -> Result<TableGuard<'_>> {
-        if !self.tables.contains_key(name) {
-            return Err(StoreError::UnknownTable(name.to_owned()));
-        }
-        if let Some(err) = self.durability.as_ref().and_then(|d| d.poisoned.clone()) {
-            return Err(err);
-        }
-        self.record_change(name, TableChange::Unknown);
-        Ok(TableGuard { name: name.to_owned(), db: self })
     }
 
     /// Rewrite individual cells in place, atomically and precisely tracked.
@@ -788,45 +754,6 @@ impl Database {
     }
 }
 
-/// Mutable access to one table, handed out by [`Database::table_mut`].
-///
-/// Dereferences to [`Table`]. The guard exists so a durable database can
-/// log the edit session's outcome: on drop, the table's complete row
-/// state is appended to the WAL as one record. The guard holds the
-/// database borrow for its whole lifetime, so no other mutation can
-/// interleave between hand-out and the logged state.
-pub struct TableGuard<'db> {
-    db: &'db mut Database,
-    name: String,
-}
-
-impl std::ops::Deref for TableGuard<'_> {
-    type Target = Table;
-
-    fn deref(&self) -> &Table {
-        self.db.tables.get(&self.name).expect("existence checked at hand-out")
-    }
-}
-
-impl std::ops::DerefMut for TableGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Table {
-        self.db.tables.get_mut(&self.name).expect("existence checked at hand-out")
-    }
-}
-
-impl Drop for TableGuard<'_> {
-    fn drop(&mut self) {
-        let db = &mut *self.db;
-        if let Some(durability) = db.durability.as_mut() {
-            let table = db.tables.get(&self.name).expect("existence checked at hand-out");
-            // A failed append cannot be reported from a destructor;
-            // `Durability::append` poisons the log, and the next durable
-            // mutation (or `table_mut` hand-out) surfaces the error.
-            let _ = durability.append(&WalOp::TableState { table: &self.name, rows: table.rows() });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,6 +791,18 @@ mod tests {
             .insert("movies", vec![Value::Int(10), Value::from("Alien"), Value::Int(99)])
             .unwrap_err();
         assert!(matches!(err, StoreError::ForeignKeyViolation { .. }));
+    }
+
+    #[test]
+    fn primary_key_index_out_of_range_is_rejected() {
+        // `TableSchema`'s fields are public, and a WAL `CreateTable` record
+        // is decoded into one: a key index past the columns must not reach
+        // `Table::new`, where the first insert would index past the row.
+        let mut d = Database::new();
+        let mut schema = TableSchema::builder("t").pk("id").build();
+        schema.primary_key = Some(1);
+        assert!(matches!(d.create_table(schema), Err(StoreError::UnknownColumn { .. })));
+        assert!(!d.has_table("t"));
     }
 
     #[test]
@@ -1048,21 +987,6 @@ mod tests {
         }
         assert_eq!(d.changes_since(v0), None, "evicted history must be reported as truncated");
         assert_eq!(d.changes_since(d.write_version() - 2).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn table_mut_records_unknown_change() {
-        use crate::changelog::TableChange;
-        let mut d = db();
-        let v0 = d.write_version();
-        let _ = d.table_mut("persons").unwrap();
-        let changes = d.changes_since(v0).unwrap();
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].change, TableChange::Unknown);
-        // A failed lookup bumps nothing.
-        let v1 = d.write_version();
-        assert!(d.table_mut("nope").is_err());
-        assert_eq!(d.write_version(), v1);
     }
 
     #[test]

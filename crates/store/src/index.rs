@@ -350,9 +350,9 @@ impl IndexSet {
         }
     }
 
-    /// Rebuild everything from `rows` (positional removals and wholesale
-    /// replacement renumber surviving rows; incremental repair would cost
-    /// as much as rebuilding).
+    /// Rebuild everything from `rows` (positional removals renumber
+    /// surviving rows; incremental repair would cost as much as
+    /// rebuilding).
     pub(crate) fn rebuild(&mut self, rows: &[Vec<Value>]) {
         self.pk.clear();
         for ix in &mut self.secondary {

@@ -27,6 +27,9 @@
 //! * [`wal`] / [`persist`] — the durability subsystem: a write-ahead log
 //!   of committed mutations plus checksummed binary snapshots, recovered
 //!   by [`Database::recover`]; see `docs/DURABILITY.md`,
+//! * [`codec`] — the little-endian framing (CRC-32, cursor, header check,
+//!   atomic write) under the WAL, store snapshots and `retro-core`'s
+//!   embedding snapshots,
 //! * [`index`] — per-table secondary equality indexes (FK columns are
 //!   auto-indexed; [`Database::create_index`] declares more), maintained
 //!   through every mutation path and rebuilt bit-identically by recovery,
@@ -65,6 +68,7 @@ pub mod query_planning {}
 
 pub mod bulk;
 pub mod changelog;
+pub mod codec;
 pub mod csv;
 pub mod database;
 pub mod error;
@@ -79,14 +83,15 @@ pub mod wal;
 
 pub use bulk::{BulkLoader, TableHandle};
 pub use changelog::{ChangeRecord, TableChange};
-pub use database::{Database, TableGuard};
+pub use codec::crc32;
+pub use database::Database;
 pub use error::StoreError;
 pub use persist::SNAPSHOT_FILE;
 pub use schema::{ColumnDef, ForeignKey, TableSchema};
 pub use shared::SharedDatabase;
 pub use table::Table;
 pub use value::{DataType, Value};
-pub use wal::{crc32, DurabilityPolicy, WAL_FILE};
+pub use wal::{DurabilityPolicy, WAL_FILE};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StoreError>;

@@ -17,18 +17,23 @@
 //! rows; loading re-creates the indexes before installing the rows, so the
 //! rebuilt `crate::index::IndexSet` is bit-identical to the live one.
 //!
-//! `crc` is [`crate::wal::crc32`] over the payload. The writer goes
-//! through a temp file and an atomic rename, so a crash mid-snapshot
-//! leaves the previous snapshot intact; a truncated or bit-flipped file
-//! is a typed [`StoreError::Corruption`], never a partial load.
+//! `crc` is [`crate::crc32`] over the payload. The writer goes through
+//! [`codec::write_atomic`] (temp file and rename), so a crash
+//! mid-snapshot leaves the previous snapshot intact; a truncated or
+//! bit-flipped file is a typed [`StoreError::Corruption`], never a
+//! partial load. A checksum only proves the bytes are the ones written,
+//! so loading also checks what `create_table` and `insert` check: key
+//! column indexes in range, foreign keys naming an existing primary key,
+//! and every row's arity, value types and primary-key uniqueness.
 
 use std::path::Path;
 
 use crate::changelog::{ChangeLog, ChangeRecord, TableChange};
+use crate::codec::{self, crc32, io_err, put_str, put_u32, put_u64, Cursor};
 use crate::database::Database;
 use crate::error::StoreError;
 use crate::table::Table;
-use crate::wal::{crc32, io_err, put_rows, put_schema, put_str, put_u32, put_u64, Cursor};
+use crate::wal::{put_rows, put_schema};
 use crate::Result;
 
 /// File name of the snapshot inside a durability directory.
@@ -57,10 +62,11 @@ fn put_change(buf: &mut Vec<u8>, change: &TableChange) {
             buf.push(3);
             put_u64(buf, *rows as u64);
         }
-        TableChange::Unknown => buf.push(4),
     }
 }
 
+/// Tag 4 (the unchecked-access change of the removed `table_mut`) is
+/// retired: a leftover record is an unknown tag.
 fn read_change(cur: &mut Cursor<'_>) -> Result<TableChange> {
     Ok(match cur.u8("change tag")? {
         0 => TableChange::Created,
@@ -73,12 +79,11 @@ fn read_change(cur: &mut Cursor<'_>) -> Result<TableChange> {
             relational: cur.u8("updated relational flag")? != 0,
         },
         3 => TableChange::Deleted { rows: cur.u64("deleted rows")? as usize },
-        4 => TableChange::Unknown,
         tag => return Err(StoreError::Corruption(format!("unknown change tag {tag}"))),
     })
 }
 
-/// Serialize `db` to `path` atomically (temp file + rename). `wal_seq` is
+/// Serialize `db` to `path` atomically. `wal_seq` is
 /// the highest WAL sequence the snapshot covers; recovery skips log
 /// records at or below it.
 pub(crate) fn write_snapshot(db: &Database, path: &Path, wal_seq: u64) -> Result<()> {
@@ -116,10 +121,7 @@ pub(crate) fn write_snapshot(db: &Database, path: &Path, wal_seq: u64) -> Result
     put_u32(&mut out, crc32(&payload));
     put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
-
-    let tmp = path.with_extension("bin.tmp");
-    std::fs::write(&tmp, &out).map_err(io_err)?;
-    std::fs::rename(&tmp, path).map_err(io_err)
+    codec::write_atomic(path, &out)
 }
 
 /// Load the snapshot at `path`. Returns `None` when no snapshot exists
@@ -131,27 +133,18 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
         Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(err) => return Err(io_err(err)),
     };
-    if data.len() < HEADER_LEN {
-        return Err(StoreError::Corruption("snapshot shorter than its header".into()));
-    }
-    if &data[..4] != MAGIC {
-        return Err(StoreError::Corruption("snapshot magic mismatch".into()));
-    }
-    let version = u32::from_le_bytes(data[4..8].try_into().expect("4-byte slice"));
-    if version != VERSION {
-        return Err(StoreError::Corruption(format!("unsupported snapshot version {version}")));
-    }
-    let stored_crc = u32::from_le_bytes(data[8..12].try_into().expect("4-byte slice"));
-    let len = u64::from_le_bytes(data[12..20].try_into().expect("8-byte slice")) as usize;
-    let payload = &data[HEADER_LEN..];
-    if payload.len() != len {
+    let mut header = codec::check_header(&data, MAGIC, VERSION, HEADER_LEN, "a store snapshot")?;
+    let stored_crc = header.u32("snapshot checksum")?;
+    let len = header.u64("snapshot payload length")?;
+    let payload = header.rest();
+    if payload.len() as u64 != len {
         return Err(StoreError::Corruption(format!(
             "snapshot payload length mismatch: header says {len}, file holds {}",
             payload.len()
         )));
     }
     if crc32(payload) != stored_crc {
-        return Err(StoreError::Corruption("snapshot checksum mismatch".into()));
+        return Err(StoreError::Corruption("checksum mismatch".into()));
     }
 
     let mut cur = Cursor::new(payload);
@@ -162,6 +155,7 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
     let n_tables = cur.u32("table count")? as usize;
     for _ in 0..n_tables {
         let schema = cur.schema()?;
+        schema.check_primary_key().map_err(corrupt)?;
         let n_indexes = cur.u32("secondary index count")? as usize;
         let mut index_cols = Vec::with_capacity(n_indexes.min(1024));
         for _ in 0..n_indexes {
@@ -182,10 +176,18 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
             })?;
         }
         table.reserve(rows.len());
-        table.set_rows(rows);
+        for row in rows {
+            table.validate_row(&row).map_err(corrupt)?;
+            table.push_unchecked(row);
+        }
         if db.tables.insert(name.clone(), table).is_some() {
             return Err(StoreError::Corruption(format!("snapshot repeats table `{name}`")));
         }
+    }
+    // Tables load in name order, so a foreign key may name a table read
+    // after its own: check the declarations once every table is in.
+    for table in db.tables.values() {
+        db.check_foreign_keys(table.schema()).map_err(corrupt)?;
     }
 
     let n_versions = cur.u32("table version count")? as usize;
@@ -221,4 +223,9 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
     db.write_version = write_version;
     db.change_log = ChangeLog::restore(capacity, base, records);
     Ok(Some((db, wal_seq)))
+}
+
+/// A decoded snapshot that `create_table` or `insert` would have refused.
+fn corrupt(err: StoreError) -> StoreError {
+    StoreError::Corruption(format!("snapshot holds an invalid table: {err}"))
 }

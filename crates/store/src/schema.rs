@@ -71,6 +71,17 @@ impl TableSchema {
         self.columns.iter().find(|c| c.name == name)
     }
 
+    /// Error unless the declared primary key indexes one of the columns.
+    pub(crate) fn check_primary_key(&self) -> crate::Result<()> {
+        match self.primary_key {
+            Some(pk) if pk >= self.columns.len() => Err(crate::StoreError::UnknownColumn {
+                table: self.name.clone(),
+                column: format!("index {pk}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Indices of all text columns.
     pub fn text_columns(&self) -> Vec<usize> {
         self.columns

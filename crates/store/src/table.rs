@@ -252,18 +252,9 @@ impl Table {
         self.indexes.rebuild(&self.rows);
     }
 
-    /// Replace the table's entire row set and rebuild the indexes. WAL
-    /// replay support for [`crate::TableChange::Unknown`] edits: the log
-    /// records the post-edit state wholesale, so recovery installs it
-    /// wholesale.
-    pub(crate) fn set_rows(&mut self, rows: Vec<Vec<Value>>) {
-        self.rows = rows;
-        self.indexes.rebuild(&self.rows);
-    }
-
-    /// Update one cell in place (used by imputation examples to write
-    /// predicted values back). The primary key column cannot be updated.
-    pub fn update_cell(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
+    /// Update one cell in place; [`crate::Database::update_rows`] is the
+    /// public path. The primary key column cannot be updated.
+    pub(crate) fn update_cell(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
         if row >= self.rows.len() || col >= self.schema.columns.len() {
             return Err(StoreError::UnknownColumn {
                 table: self.schema.name.clone(),
@@ -415,10 +406,6 @@ mod tests {
 
         t.truncate(1);
         assert_eq!(t.index_probe_text(1, "a"), Some(&[0u32][..]));
-
-        t.set_rows(vec![vec![Value::Int(9), Value::from("z"), Value::Null]]);
-        assert_eq!(t.index_probe_text(1, "z"), Some(&[0u32][..]));
-        assert_eq!(t.index_probe_text(1, "a"), Some(&[][..]));
     }
 
     #[test]

@@ -23,9 +23,9 @@
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use crate::codec::{crc32, io_err, put_str, put_u32, put_u64, Cursor};
 use crate::error::StoreError;
 use crate::schema::{ColumnDef, ForeignKey, TableSchema};
 use crate::value::{DataType, Value};
@@ -34,51 +34,9 @@ use crate::Result;
 /// File name of the write-ahead log inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
 
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `data`.
-///
-/// This is the checksum used by every persisted artifact in the workspace
-/// (WAL frames, database snapshots, serving snapshots, binary embedding
-/// caches), exposed so the other crates do not each grow their own copy.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
-            }
-            *slot = crc;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-pub(crate) fn io_err(err: std::io::Error) -> StoreError {
-    StoreError::Io(err.to_string())
-}
-
 // ---------------------------------------------------------------------------
-// Little-endian codec shared by the WAL and the snapshot writer.
+// Value, row and schema codec shared by the WAL and the snapshot writer.
 // ---------------------------------------------------------------------------
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
 
 pub(crate) fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
@@ -142,74 +100,14 @@ pub(crate) fn put_schema(buf: &mut Vec<u8>, schema: &TableSchema) {
     }
 }
 
-/// Bounds-checked little-endian reader over a decoded payload. Every
-/// failure is a [`StoreError::Corruption`] — by the time a `Cursor` runs,
-/// the bytes already passed their checksum, so a decode error means the
-/// writer and reader disagree, not that the tail was torn.
-pub(crate) struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos >= self.data.len()
-    }
-
-    /// Bytes not yet read.
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        if self.data.len() - self.pos < n {
-            return Err(StoreError::Corruption(format!(
-                "unexpected end of record while reading {what}"
-            )));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32> {
-        let raw = self.take(4, what)?;
-        Ok(u32::from_le_bytes(raw.try_into().expect("4-byte slice")))
-    }
-
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64> {
-        let raw = self.take(8, what)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("8-byte slice")))
-    }
-
-    pub(crate) fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.u32(what)? as usize;
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| StoreError::Corruption(format!("invalid UTF-8 while reading {what}")))
-    }
-
+/// The store's readers on the shared [`Cursor`], mirroring the writers
+/// above.
+impl Cursor<'_> {
     pub(crate) fn value(&mut self) -> Result<Value> {
         match self.u8("value tag")? {
             0 => Ok(Value::Null),
-            1 => {
-                let raw = self.take(8, "integer value")?;
-                Ok(Value::Int(i64::from_le_bytes(raw.try_into().expect("8-byte slice"))))
-            }
-            2 => {
-                let raw = self.take(8, "float value")?;
-                Ok(Value::Float(f64::from_bits(u64::from_le_bytes(
-                    raw.try_into().expect("8-byte slice"),
-                ))))
-            }
+            1 => Ok(Value::Int(self.u64("integer value")? as i64)),
+            2 => Ok(Value::Float(f64::from_bits(self.u64("float value")?))),
             3 => Ok(Value::Text(self.string("text value")?)),
             tag => Err(StoreError::Corruption(format!("unknown value tag {tag}"))),
         }
@@ -287,10 +185,6 @@ pub(crate) enum WalOp<'a> {
     /// `Database::delete_rows` — the effective (sorted, deduplicated,
     /// in-range) position set.
     Delete { table: &'a str, positions: &'a [usize] },
-    /// A `table_mut` edit session ended: the table's full row state at
-    /// guard drop (the engine cannot see what the borrower did, so it
-    /// logs the result wholesale — mirroring `TableChange::Unknown`).
-    TableState { table: &'a str, rows: &'a [Vec<Value>] },
     /// `Database::create_index` — a declared secondary index. Only
     /// user-declared indexes are logged; foreign-key auto-indexes are
     /// re-derived from the replayed `CreateTable` schema.
@@ -335,11 +229,6 @@ impl WalOp<'_> {
                     put_u64(buf, *pos as u64);
                 }
             }
-            WalOp::TableState { table, rows } => {
-                buf.push(6);
-                put_str(buf, table);
-                put_rows(buf, rows);
-            }
             WalOp::CreateIndex { table, column } => {
                 buf.push(7);
                 put_str(buf, table);
@@ -357,11 +246,12 @@ pub(crate) enum WalEntry {
     Batch { tables: Vec<(String, Vec<Vec<Value>>)> },
     Update { table: String, updates: Vec<(usize, usize, Value)> },
     Delete { table: String, positions: Vec<usize> },
-    TableState { table: String, rows: Vec<Vec<Value>> },
     CreateIndex { table: String, column: String },
 }
 
 impl WalEntry {
+    /// Kind 6 (a whole-table row state, written by the removed `table_mut`
+    /// guard) is retired: a leftover record is an unknown kind.
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let entry = match cur.u8("record kind")? {
             1 => WalEntry::CreateTable(cur.schema()?),
@@ -395,7 +285,6 @@ impl WalEntry {
                 }
                 WalEntry::Delete { table, positions }
             }
-            6 => WalEntry::TableState { table: cur.string("table name")?, rows: cur.rows()? },
             7 => WalEntry::CreateIndex {
                 table: cur.string("table name")?,
                 column: cur.string("index column")?,
@@ -592,26 +481,25 @@ pub(crate) fn read_wal(path: &Path, after_seq: u64) -> Result<WalReplay> {
     };
     let mut entries = Vec::new();
     let mut expected = after_seq + 1;
-    let mut pos = 0usize;
-    while data.len() - pos >= 8 {
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte slice")) as usize;
-        let stored_crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
+    let mut frames = Cursor::new(&data);
+    while frames.remaining() >= 8 {
+        let len = frames.u32("frame length")? as usize;
+        let stored_crc = frames.u32("frame checksum")?;
         if len == 0 {
             // Never written by the appender; a zero-filled tail (e.g. from
             // preallocation) reads as end-of-log.
             break;
         }
-        if data.len() - pos - 8 < len {
+        if frames.remaining() < len {
             break; // torn record: the frame was cut mid-payload
         }
-        let payload = &data[pos + 8..pos + 8 + len];
+        let payload = frames.take(len, "frame payload")?;
         if crc32(payload) != stored_crc {
             break; // bit flip or torn tail inside the payload
         }
         let mut cur = Cursor::new(payload);
         let seq = cur.u64("record sequence")?;
         let entry = WalEntry::decode(&mut cur)?;
-        pos += 8 + len;
         if seq <= after_seq {
             continue; // covered by the snapshot
         }
@@ -629,13 +517,6 @@ pub(crate) fn read_wal(path: &Path, after_seq: u64) -> Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn value_codec_round_trips() {

@@ -18,8 +18,8 @@
 //!
 //! The generated sequence mixes every mutation family the WAL records:
 //! row-by-row inserts (valid, duplicate-PK, dangling-FK), SQL DML, bulk
-//! batches (all-or-nothing), in-place updates, deletes, unchecked
-//! `table_mut` edit sessions, and interleaved `checkpoint()` compactions.
+//! batches (all-or-nothing), in-place updates, deletes, and interleaved
+//! `checkpoint()` compactions.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,7 +77,6 @@ enum Op {
     BulkBatch { pk: i64, aux: i64 },
     Update { seed: i64, tag: u8 },
     Delete { seed: i64 },
-    GuardEdit { seed: i64, tag: u8 },
     Checkpoint,
 }
 
@@ -90,7 +89,6 @@ fn decode(raw: &(u8, i64, u8, i64)) -> Op {
         3 => Op::BulkBatch { pk, aux },
         4 => Op::Update { seed: pk, tag },
         5 => Op::Delete { seed: pk },
-        6 => Op::GuardEdit { seed: pk, tag },
         _ => Op::Checkpoint,
     }
 }
@@ -150,15 +148,6 @@ fn apply(db: &mut Database, op: &Op) -> Result<(), StoreError> {
             let pos = (*seed as usize) % len;
             db.delete_rows("children", &[pos]).map(|_| ())
         }
-        Op::GuardEdit { seed, tag } => {
-            let len = db.table("parents").unwrap().len();
-            if len == 0 {
-                return Ok(());
-            }
-            let pos = (*seed as usize) % len;
-            let mut guard = db.table_mut("parents")?;
-            guard.update_cell(pos, 1, Value::from(format!("g{tag}")))
-        }
         Op::Checkpoint => {
             if db.is_durable() {
                 db.checkpoint()
@@ -205,7 +194,7 @@ proptest! {
     /// exactly like an ephemeral one.
     #[test]
     fn recovery_reproduces_the_live_state_at_every_kill_point(
-        raw_ops in prop::collection::vec((0u8..8, 0i64..10, 0u8..6, 0i64..12), 1..20)
+        raw_ops in prop::collection::vec((0u8..7, 0i64..10, 0u8..6, 0i64..12), 1..20)
     ) {
         let scratch = ScratchDir::new();
         let mut live = Database::open(&scratch.0).unwrap();

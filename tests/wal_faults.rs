@@ -198,13 +198,115 @@ fn a_checksummed_record_that_fails_to_decode_is_corruption() {
     let next_seq = (boundaries.len() + 1) as u64;
     let mut payload = next_seq.to_le_bytes().to_vec();
     payload.push(99); // no such WalOp kind
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&payload);
+    push_frame(&mut bytes, &payload);
     std::fs::write(scratch.wal(), &bytes).unwrap();
     match Database::recover(&scratch.0) {
         Err(StoreError::Corruption(_)) => {}
         other => panic!("undecodable checksummed record must be corruption, got {other:?}"),
+    }
+}
+
+/// Append a frame holding `payload` under a valid checksum.
+fn push_frame(bytes: &mut Vec<u8>, payload: &[u8]) {
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+}
+
+/// An RSNP image around `payload`: magic, version, checksum and length.
+fn snapshot_image(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = b"RSNP".to_vec();
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// Kind 6 — a whole-table row state, written only by the removed
+/// `table_mut` guard — is no longer a record kind: a leftover one is
+/// typed corruption, not an unchecked install of its rows.
+#[test]
+fn a_leftover_table_state_record_is_corruption() {
+    let scratch = ScratchDir::new();
+    let boundaries = build(&scratch.0);
+    let mut bytes = std::fs::read(scratch.wal()).unwrap();
+    let mut payload = ((boundaries.len() + 1) as u64).to_le_bytes().to_vec();
+    payload.push(6);
+    payload.extend_from_slice(&7u32.to_le_bytes());
+    payload.extend_from_slice(b"parents");
+    payload.extend_from_slice(&0u64.to_le_bytes()); // row count
+    push_frame(&mut bytes, &payload);
+    std::fs::write(scratch.wal(), &bytes).unwrap();
+    match Database::recover(&scratch.0) {
+        Err(StoreError::Corruption(msg)) => assert!(msg.contains("kind 6"), "{msg}"),
+        other => panic!("a kind-6 record must be corruption, got {other:?}"),
+    }
+}
+
+/// Change tag 4 — the unchecked-access change of the removed `table_mut`
+/// — is no longer a change kind: a snapshot holding one is corruption.
+#[test]
+fn a_leftover_unknown_change_record_is_corruption() {
+    let scratch = ScratchDir::new();
+    std::fs::create_dir_all(&scratch.0).unwrap();
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&0u64.to_le_bytes()); // wal sequence
+    payload.extend_from_slice(&1u64.to_le_bytes()); // write version
+    payload.extend_from_slice(&0u32.to_le_bytes()); // tables
+    payload.extend_from_slice(&0u32.to_le_bytes()); // table versions
+    payload.extend_from_slice(&16u64.to_le_bytes()); // change log capacity
+    payload.extend_from_slice(&0u64.to_le_bytes()); // change log base
+    payload.extend_from_slice(&1u32.to_le_bytes()); // change records
+    payload.extend_from_slice(&1u64.to_le_bytes()); // record version
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(b"t"); // record table
+    payload.push(4); // change tag
+    std::fs::write(scratch.snapshot(), snapshot_image(&payload)).unwrap();
+    match Database::recover(&scratch.0) {
+        Err(StoreError::Corruption(msg)) => assert!(msg.contains("change tag 4"), "{msg}"),
+        other => panic!("change tag 4 must be corruption, got {other:?}"),
+    }
+}
+
+/// A snapshot that passes its checksum but holds a row that does not fit
+/// its table's schema must be refused at load: installed unchecked, the
+/// short row made a later `SELECT` index past its end and panic.
+#[test]
+fn a_checksummed_snapshot_row_of_the_wrong_arity_is_corruption() {
+    let scratch = ScratchDir::new();
+    let mut db = Database::open(&scratch.0).unwrap();
+    db.create_table(
+        TableSchema::builder("parents").pk("id").column("name", DataType::Text).build(),
+    )
+    .unwrap();
+    db.insert("parents", vec![Value::Int(1), Value::from("a")]).unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+
+    // The row as written: count 1, arity 2, Int(1), Text("a").
+    let mut row = 1u64.to_le_bytes().to_vec();
+    row.extend_from_slice(&2u32.to_le_bytes());
+    row.push(1);
+    row.extend_from_slice(&1i64.to_le_bytes());
+    row.push(3);
+    row.extend_from_slice(&1u32.to_le_bytes());
+    row.push(b'a');
+    // Rewritten to arity 1 (the text value dropped), then re-sealed.
+    let mut short = 1u64.to_le_bytes().to_vec();
+    short.extend_from_slice(&1u32.to_le_bytes());
+    short.push(1);
+    short.extend_from_slice(&1i64.to_le_bytes());
+    let image = std::fs::read(scratch.snapshot()).unwrap();
+    let payload = &image[20..];
+    let at = payload.windows(row.len()).position(|w| w == row.as_slice()).expect("row bytes");
+    let mut crafted = payload[..at].to_vec();
+    crafted.extend_from_slice(&short);
+    crafted.extend_from_slice(&payload[at + row.len()..]);
+    std::fs::write(scratch.snapshot(), snapshot_image(&crafted)).unwrap();
+    match Database::recover(&scratch.0) {
+        Err(StoreError::Corruption(msg)) => assert!(msg.contains("arity"), "{msg}"),
+        other => panic!("a short snapshot row must be corruption, got {other:?}"),
     }
 }
 
@@ -223,12 +325,7 @@ fn crafted_change_record_count_is_typed_corruption() {
     payload.extend_from_slice(&u64::MAX.to_le_bytes()); // change log capacity
     payload.extend_from_slice(&0u64.to_le_bytes()); // change log base
     payload.extend_from_slice(&u32::MAX.to_le_bytes()); // change records
-    let mut bytes = b"RSNP".to_vec();
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    std::fs::write(scratch.snapshot(), &bytes).unwrap();
+    std::fs::write(scratch.snapshot(), snapshot_image(&payload)).unwrap();
     match Database::recover(&scratch.0) {
         Err(StoreError::Corruption(msg)) => assert!(msg.contains("change record"), "{msg}"),
         other => panic!("crafted record count must be corruption, got {other:?}"),
