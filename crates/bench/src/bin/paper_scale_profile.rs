@@ -333,11 +333,10 @@ fn profile_serving(
     let refreshing = AtomicBool::new(false);
     let (during, refresh_secs) = std::thread::scope(|s| {
         let writer = s.spawn(|| {
-            // A real single-row insert (a whole-table `table_mut` poke
-            // would force the change log to give up on scoping), completed
-            // by an explicitly FULL refresh: this phase measures reader
-            // latency while the *longest* refresh runs — the delta path is
-            // profiled separately by the streaming phase.
+            // A real single-row insert, completed by an explicitly FULL
+            // refresh: this phase measures reader latency while the
+            // *longest* refresh runs — the delta path is profiled
+            // separately by the streaming phase.
             shared.with_write(|db| insert.insert(db, 0));
             refreshing.store(true, Ordering::Release);
             let (generation, secs) = time(|| service.refresh_full().expect("refresh"));

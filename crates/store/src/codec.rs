@@ -165,13 +165,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn cursor_reads_what_the_writers_wrote() {
         let mut buf = Vec::new();
         put_u32(&mut buf, 7);

@@ -65,8 +65,9 @@ fn put_change(buf: &mut Vec<u8>, change: &TableChange) {
     }
 }
 
-/// Tag 4 (the unchecked-access change of the removed `table_mut`) is
-/// retired: a leftover record is an unknown tag.
+/// Tag 4 is retired (unchecked table access): an old snapshot may still
+/// hold one, which must fail as an unknown tag, so the number is never
+/// reused.
 fn read_change(cur: &mut Cursor<'_>) -> Result<TableChange> {
     Ok(match cur.u8("change tag")? {
         0 => TableChange::Created,
@@ -83,9 +84,9 @@ fn read_change(cur: &mut Cursor<'_>) -> Result<TableChange> {
     })
 }
 
-/// Serialize `db` to `path` atomically. `wal_seq` is
-/// the highest WAL sequence the snapshot covers; recovery skips log
-/// records at or below it.
+/// Serialize `db` to `path` atomically. `wal_seq` is the highest WAL
+/// sequence the snapshot covers; recovery skips log records at or below
+/// it.
 pub(crate) fn write_snapshot(db: &Database, path: &Path, wal_seq: u64) -> Result<()> {
     let mut payload = Vec::with_capacity(4096);
     put_u64(&mut payload, wal_seq);

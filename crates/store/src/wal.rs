@@ -250,8 +250,9 @@ pub(crate) enum WalEntry {
 }
 
 impl WalEntry {
-    /// Kind 6 (a whole-table row state, written by the removed `table_mut`
-    /// guard) is retired: a leftover record is an unknown kind.
+    /// Kind 6 is retired (a whole-table row state that replayed unchecked):
+    /// an old log may still hold one, which must fail as an unknown kind,
+    /// so the number is never reused.
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let entry = match cur.u8("record kind")? {
             1 => WalEntry::CreateTable(cur.schema()?),
@@ -517,6 +518,13 @@ pub(crate) fn read_wal(path: &Path, after_seq: u64) -> Result<WalReplay> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // IEEE CRC-32 check value for "123456789".
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     #[test]
     fn value_codec_round_trips() {

@@ -223,9 +223,9 @@ fn snapshot_image(payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Kind 6 — a whole-table row state, written only by the removed
-/// `table_mut` guard — is no longer a record kind: a leftover one is
-/// typed corruption, not an unchecked install of its rows.
+/// Kind 6 — a whole-table row state that replayed unchecked — is retired:
+/// a leftover one is typed corruption, not an unchecked install of its
+/// rows.
 #[test]
 fn a_leftover_table_state_record_is_corruption() {
     let scratch = ScratchDir::new();
@@ -244,8 +244,8 @@ fn a_leftover_table_state_record_is_corruption() {
     }
 }
 
-/// Change tag 4 — the unchecked-access change of the removed `table_mut`
-/// — is no longer a change kind: a snapshot holding one is corruption.
+/// Change tag 4 — unchecked table access — is retired: a snapshot holding
+/// one is corruption.
 #[test]
 fn a_leftover_unknown_change_record_is_corruption() {
     let scratch = ScratchDir::new();
