@@ -41,16 +41,19 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Append `v` little-endian.
+#[inline]
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append `v` little-endian.
+#[inline]
 pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append `s` as a u32 byte length followed by its UTF-8 bytes.
+#[inline]
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
@@ -58,6 +61,10 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 
 /// Bounds-checked little-endian reader. `what` arguments name the field
 /// being read in the error message.
+///
+/// The writers and readers are `#[inline]` because `retro-core` decodes
+/// millions of fields through them per embedding snapshot, and a call
+/// across the crate boundary is not inlined otherwise.
 pub struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -65,26 +72,31 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// A reader positioned at the start of `data`.
+    #[inline]
     pub fn new(data: &'a [u8]) -> Self {
         Self { data, pos: 0 }
     }
 
     /// True when every byte has been read.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
     }
 
     /// Bytes not yet read.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
     }
 
     /// The bytes not yet read, without consuming them.
+    #[inline]
     pub fn rest(&self) -> &'a [u8] {
         &self.data[self.pos..]
     }
 
     /// Consume the next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(StoreError::Corruption(format!("truncated while reading {what}")));
@@ -99,21 +111,25 @@ impl<'a> Cursor<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self, what: &str) -> Result<u8> {
         Ok(self.take(1, what)?[0])
     }
 
     /// Read a little-endian u32.
+    #[inline]
     pub fn u32(&mut self, what: &str) -> Result<u32> {
         self.array(what).map(u32::from_le_bytes)
     }
 
     /// Read a little-endian u64.
+    #[inline]
     pub fn u64(&mut self, what: &str) -> Result<u64> {
         self.array(what).map(u64::from_le_bytes)
     }
 
     /// Read a string written by [`put_str`].
+    #[inline]
     pub fn string(&mut self, what: &str) -> Result<String> {
         let len = self.u32(what)? as usize;
         let raw = self.take(len, what)?;

@@ -248,6 +248,11 @@ impl IndexSet {
         self.pk.contains_key(&key)
     }
 
+    /// Number of indexed primary keys.
+    pub(crate) fn pk_len(&self) -> usize {
+        self.pk.len()
+    }
+
     pub(crate) fn reserve_pk(&mut self, additional: usize) {
         if self.pk_col.is_some() {
             self.pk.reserve(additional);
@@ -350,9 +355,9 @@ impl IndexSet {
         }
     }
 
-    /// Rebuild everything from `rows` (positional removals renumber
-    /// surviving rows; incremental repair would cost as much as
-    /// rebuilding).
+    /// Rebuild everything from `rows` (positional removals and wholesale
+    /// replacement renumber surviving rows; incremental repair would cost
+    /// as much as rebuilding).
     pub(crate) fn rebuild(&mut self, rows: &[Vec<Value>]) {
         self.pk.clear();
         for ix in &mut self.secondary {

@@ -177,10 +177,7 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
             })?;
         }
         table.reserve(rows.len());
-        for row in rows {
-            table.validate_row(&row).map_err(corrupt)?;
-            table.push_unchecked(row);
-        }
+        table.set_rows(rows).map_err(corrupt)?;
         if db.tables.insert(name.clone(), table).is_some() {
             return Err(StoreError::Corruption(format!("snapshot repeats table `{name}`")));
         }

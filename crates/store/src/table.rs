@@ -161,6 +161,19 @@ impl Table {
     /// "already present" are the same check), which is what makes them
     /// report identical first errors.
     pub fn validate_row(&self, row: &[Value]) -> Result<()> {
+        match self.check_row(row)? {
+            Some(k) if self.indexes.contains_pk(k) => Err(StoreError::DuplicateKey {
+                table: self.schema.name.clone(),
+                key: k.to_string(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// [`Self::validate_row`] without the uniqueness check: arity, types
+    /// and primary-key presence. Returns the row's primary key, if the
+    /// schema declares one.
+    fn check_row(&self, row: &[Value]) -> Result<Option<i64>> {
         if row.len() != self.schema.columns.len() {
             return Err(StoreError::ArityMismatch {
                 table: self.schema.name.clone(),
@@ -178,33 +191,20 @@ impl Table {
                 });
             }
         }
-        if let Some(pk) = self.schema.primary_key {
-            match &row[pk] {
-                Value::Int(k) => {
-                    if self.indexes.contains_pk(*k) {
-                        return Err(StoreError::DuplicateKey {
-                            table: self.schema.name.clone(),
-                            key: k.to_string(),
-                        });
-                    }
-                }
-                Value::Null => {
-                    return Err(StoreError::NullKey {
-                        table: self.schema.name.clone(),
-                        column: self.schema.columns[pk].name.clone(),
-                    })
-                }
-                other => {
-                    return Err(StoreError::TypeMismatch {
-                        table: self.schema.name.clone(),
-                        column: self.schema.columns[pk].name.clone(),
-                        expected: "INTEGER".to_owned(),
-                        got: other.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
-                    })
-                }
-            }
+        let Some(pk) = self.schema.primary_key else { return Ok(None) };
+        match &row[pk] {
+            Value::Int(k) => Ok(Some(*k)),
+            Value::Null => Err(StoreError::NullKey {
+                table: self.schema.name.clone(),
+                column: self.schema.columns[pk].name.clone(),
+            }),
+            other => Err(StoreError::TypeMismatch {
+                table: self.schema.name.clone(),
+                column: self.schema.columns[pk].name.clone(),
+                expected: "INTEGER".to_owned(),
+                got: other.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
+            }),
         }
-        Ok(())
     }
 
     /// Append a validated row. Callers must run [`Self::validate_row`] (or
@@ -250,6 +250,37 @@ impl Table {
         let mut iter = keep.iter();
         self.rows.retain(|_| *iter.next().expect("keep mask aligned"));
         self.indexes.rebuild(&self.rows);
+    }
+
+    /// Replace the table's entire row set and rebuild the indexes, refusing
+    /// any row [`Self::validate_row`] would refuse against the new set —
+    /// snapshot load. One rebuild over the whole set is cheaper than
+    /// appending row by row. On error the table is left half-loaded, so
+    /// the caller must discard it.
+    pub(crate) fn set_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<()> {
+        for row in &rows {
+            self.check_row(row)?;
+        }
+        self.rows = rows;
+        self.indexes.rebuild(&self.rows);
+        // Every row carries an integer key by now, and a repeated key
+        // overwrites its earlier index entry: fewer entries than rows
+        // means a duplicate, found at the first row its key does not map
+        // back to.
+        let Some(pk) = self.schema.primary_key else { return Ok(()) };
+        if self.indexes.pk_len() == self.rows.len() {
+            return Ok(());
+        }
+        let key = self
+            .rows
+            .iter()
+            .enumerate()
+            .find_map(|(pos, row)| {
+                let k = row[pk].as_int()?;
+                (self.indexes.pk_lookup(k) != Some(pos)).then_some(k)
+            })
+            .expect("a repeated key leaves an earlier row unindexed");
+        Err(StoreError::DuplicateKey { table: self.schema.name.clone(), key: key.to_string() })
     }
 
     /// Update one cell in place; [`crate::Database::update_rows`] is the
@@ -326,6 +357,29 @@ mod tests {
         let t = table();
         let err = t.validate_row(&[Value::Int(1), Value::Int(2), Value::Float(0.0)]).unwrap_err();
         assert!(matches!(err, StoreError::TypeMismatch { .. }));
+    }
+
+    #[test]
+    fn set_rows_refuses_what_validate_row_refuses() {
+        let row = |k: Value, name: &str| vec![k, Value::from(name), Value::Null];
+        let refused = |rows| table().set_rows(rows).unwrap_err();
+        assert!(matches!(refused(vec![vec![Value::Int(1)]]), StoreError::ArityMismatch { .. }));
+        assert!(matches!(
+            refused(vec![vec![Value::Int(1), Value::Int(2), Value::Null]]),
+            StoreError::TypeMismatch { .. }
+        ));
+        assert!(matches!(refused(vec![row(Value::Null, "a")]), StoreError::NullKey { .. }));
+        assert_eq!(
+            refused(vec![
+                row(Value::Int(1), "a"),
+                row(Value::Int(2), "b"),
+                row(Value::Int(1), "c")
+            ]),
+            StoreError::DuplicateKey { table: "t".into(), key: "1".into() }
+        );
+        let mut t = table();
+        t.set_rows(vec![row(Value::Int(1), "a"), row(Value::Int(2), "b")]).unwrap();
+        assert_eq!(t.row_position_by_pk(2), Some(1));
     }
 
     #[test]
@@ -406,6 +460,10 @@ mod tests {
 
         t.truncate(1);
         assert_eq!(t.index_probe_text(1, "a"), Some(&[0u32][..]));
+
+        t.set_rows(vec![vec![Value::Int(9), Value::from("z"), Value::Null]]).unwrap();
+        assert_eq!(t.index_probe_text(1, "z"), Some(&[0u32][..]));
+        assert_eq!(t.index_probe_text(1, "a"), Some(&[][..]));
     }
 
     #[test]
