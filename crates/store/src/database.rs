@@ -285,13 +285,14 @@ impl Database {
     /// [`Database::bulk`] load (CSV import and SQL `INSERT` route through
     /// it), and [`Database::update_rows`] / [`Database::delete_rows`] (SQL
     /// `UPDATE`/`DELETE` that touched rows route through them) — bumps
-    /// this counter, so an observer that remembers the version it last saw can detect "something
-    /// changed" with one integer compare. A rolled-back bulk batch leaves
-    /// the version (like the data) untouched. The counter is a *staleness
-    /// signal*, not an exact mutation count: a path may bump it more than
-    /// once per logical write, and a bump does not guarantee the data
-    /// differs — only equality is meaningful, and only as "no write
-    /// happened in between". Each bump also stamps the mutated table's
+    /// this counter, so an observer that remembers the version it last
+    /// saw can detect "something changed" with one integer compare. A
+    /// rolled-back bulk batch leaves the version (like the data)
+    /// untouched. The counter is a *staleness signal*, not an exact
+    /// mutation count: a path may bump it more than once per logical
+    /// write, and a bump does not guarantee the data differs — only
+    /// equality is meaningful, and only as "no write happened in
+    /// between". Each bump also stamps the mutated table's
     /// [`Database::table_version`] and appends a [`ChangeRecord`]
     /// describing the mutation to the bounded log behind
     /// [`Database::changes_since`].
