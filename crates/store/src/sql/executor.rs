@@ -7,6 +7,17 @@
 //! hash joins key on a 64-bit hash of the borrowed join value (collision
 //! buckets verified by [`join_eq`]), so the probe loop allocates nothing
 //! per row.
+//!
+//! A planned hash join builds on whichever input has fewer rows at run
+//! time, by exact count: the position tuples joined so far, or the new
+//! binding's rows (ties build on the new binding). When the tuples are
+//! smaller, their outer keys are hashed and the new binding's rows stream
+//! past as the probe side; its pushed-down filters run only on rows whose
+//! key hits. A `NEAREST(..., 10)` result joined to a 108.5k-row table
+//! hashes 10 keys, not the table. [`PlanMode::ForceScan`] always builds on
+//! the new binding, so the oracle checks one build side against the
+//! other. Output order cannot depend on the build side: the canonical
+//! declared-order sort after the joins decides it.
 
 use std::collections::HashMap;
 
@@ -359,12 +370,14 @@ fn exec_select(
             Some(join) => {
                 let outer_rel = rels[join.outer];
                 let outer_slot = slot[join.outer];
+                let outer_key = |tuple: &[u32]| -> &Value {
+                    &outer_rel.rows()[tuple[outer_slot] as usize][join.outer_col]
+                };
                 let mut next = Vec::new();
                 match join.via {
                     JoinVia::Pk | JoinVia::Index => {
                         for tuple in &tuples {
-                            let outer_row = &outer_rel.rows()[tuple[outer_slot] as usize];
-                            let probe = &outer_row[join.outer_col];
+                            let probe = outer_key(tuple);
                             // Borrow the matching positions straight from
                             // the index — no per-row key materialization.
                             let single;
@@ -392,6 +405,33 @@ fn exec_select(
                             }
                         }
                     }
+                    JoinVia::Hash if mode == PlanMode::Planned && tuples.len() < rel.len() => {
+                        // Fewer tuples than rows: build over the tuples'
+                        // outer keys and stream the new binding's rows as
+                        // the probe side, filtering only rows whose key
+                        // hits. Buckets hold tuple indexes.
+                        let mut built: HashMap<u64, Vec<u32>, FastBuild> = HashMap::default();
+                        for (i, tuple) in tuples.iter().enumerate() {
+                            let Some(h) = join_hash(outer_key(tuple)) else { continue };
+                            built.entry(h).or_default().push(i as u32);
+                        }
+                        for (p, row) in rel.rows().iter().enumerate() {
+                            let probe = &row[join.inner_col];
+                            let Some(h) = join_hash(probe) else { continue };
+                            let Some(bucket) = built.get(&h) else { continue };
+                            if !keep(p as u32) {
+                                continue;
+                            }
+                            for &i in bucket {
+                                let tuple = &tuples[i as usize];
+                                if join_eq(outer_key(tuple), probe) {
+                                    let mut t = tuple.clone();
+                                    t.push(p as u32);
+                                    next.push(t);
+                                }
+                            }
+                        }
+                    }
                     JoinVia::Hash => {
                         // Build over the new binding's filtered rows,
                         // keyed by join-value hash; buckets hold position
@@ -404,8 +444,7 @@ fn exec_select(
                             }
                         }
                         for tuple in &tuples {
-                            let outer_row = &outer_rel.rows()[tuple[outer_slot] as usize];
-                            let probe = &outer_row[join.outer_col];
+                            let probe = outer_key(tuple);
                             let Some(h) = join_hash(probe) else { continue };
                             let Some(bucket) = built.get(&h) else { continue };
                             for &p in bucket {
@@ -429,6 +468,13 @@ fn exec_select(
         tuples.retain(|t| plan.residual.iter().all(|p| pred_on_tuple(p, &rels, &slot, t)));
     }
 
+    // COUNT(*) yields one row, which LIMIT may then drop.
+    if plan.count_star {
+        let mut rows = vec![vec![Value::Int(tuples.len() as i64)]];
+        rows.truncate(plan.limit.unwrap_or(1));
+        return Ok(QueryResult { columns: plan.columns, rows, rows_affected: 0 });
+    }
+
     // Canonical order: ascending row positions in *declared* binding
     // order — exactly the order a declared-order nested execution emits.
     // This is what makes every plan produce bit-identical output.
@@ -442,18 +488,6 @@ fn exec_select(
         }
         std::cmp::Ordering::Equal
     });
-
-    if plan.count_star {
-        let mut n = tuples.len();
-        if let Some(limit) = plan.limit {
-            n = n.min(limit);
-        }
-        return Ok(QueryResult {
-            columns: plan.columns,
-            rows: vec![vec![Value::Int(n as i64)]],
-            rows_affected: 0,
-        });
-    }
 
     // Materialize flattened rows (declared binding order) — the only
     // place values are cloned.
@@ -877,6 +911,54 @@ mod tests {
         // WHERE on function columns, LIMIT, and COUNT(*) all compose.
         let r = run_both_provided(&mut db, "SELECT COUNT(*) FROM RANKED(5) r WHERE r.id >= 3");
         assert_eq!(r.rows[0][0], Value::Int(3));
+    }
+
+    #[test]
+    fn hash_join_builds_on_either_side_with_identical_rows() {
+        // budget is unindexed REAL and partly NULL, so both joins below
+        // are hash joins. RANKED(2) (2 tuples < 8 movies) builds on the
+        // tuples and probes with the movie rows; RANKED(9) (9 tuples,
+        // placed first because `r.id >= 1` is estimated at a third)
+        // builds on movies. ForceScan always builds on the new binding.
+        // The title filter runs on the movies side in both builds.
+        let mut db = seeded();
+        run_script(
+            &mut db,
+            "INSERT INTO movies VALUES (4, 'Dune', 1.0), (5, 'Heat', 2.0), (6, 'Ran', NULL),
+                                       (7, 'Up', 2), (8, 'Zelig', 1.0)",
+        )
+        .unwrap();
+        for k in [2, 9] {
+            let r = run_both_provided(
+                &mut db,
+                &format!(
+                    "SELECT m.title, r.id FROM RANKED({k}) r JOIN movies m ON m.budget = r.id
+                     WHERE r.id >= 1 AND m.title != 'Zelig'"
+                ),
+            );
+            // Canonical order: RANKED rank order (id 2 before id 1), then
+            // movie position; integral REAL budgets meet INTEGER ids.
+            assert_eq!(
+                r.rows,
+                vec![
+                    vec![Value::from("Heat"), Value::Int(2)],
+                    vec![Value::from("Up"), Value::Int(2)],
+                    vec![Value::from("Dune"), Value::Int(1)],
+                ],
+                "RANKED({k})"
+            );
+        }
+    }
+
+    #[test]
+    fn count_star_limit_applies_to_the_count_row() {
+        let mut db = seeded();
+        let count = |db: &mut Database, limit: &str| {
+            run_both(db, &format!("SELECT COUNT(*) FROM movie_genre {limit}")).rows
+        };
+        assert_eq!(count(&mut db, ""), vec![vec![Value::Int(3)]]);
+        assert_eq!(count(&mut db, "LIMIT 1"), vec![vec![Value::Int(3)]]);
+        assert_eq!(count(&mut db, "LIMIT 0"), Vec::<Vec<Value>>::new());
     }
 
     #[test]

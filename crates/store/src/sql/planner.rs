@@ -149,7 +149,9 @@ pub(crate) enum JoinVia {
     Pk,
     /// Probe a secondary equality index per outer row.
     Index,
-    /// Build a hash table over the new binding's (filtered) rows.
+    /// Hash join. The executor builds on the smaller input at run time
+    /// (the new binding's rows, or the tuples joined so far); under
+    /// [`PlanMode::ForceScan`] it always builds on the new binding.
     Hash,
 }
 

@@ -73,6 +73,7 @@ enum Op {
     DeleteParent { pk: i64 },
     ClearScores { threshold: i64 },
     DeleteByLabel { tag: u8 },
+    WholeScore { pk: i64, score: i64 },
 }
 
 fn decode(raw: &(u8, i64, u8, i64)) -> Op {
@@ -85,6 +86,7 @@ fn decode(raw: &(u8, i64, u8, i64)) -> Op {
         6 => Op::DeleteChild { pk: k },
         7 => Op::DeleteParent { pk: k },
         8 => Op::ClearScores { threshold: j },
+        10 => Op::WholeScore { pk: k, score: j % 4 },
         _ => Op::DeleteByLabel { tag: v % 3 },
     }
 }
@@ -111,6 +113,9 @@ impl Op {
                 format!("UPDATE parents SET score = NULL WHERE score > {threshold}.0")
             }
             Op::DeleteByLabel { tag } => format!("DELETE FROM children WHERE label = 'c{tag}'"),
+            Op::WholeScore { pk, score } => {
+                format!("UPDATE parents SET score = {score}.0 WHERE id = {pk}")
+            }
         }
     }
 }
@@ -125,6 +130,17 @@ fn run_mode(db: &mut Database, text: &str, mode: sql::PlanMode) -> Result<QueryR
 /// index, FK join in both directions, pushdown, residual predicates,
 /// IS NULL, ORDER BY, LIMIT, COUNT(*)) plus queries *without* ORDER BY,
 /// which pin the plan-independent canonical row order.
+///
+/// The joins on the unindexed `parents.score` run as hash joins when
+/// planned. A planned hash join builds on the side with fewer rows, while
+/// `ForceScan` always builds on the joined table, so these queries check
+/// one build side against the other. Their outer side is filtered to
+/// fewer rows than the inner (`a.id = k`, `b.score IS NULL`) or to more
+/// (`c.id >= 0`, estimated at a third of the rows, and the third join of
+/// the three-way self-join). `b.name != ..` filters the side that streams
+/// past a tuple build. They also cover INTEGER keys meeting integral REAL
+/// scores (`1 = 1.0`, set by `WholeScore`), NULL scores and duplicate
+/// keys on both sides.
 fn query_suite(probe_pk: i64, probe_tag: u8) -> Vec<String> {
     vec![
         "SELECT * FROM parents".into(),
@@ -148,6 +164,23 @@ fn query_suite(probe_pk: i64, probe_tag: u8) -> Vec<String> {
         "SELECT id, score FROM parents WHERE score >= 1.5 ORDER BY id LIMIT 5".into(),
         format!("SELECT COUNT(*) FROM children WHERE label = 'c{}'", probe_tag % 3),
         "SELECT COUNT(*) FROM children c JOIN parents p ON c.parent_id = p.id".into(),
+        format!(
+            "SELECT a.id, b.id FROM parents a JOIN parents b ON a.score = b.score \
+             WHERE a.id = {probe_pk} AND b.name != 'p{}'",
+            probe_tag % 4
+        ),
+        "SELECT c.id, p.id FROM children c JOIN parents p ON c.id = p.score WHERE c.id >= 0".into(),
+        format!(
+            "SELECT c.label, p.name FROM children c JOIN parents p ON c.parent_id = p.score \
+             WHERE c.label = 'c{}'",
+            probe_tag % 3
+        ),
+        "SELECT a.id, b.id, c.id FROM parents a JOIN parents b ON b.score = a.score \
+         JOIN parents c ON c.score = b.score"
+            .into(),
+        "SELECT COUNT(*) FROM parents a JOIN parents b ON a.score = b.score \
+         WHERE b.score IS NULL"
+            .into(),
     ]
 }
 
@@ -214,7 +247,7 @@ proptest! {
     /// WAL-replay recovery of the same history.
     #[test]
     fn planned_execution_is_bit_identical_to_forced_scans(
-        raw_ops in prop::collection::vec((0u8..10, 0i64..12, 0u8..6, 0i64..12), 1..28)
+        raw_ops in prop::collection::vec((0u8..11, 0i64..12, 0u8..6, 0i64..12), 1..28)
     ) {
         let mut planned = Database::new();
         let mut forced = Database::new();
