@@ -4,9 +4,9 @@
 //! pairs and hands out generation-pinned [`Session`]s whose SQL queries
 //! and `NEAREST` calls all read **one coherent snapshot**: the store a
 //! session's SQL scans is the exact database state the session's
-//! embedding snapshot was extracted from, frozen at publish time via
-//! [`EmbeddingService::refresh_observed`]. Concurrent writers never shift
-//! the ground under an open session.
+//! embedding snapshot was extracted from, frozen by the service when it
+//! published that [`PinnedGeneration`]. Concurrent writers never shift the
+//! ground under an open session.
 //!
 //! Inside a session's SQL, `NEAREST(...)` is a table function (see
 //! `retro_store::sql`): `SELECT m.title, n.score FROM NEAREST('alien', 10)
@@ -26,7 +26,6 @@
 //! tour: sessions, generations, the `NEAREST` grammar, and shedding.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -39,7 +38,7 @@ use retro_store::sql::{
 use retro_store::{csv, ColumnDef, DataType, Database, SharedDatabase, StoreError, Value};
 
 use crate::api::{RetroConfig, RetroError};
-use crate::serve::{EmbeddingService, SearchMode, Snapshot};
+use crate::serve::{EmbeddingService, PinnedGeneration, SearchMode, Snapshot};
 
 /// The engine guide, rendered from `docs/ENGINE.md` so its code examples
 /// compile and run as doctests.
@@ -233,29 +232,6 @@ impl Drop for Permit {
 // Generations and sessions.
 // ---------------------------------------------------------------------------
 
-/// One published generation, frozen whole: the embedding [`Snapshot`]
-/// plus a clone of the exact database state it was extracted from (both
-/// captured under one read guard via
-/// [`EmbeddingService::refresh_observed`], so their write versions agree
-/// by construction).
-#[derive(Debug)]
-pub struct PinnedGeneration {
-    snapshot: Arc<Snapshot>,
-    store: Arc<Database>,
-}
-
-impl PinnedGeneration {
-    /// The embedding snapshot of this generation.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
-    }
-
-    /// The frozen database state of this generation.
-    pub fn store(&self) -> &Database {
-        &self.store
-    }
-}
-
 /// A generation-pinned read handle.
 ///
 /// Everything a session answers — SQL over the frozen store, `NEAREST`
@@ -263,7 +239,7 @@ impl PinnedGeneration {
 /// calls — comes from **one** [`PinnedGeneration`], so a query joining
 /// vector ranks against relational rows can never see half of a
 /// concurrent write. The pinned generation stays alive for as long as any
-/// session holds it, even after the engine's bounded generation cache
+/// session holds it, even after the service's bounded generation cache
 /// evicts it. A session also holds an admission permit for its whole
 /// lifetime; drop sessions promptly under load.
 #[derive(Debug)]
@@ -276,14 +252,14 @@ pub struct Session {
 impl Session {
     /// The generation this session is pinned to.
     pub fn generation(&self) -> u64 {
-        self.pinned.snapshot.generation()
+        self.pinned.snapshot().generation()
     }
 
     /// The database write version this session's whole view reflects —
     /// the snapshot's stamp and the frozen store's counter agree by
     /// construction.
     pub fn write_version(&self) -> u64 {
-        self.pinned.snapshot.write_version()
+        self.pinned.snapshot().write_version()
     }
 
     /// The pinned embedding snapshot.
@@ -316,8 +292,8 @@ impl Session {
     /// mode is the planner's correctness oracle.
     pub fn query_with(&self, sql_text: &str, mode: PlanMode) -> Result<QueryResult, EngineError> {
         let stmt = sql::parse_statement(sql_text).map_err(EngineError::Store)?;
-        let provider = SnapshotFunctions { snapshot: &self.pinned.snapshot, mode: self.mode };
-        sql::query_provided(&self.pinned.store, &stmt, mode, Some(&provider))
+        let provider = SnapshotFunctions { snapshot: self.pinned.snapshot(), mode: self.mode };
+        sql::query_provided(self.pinned.store(), &stmt, mode, Some(&provider))
             .map_err(EngineError::Store)
     }
 
@@ -332,7 +308,7 @@ impl Session {
         text: &str,
         k: usize,
     ) -> Option<Vec<(usize, f32)>> {
-        self.pinned.snapshot.nearest_token(table, column, text, k, self.mode)
+        self.pinned.snapshot().nearest_token(table, column, text, k, self.mode)
     }
 }
 
@@ -441,10 +417,9 @@ impl TableFunctionProvider for SnapshotFunctions<'_> {
 pub struct EngineConfig {
     /// Admission bounds shared by every entry point.
     pub admission: AdmissionConfig,
-    /// How many published generations the engine itself keeps alive per
-    /// database (min 1). Sessions extend a generation's life past
-    /// eviction — the cache bounds the *engine's* footprint, never a
-    /// reader's view.
+    /// How many published generations each database's service keeps alive
+    /// (min 1). Sessions extend a generation's life past eviction — the
+    /// cache bounds the *engine's* footprint, never a reader's view.
     pub generation_cache: usize,
 }
 
@@ -454,27 +429,12 @@ impl Default for EngineConfig {
     }
 }
 
-/// One registered database: its serving service plus the bounded cache
-/// of recent pinned generations (newest last).
-struct EngineDb {
-    service: Arc<EmbeddingService>,
-    generations: Mutex<VecDeque<Arc<PinnedGeneration>>>,
-}
-
-impl EngineDb {
-    fn latest(&self) -> Arc<PinnedGeneration> {
-        let generations =
-            self.generations.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Arc::clone(generations.back().expect("a registered database always has a generation"))
-    }
-}
-
 /// A multi-database serving engine; see the [module docs](self) and the
 /// [`guide`].
 pub struct Engine {
     config: EngineConfig,
     gate: Arc<Gate>,
-    dbs: RwLock<BTreeMap<String, Arc<EngineDb>>>,
+    dbs: RwLock<BTreeMap<String, Arc<EmbeddingService>>>,
 }
 
 impl std::fmt::Debug for Engine {
@@ -509,14 +469,16 @@ impl Engine {
         base: EmbeddingSet,
         config: RetroConfig,
     ) -> Result<(), EngineError> {
-        let service = EmbeddingService::start(db, base, config)?;
-        self.register_service(name, service)
+        let service =
+            EmbeddingService::start_cached(db, base, config, self.config.generation_cache)?;
+        self.dbs.write().insert(name.to_owned(), service);
+        Ok(())
     }
 
     /// Register a database recovered from a persisted serving snapshot
-    /// ([`EmbeddingService::recover`]). Writes that landed after the
-    /// snapshot was saved are folded in with one observed refresh, so the
-    /// first session already reads a coherent generation.
+    /// ([`EmbeddingService::recover`], which folds in writes that landed
+    /// after the snapshot was saved before it returns), so the first
+    /// session already reads a coherent generation.
     pub fn register_recovered(
         &self,
         name: &str,
@@ -525,50 +487,10 @@ impl Engine {
         config: RetroConfig,
         snapshot_path: &std::path::Path,
     ) -> Result<(), EngineError> {
-        let service = EmbeddingService::recover(db, base, config, snapshot_path)?;
-        self.register_service(name, service)
-    }
-
-    /// Register an already-running [`EmbeddingService`] under `name`.
-    pub fn register_service(
-        &self,
-        name: &str,
-        service: Arc<EmbeddingService>,
-    ) -> Result<(), EngineError> {
-        let pinned = Self::aligned_generation(&service)?;
-        let mut generations = VecDeque::with_capacity(self.config.generation_cache.max(1));
-        generations.push_back(pinned);
-        let edb = Arc::new(EngineDb { service, generations: Mutex::new(generations) });
-        self.dbs.write().insert(name.to_owned(), edb);
+        let cache = self.config.generation_cache;
+        let service = EmbeddingService::recover_cached(db, base, config, snapshot_path, cache)?;
+        self.dbs.write().insert(name.to_owned(), service);
         Ok(())
-    }
-
-    /// A [`PinnedGeneration`] whose store clone matches the service's
-    /// published snapshot exactly. The versions are compared under the
-    /// read guard, so the database is cloned once either way: there when
-    /// they match, or — when a write landed since publish — by one
-    /// observed refresh, under the same read guard as its extraction.
-    fn aligned_generation(
-        service: &Arc<EmbeddingService>,
-    ) -> Result<Arc<PinnedGeneration>, RetroError> {
-        let snapshot = service.snapshot();
-        let current = {
-            let db = service.database().read();
-            (db.write_version() == snapshot.write_version()).then(|| Database::clone(&db))
-        };
-        let (snapshot, store) = match current {
-            Some(store) => (snapshot, store),
-            None => service.refresh_observed(Database::clone)?,
-        };
-        Ok(Arc::new(PinnedGeneration { snapshot, store: Arc::new(store) }))
-    }
-
-    fn db(&self, name: &str) -> Result<Arc<EngineDb>, EngineError> {
-        self.dbs
-            .read()
-            .get(name)
-            .map(Arc::clone)
-            .ok_or_else(|| EngineError::UnknownDatabase(name.to_owned()))
     }
 
     /// Names of the registered databases, sorted.
@@ -577,16 +499,16 @@ impl Engine {
     }
 
     /// The serving service behind `name` — the escape hatch for
-    /// service-level operations (snapshot persistence, session tuning).
-    ///
-    /// Sessions read the engine's generation cache, and only
-    /// [`Engine::refresh`] fills it. A service-level
-    /// [`EmbeddingService::refresh`] or
-    /// [`EmbeddingService::spawn_refresher`] publishes snapshots that
-    /// engine sessions never see; to keep sessions fresh, call
-    /// [`Engine::refresh_if_stale`] (from a timer or after writes).
+    /// service-level operations (snapshot persistence, session tuning, a
+    /// background [`EmbeddingService::spawn_refresher`]). Sessions read
+    /// the service's generations, so anything it publishes reaches new
+    /// sessions.
     pub fn service(&self, name: &str) -> Result<Arc<EmbeddingService>, EngineError> {
-        Ok(Arc::clone(&self.db(name)?.service))
+        self.dbs
+            .read()
+            .get(name)
+            .map(Arc::clone)
+            .ok_or_else(|| EngineError::UnknownDatabase(name.to_owned()))
     }
 
     /// Open a generation-pinned [`Session`] on the newest published
@@ -595,7 +517,7 @@ impl Engine {
     /// past the configured deadline.
     pub fn session(&self, name: &str) -> Result<Session, EngineError> {
         let permit = self.gate.admit().map_err(EngineError::Overloaded)?;
-        let pinned = self.db(name)?.latest();
+        let pinned = self.service(name)?.latest();
         Ok(Session { pinned, mode: SearchMode::Exact, _permit: permit })
     }
 
@@ -603,13 +525,13 @@ impl Engine {
     /// `name` — the write path (DDL/DML; reads belong in sessions, which
     /// is also where `NEAREST` is available). Passes the admission gate.
     /// The write makes published generations stale; call
-    /// [`Engine::refresh`] or [`Engine::refresh_if_stale`] to publish a
-    /// new one.
+    /// [`Engine::refresh`] or [`Engine::refresh_if_stale`] (or run the
+    /// service's background refresher) to publish a new one.
     pub fn execute(&self, name: &str, sql_text: &str) -> Result<QueryResult, EngineError> {
         let _permit = self.gate.admit().map_err(EngineError::Overloaded)?;
-        let edb = self.db(name)?;
+        let service = self.service(name)?;
         let stmt = sql::parse_statement(sql_text).map_err(EngineError::Store)?;
-        edb.service
+        service
             .database()
             .with_write(|db| sql::execute_provided(db, &stmt, PlanMode::Planned, None))
             .map_err(EngineError::Store)
@@ -626,56 +548,37 @@ impl Engine {
         path: impl AsRef<std::path::Path>,
     ) -> Result<usize, EngineError> {
         let _permit = self.gate.admit().map_err(EngineError::Overloaded)?;
-        let edb = self.db(name)?;
+        let service = self.service(name)?;
         let path = path.as_ref();
         let file = std::fs::File::open(path).map_err(|err| {
             EngineError::Store(StoreError::Io(format!("opening {}: {err}", path.display())))
         })?;
         let reader = std::io::BufReader::new(file);
-        edb.service
+        service
             .database()
             .with_write(|db| csv::import_csv_reader(db, table, reader))
             .map_err(EngineError::Store)
     }
 
-    /// Publish a new generation of `name`: refresh the embedding service
-    /// (delta-scoped when possible) while freezing a matching store clone
-    /// under the same read guard, then add the pair to the generation
-    /// cache (evicting the oldest beyond the configured bound — sessions
-    /// holding an evicted generation keep it alive). Returns the new
-    /// generation number.
+    /// Publish a new generation of `name` ([`EmbeddingService::refresh`]:
+    /// delta-scoped when possible, with a store clone frozen under the
+    /// extraction's read guard). The service's generation cache evicts the
+    /// oldest beyond the configured bound — sessions holding an evicted
+    /// generation keep it alive. Returns the new generation number.
     pub fn refresh(&self, name: &str) -> Result<u64, EngineError> {
-        let edb = self.db(name)?;
-        let (snapshot, store) = edb.service.refresh_observed(Database::clone)?;
-        let generation = snapshot.generation();
-        let pinned = Arc::new(PinnedGeneration { snapshot, store: Arc::new(store) });
-        let mut generations =
-            edb.generations.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        generations.push_back(pinned);
-        while generations.len() > self.config.generation_cache.max(1) {
-            generations.pop_front();
-        }
-        Ok(generation)
+        Ok(self.service(name)?.refresh()?)
     }
 
     /// [`Engine::refresh`], but only when the live database has been
-    /// written since the newest pinned generation.
+    /// written since the newest generation.
     pub fn refresh_if_stale(&self, name: &str) -> Result<Option<u64>, EngineError> {
-        let edb = self.db(name)?;
-        let stale = edb.latest().snapshot.write_version() != edb.service.database().write_version();
-        if stale {
-            self.refresh(name).map(Some)
-        } else {
-            Ok(None)
-        }
+        Ok(self.service(name)?.refresh_if_stale()?)
     }
 
-    /// Generation numbers currently held by the engine's cache for
+    /// Generation numbers currently held by the generation cache for
     /// `name`, oldest first (sessions may keep older ones alive).
     pub fn pinned_generations(&self, name: &str) -> Result<Vec<u64>, EngineError> {
-        let edb = self.db(name)?;
-        let generations = edb.generations.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        Ok(generations.iter().map(|p| p.snapshot.generation()).collect())
+        Ok(self.service(name)?.cached_generations())
     }
 
     /// Requests admitted through the gate since construction.

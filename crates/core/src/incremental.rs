@@ -281,8 +281,9 @@ impl IncrementalRetro {
     /// 3. every relevant change is an append and the dirty neighbourhood is
     ///    small ([`Self::delta_max_dirty_fraction`]) → **delta** plan;
     /// 4. otherwise (deletes, relational updates, log overflow, schema
-    ///    changes, oversized dirty set, or the MF solver, which has no
-    ///    warm-start story) → warm **full** plan.
+    ///    changes, oversized dirty set, a state ahead of the database, or
+    ///    the MF solver, which has no warm-start story) → warm **full**
+    ///    plan.
     ///
     /// This is the only fallible part of a refresh and the only part that
     /// needs the database; `&self` guarantees the previous converged state
@@ -307,8 +308,11 @@ impl IncrementalRetro {
             }
             // MF re-solves from W0 every time — there is no converged state
             // to scope a delta against, so only the version fast-path above
-            // applies to it.
-            if self.engine.config.solver != Solver::Mf {
+            // applies to it. A state *ahead* of the database (a serving
+            // snapshot saved before a crash lost the store's unflushed WAL
+            // tail) reflects writes the store no longer has, and the change
+            // log cannot name them: only a full refresh is safe.
+            if self.engine.config.solver != Solver::Mf && synced < db_version {
                 match classify_changes(db, synced) {
                     ChangeSummary::NoRelevantChange => {
                         return Ok(RefreshPlan {

@@ -3,16 +3,18 @@
 //! [`EmbeddingService`] closes the loop the paper's incremental-maintenance
 //! story opens: retrofitted vectors stay queryable — lock-free, from many
 //! threads — while the database underneath keeps changing. Each converged
-//! [`RetroOutput`] is published as a generation-numbered immutable
-//! [`Snapshot`] behind one atomically swapped `Arc`; refreshes re-extract
+//! [`RetroOutput`] is published as a [`PinnedGeneration`]: a
+//! generation-numbered immutable [`Snapshot`] plus a frozen clone of the
+//! database state it was extracted from. Refreshes re-extract (and clone)
 //! under a brief database read guard, solve with the database unlocked, and
-//! swap the pointer. Readers never take the solver's lock and never wait on
-//! a refresh.
+//! append the generation to a bounded cache. Readers never take the
+//! solver's lock and never wait on a refresh.
 //!
 //! See the [`guide`] module (rendered from `docs/SERVING.md`) for the
 //! snapshot lifecycle, generation semantics, the staleness model and a
 //! worked example.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,8 +42,8 @@ pub mod guide {}
 /// [`Snapshot::nearest`] touches no lock at all: readers holding an
 /// `Arc<Snapshot>` are isolated from refreshes, writers, and each other.
 /// Snapshots are created complete and never mutated, which is what makes
-/// the service's pointer swap atomic: every observer sees a whole
-/// generation or the previous whole generation.
+/// the service's publish atomic: every observer sees a whole generation or
+/// the previous whole generation.
 ///
 /// Queries pick their scan with a [`SearchMode`]: [`SearchMode::Exact`] is
 /// the full `O(n)` oracle scan, [`SearchMode::Approx`] probes the
@@ -74,6 +76,43 @@ impl Snapshot {
             threads,
         ));
         Self { generation, write_version, threads, norms, index, output }
+    }
+
+    /// The next generation after `self`, serving `output`. `dirty` is the
+    /// delta plan's dirty row set when the session's previous state was
+    /// `self.output` (the service holds both under its session lock).
+    fn successor(
+        &self,
+        write_version: u64,
+        output: Arc<RetroOutput>,
+        dirty: Option<Vec<u32>>,
+    ) -> Self {
+        let (generation, threads) = (self.generation + 1, self.threads);
+        if Arc::ptr_eq(&output, &self.output) {
+            // No-change refresh: the session kept its output allocation, so
+            // reuse the published norms and the ANN index too — the
+            // republish is O(n), not O(n·D).
+            let (norms, index) = (self.norms.clone(), Arc::clone(&self.index));
+            Self { generation, write_version, threads, norms, index, output }
+        } else if let Some(dirty) = dirty.filter(|_| self.norms.len() <= output.embeddings.rows()) {
+            // Delta refresh: only the dirty rows moved and new rows were
+            // appended. Patch the cached norms instead of renormalizing the
+            // whole matrix, and patch the ANN index against its frozen
+            // centroids instead of retraining — `O(Δ)` either way.
+            // Centroids retrain on the next full refresh
+            // (tests/ann_serving.rs pins the patched index structurally
+            // identical to a fresh assignment).
+            let mut norms = Vec::with_capacity(output.embeddings.rows());
+            norms.extend_from_slice(&self.norms);
+            norms.resize(output.embeddings.rows(), 0.0);
+            for &r in &dirty {
+                norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
+            }
+            let index = Arc::new(self.index.refreshed(&output.embeddings, &norms, &dirty));
+            Self { generation, write_version, threads, norms, index, output }
+        } else {
+            Self::new(generation, write_version, threads, output)
+        }
     }
 
     /// The snapshot's generation number (1 for the initial full run,
@@ -180,34 +219,59 @@ impl Snapshot {
     }
 }
 
+/// One published generation, frozen whole: the embedding [`Snapshot`]
+/// plus a clone of the exact database state it was extracted from (both
+/// captured under one database read guard, so their write versions agree
+/// by construction).
+#[derive(Debug)]
+pub struct PinnedGeneration {
+    snapshot: Arc<Snapshot>,
+    store: Arc<Database>,
+}
+
+impl PinnedGeneration {
+    /// The embedding snapshot of this generation.
+    pub fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
+    }
+
+    /// The frozen database state of this generation.
+    pub fn store(&self) -> &Database {
+        &self.store
+    }
+}
+
 /// A serving handle: one [`SharedDatabase`], one retrofitting session, one
-/// atomically swapped current [`Snapshot`].
+/// bounded cache of published [`PinnedGeneration`]s.
 ///
 /// * **Readers** call [`EmbeddingService::snapshot`] (an `Arc` clone behind
-///   a momentary pointer lock) or the [`nearest`](EmbeddingService::nearest)
+///   a momentary lock) or the [`nearest`](EmbeddingService::nearest)
 ///   conveniences; they are never blocked by writers or an in-flight
 ///   refresh.
 /// * **Writers** mutate the database through
 ///   [`EmbeddingService::database`]; every mutating store operation bumps
 ///   the database's write version, which
-///   [`EmbeddingService::out_of_date`] compares against the published
-///   snapshot.
+///   [`EmbeddingService::out_of_date`] compares against the newest
+///   generation.
 /// * **Refreshes** ([`EmbeddingService::refresh`], or a background
 ///   [`RefreshWorker`]) are serialized on an internal session lock that no
-///   read path ever touches.
+///   read path ever touches, and publish in solve order.
 pub struct EmbeddingService {
     db: SharedDatabase,
     base: EmbeddingSet,
-    threads: usize,
     /// The incremental session. Refreshes take the write side; nothing
-    /// else touches it — readers are served from `snapshot`.
+    /// else touches it — readers are served from `generations`.
     session: RwLock<IncrementalRetro>,
-    /// The published snapshot. Held for pointer-sized critical sections
-    /// only: an `Arc` clone on read, an `Arc` store on publish. The
-    /// snapshot itself carries the generation number, so the published
-    /// generation and the published data can never disagree.
-    snapshot: RwLock<Arc<Snapshot>>,
-    /// Refreshes published since start (the initial generation is not
+    /// The published generations, oldest first, never empty. Held for
+    /// pointer-sized critical sections only: an `Arc` clone on read, a
+    /// push (and at most one eviction) on publish. Each generation carries
+    /// its own number, so the published generation and the published data
+    /// can never disagree.
+    generations: RwLock<VecDeque<Arc<PinnedGeneration>>>,
+    /// How many generations `generations` keeps (min 1). Readers holding
+    /// an evicted generation keep it alive.
+    cache: usize,
+    /// Refreshes published since start (the first generation is not
     /// counted). The interesting property is what this does NOT count:
     /// however many writes land while one refresh is in flight, they are
     /// all caught by at most one follow-up refresh, so this grows with
@@ -219,9 +283,34 @@ impl std::fmt::Debug for EmbeddingService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EmbeddingService")
             .field("generation", &self.generation())
-            .field("threads", &self.threads)
+            .field("threads", &self.snapshot().threads)
             .finish_non_exhaustive()
     }
+}
+
+type Prepare = fn(&IncrementalRetro, &Database, &EmbeddingSet) -> Result<RefreshPlan, RetroError>;
+
+/// One refresh of `session` past the generation `old`: extract under a
+/// database read guard, freezing a clone of the store under the same
+/// guard, then solve with the database unlocked. The clone and the
+/// snapshot's stamp therefore describe exactly the extracted state: no
+/// write can slip between them.
+fn advance(
+    session: &mut IncrementalRetro,
+    db: &SharedDatabase,
+    base: &EmbeddingSet,
+    old: &Snapshot,
+    prepare: Prepare,
+) -> Result<PinnedGeneration, RetroError> {
+    let (plan, store) = {
+        let guard = db.read();
+        (prepare(session, &guard, base)?, Database::clone(&guard))
+    };
+    let dirty = plan.dirty_rows().map(<[u32]>::to_vec);
+    session.complete_refresh(plan);
+    let output = session.current_shared().expect("just completed");
+    let snapshot = old.successor(store.write_version(), output, dirty);
+    Ok(PinnedGeneration { snapshot: Arc::new(snapshot), store: Arc::new(store) })
 }
 
 impl EmbeddingService {
@@ -229,11 +318,22 @@ impl EmbeddingService {
     ///
     /// Extraction holds a database read guard; the solve itself runs with
     /// the database unlocked. `config.params.threads` doubles as the
-    /// snapshot query-scan width.
+    /// snapshot query-scan width. Writes that land during the solve are
+    /// folded in by one catch-up refresh before this returns.
     pub fn start(
         db: SharedDatabase,
         base: EmbeddingSet,
         config: RetroConfig,
+    ) -> Result<Arc<Self>, RetroError> {
+        Self::start_cached(db, base, config, 1)
+    }
+
+    /// [`EmbeddingService::start`] keeping the newest `cache` generations.
+    pub(crate) fn start_cached(
+        db: SharedDatabase,
+        base: EmbeddingSet,
+        config: RetroConfig,
+        cache: usize,
     ) -> Result<Arc<Self>, RetroError> {
         let threads = config.params.threads;
         let mut session = IncrementalRetro::new(config);
@@ -243,13 +343,39 @@ impl EmbeddingService {
         };
         session.complete_refresh(plan);
         let output = session.current_shared().expect("just completed");
-        let snapshot = Arc::new(Snapshot::new(1, write_version, threads, output));
+        let first = Snapshot::new(1, write_version, threads, output);
+        Self::launch(db, base, session, first, cache)
+    }
+
+    /// Publish the session's converged state `first` as the service's
+    /// first generation. When the database has not moved since `first` was
+    /// extracted, its store is frozen as is; otherwise one catch-up
+    /// refresh publishes the current state instead, so the service is
+    /// coherent before it serves anyone.
+    fn launch(
+        db: SharedDatabase,
+        base: EmbeddingSet,
+        mut session: IncrementalRetro,
+        first: Snapshot,
+        cache: usize,
+    ) -> Result<Arc<Self>, RetroError> {
+        let store = {
+            let guard = db.read();
+            (guard.write_version() == first.write_version()).then(|| Database::clone(&guard))
+        };
+        let pinned = match store {
+            Some(store) => PinnedGeneration { snapshot: Arc::new(first), store: Arc::new(store) },
+            None => advance(&mut session, &db, &base, &first, IncrementalRetro::prepare_refresh)?,
+        };
+        let cache = cache.max(1);
+        let mut generations = VecDeque::with_capacity(cache + 1);
+        generations.push_back(Arc::new(pinned));
         Ok(Arc::new(Self {
             db,
             base,
-            threads,
             session: RwLock::new(session),
-            snapshot: RwLock::new(snapshot),
+            generations: RwLock::new(generations),
+            cache,
             refreshes: AtomicU64::new(0),
         }))
     }
@@ -264,13 +390,23 @@ impl EmbeddingService {
         &self.base
     }
 
+    /// The newest published generation: its snapshot and frozen store.
+    pub(crate) fn latest(&self) -> Arc<PinnedGeneration> {
+        Arc::clone(self.generations.read().back().expect("a service always has a generation"))
+    }
+
+    /// Generation numbers of the cached generations, oldest first.
+    pub(crate) fn cached_generations(&self) -> Vec<u64> {
+        self.generations.read().iter().map(|p| p.snapshot.generation()).collect()
+    }
+
     /// The currently published snapshot.
     ///
     /// The returned `Arc` pins its generation for as long as the caller
     /// holds it — a concurrent refresh publishes a *new* snapshot and never
     /// touches this one.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snapshot.read())
+        Arc::clone(&self.latest().snapshot)
     }
 
     /// The generation of the currently published snapshot.
@@ -278,7 +414,7 @@ impl EmbeddingService {
     /// Read from the snapshot itself, so this can never run ahead of (or
     /// disagree with) what [`EmbeddingService::snapshot`] returns.
     pub fn generation(&self) -> u64 {
-        self.snapshot.read().generation()
+        self.snapshot().generation()
     }
 
     /// True when the database has been written since the published snapshot
@@ -305,9 +441,9 @@ impl EmbeddingService {
         self.snapshot().nearest_token(table, column, text, k, mode)
     }
 
-    /// Incremental refresh: re-extract under a brief database read guard,
-    /// solve with the database unlocked, publish atomically. Returns the
-    /// new snapshot's generation.
+    /// Incremental refresh: re-extract and freeze a store clone under a
+    /// brief database read guard, solve with the database unlocked,
+    /// publish atomically. Returns the new generation number.
     ///
     /// The refresh is **delta scoped** whenever the change log allows it
     /// (see [`crate::IncrementalRetro::prepare_refresh`]): a small append
@@ -320,34 +456,14 @@ impl EmbeddingService {
     /// throughout. On error nothing is published and the session keeps its
     /// warm-start state — the last good snapshot keeps serving.
     pub fn refresh(&self) -> Result<u64, RetroError> {
-        self.refresh_observed(|_| ()).map(|(snapshot, ())| snapshot.generation())
-    }
-
-    /// [`EmbeddingService::refresh`], but running `observe` under the
-    /// *same database read guard* as the extraction and returning the
-    /// published snapshot together with the observation.
-    ///
-    /// That shared guard is the whole point: whatever `observe` reads —
-    /// a [`Database::clone`], a row count, a write version — describes
-    /// exactly the database state the snapshot reflects; no write can
-    /// slip between the extraction and the observation. The multi-database
-    /// [`crate::engine::Engine`] uses this to freeze a store clone per
-    /// published generation, which is what lets a
-    /// [`crate::engine::Session`] answer SQL and `NEAREST` from one
-    /// coherent state.
-    pub fn refresh_observed<T>(
-        &self,
-        observe: impl FnOnce(&Database) -> T,
-    ) -> Result<(Arc<Snapshot>, T), RetroError> {
-        self.refresh_with(|session, db, base| session.prepare_refresh(db, base), observe)
+        self.refresh_with(IncrementalRetro::prepare_refresh)
     }
 
     /// [`EmbeddingService::refresh`], but always re-extracting and
     /// re-solving the whole problem (the delta dispatch is skipped). Use it
     /// to re-converge exactly — e.g. before an evaluation — at full cost.
     pub fn refresh_full(&self) -> Result<u64, RetroError> {
-        self.refresh_with(|session, db, base| session.prepare_refresh_full(db, base), |_| ())
-            .map(|(snapshot, ())| snapshot.generation())
+        self.refresh_with(IncrementalRetro::prepare_refresh_full)
     }
 
     /// Adjust the inner session's tuning knobs (refresh iteration count,
@@ -357,77 +473,21 @@ impl EmbeddingService {
         tune(&mut self.session.write());
     }
 
-    fn refresh_with<T>(
-        &self,
-        prepare: impl FnOnce(
-            &IncrementalRetro,
-            &Database,
-            &EmbeddingSet,
-        ) -> Result<RefreshPlan, RetroError>,
-        observe: impl FnOnce(&Database) -> T,
-    ) -> Result<(Arc<Snapshot>, T), RetroError> {
+    fn refresh_with(&self, prepare: Prepare) -> Result<u64, RetroError> {
         let mut session = self.session.write();
-        let (plan, write_version, observed) = {
-            let guard = self.db.read();
-            // The version is read (and `observe` runs) under the same guard
-            // as the extraction, so the stamp can never claim writes the
-            // problem didn't see and the observation describes exactly the
-            // extracted state.
-            let plan = prepare(&session, &guard, &self.base)?;
-            (plan, guard.write_version(), observe(&guard))
+        let next = advance(&mut session, &self.db, &self.base, &self.snapshot(), prepare)?;
+        let generation = next.snapshot.generation();
+        // Publish under the session lock: publish order equals solve
+        // order, which is what makes generations monotone for every
+        // observer. An evicted generation is dropped after the cache lock
+        // is released: it may hold the last handle on a store clone.
+        let _evicted = {
+            let mut generations = self.generations.write();
+            generations.push_back(Arc::new(next));
+            (generations.len() > self.cache).then(|| generations.pop_front())
         };
-        let dirty = plan.dirty_rows().map(<[u32]>::to_vec);
-        session.complete_refresh(plan);
-        let output = session.current_shared().expect("just completed");
-
-        // Publish under the session lock: swap order equals solve order,
-        // which is what makes generations monotone for every observer,
-        // and the generation number lives inside the swapped snapshot, so
-        // it can never be observed ahead of the data it numbers.
-        let old = Arc::clone(&self.snapshot.read());
-        let generation = old.generation() + 1;
-        let snapshot = if Arc::ptr_eq(&output, &old.output) {
-            // No-change refresh: the session kept its output allocation, so
-            // reuse the published norms and the ANN index too — the
-            // republish is O(n), not O(n·D).
-            Arc::new(Snapshot {
-                generation,
-                write_version,
-                threads: self.threads,
-                norms: old.norms.clone(),
-                index: Arc::clone(&old.index),
-                output,
-            })
-        } else if let Some(dirty) = dirty.filter(|_| old.norms.len() <= output.embeddings.rows()) {
-            // Delta refresh: only the dirty rows moved and new rows were
-            // appended (the previous snapshot is always the plan's prior
-            // state — both live under the session lock). Patch the cached
-            // norms instead of renormalizing the whole matrix, and patch
-            // the ANN index against its frozen centroids instead of
-            // retraining — `O(Δ)` either way. Centroids retrain on the
-            // next full refresh (tests/ann_serving.rs pins the patched
-            // index structurally identical to a fresh assignment).
-            let mut norms = Vec::with_capacity(output.embeddings.rows());
-            norms.extend_from_slice(&old.norms);
-            norms.resize(output.embeddings.rows(), 0.0);
-            for &r in &dirty {
-                norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
-            }
-            let index = Arc::new(old.index.refreshed(&output.embeddings, &norms, &dirty));
-            Arc::new(Snapshot {
-                generation,
-                write_version,
-                threads: self.threads,
-                norms,
-                index,
-                output,
-            })
-        } else {
-            Arc::new(Snapshot::new(generation, write_version, self.threads, output))
-        };
-        *self.snapshot.write() = Arc::clone(&snapshot);
         self.refreshes.fetch_add(1, Ordering::Relaxed);
-        Ok((snapshot, observed))
+        Ok(generation)
     }
 
     /// Persist the currently published snapshot to `path` — one
@@ -462,13 +522,16 @@ impl EmbeddingService {
     /// [`EmbeddingService::save_snapshot`] — the warm-start counterpart of
     /// [`EmbeddingService::start`].
     ///
-    /// The persisted generation is republished as-is: same generation
-    /// number, bit-identical embeddings (so rankings match the pre-crash
-    /// service exactly), and an incremental session anchored at the
-    /// snapshot's database write version. Writes that landed *after* the
-    /// snapshot are not lost — [`EmbeddingService::out_of_date`] reports
-    /// them and the next refresh catches up, delta-scoped when the store's
-    /// change log allows it.
+    /// When the store is at the snapshot's write version, the persisted
+    /// generation is republished as-is: same generation number,
+    /// bit-identical embeddings (so rankings match the pre-crash service
+    /// exactly), and an incremental session anchored at the snapshot's
+    /// database write version. Otherwise one catch-up refresh runs before
+    /// this returns, so the first generation served always matches the
+    /// store: writes that landed *after* the snapshot are folded in
+    /// (delta-scoped when the store's change log allows it), and a
+    /// snapshot *ahead* of the store — saved before a crash lost the
+    /// store's unflushed WAL tail — is replaced by a full refresh.
     ///
     /// `base` must be the same base embedding the snapshot was solved
     /// against (the derived problem parts are recomputed from it); a
@@ -478,6 +541,18 @@ impl EmbeddingService {
         base: EmbeddingSet,
         config: RetroConfig,
         path: &std::path::Path,
+    ) -> Result<Arc<Self>, RetroError> {
+        Self::recover_cached(db, base, config, path, 1)
+    }
+
+    /// [`EmbeddingService::recover`] keeping the newest `cache`
+    /// generations.
+    pub(crate) fn recover_cached(
+        db: SharedDatabase,
+        base: EmbeddingSet,
+        config: RetroConfig,
+        path: &std::path::Path,
+        cache: usize,
     ) -> Result<Arc<Self>, RetroError> {
         if base.dim() == 0 {
             return Err(RetroError::EmptyEmbedding);
@@ -533,16 +608,8 @@ impl EmbeddingService {
         let threads = config.params.threads;
         let mut session = IncrementalRetro::new(config);
         session.restore(Arc::clone(&output), persisted.write_version);
-        let snapshot =
-            Arc::new(Snapshot::new(persisted.generation, persisted.write_version, threads, output));
-        Ok(Arc::new(Self {
-            db,
-            base,
-            threads,
-            session: RwLock::new(session),
-            snapshot: RwLock::new(snapshot),
-            refreshes: AtomicU64::new(0),
-        }))
+        let first = Snapshot::new(persisted.generation, persisted.write_version, threads, output);
+        Self::launch(db, base, session, first, cache)
     }
 
     /// Which path the most recent solve took — [`RefreshKind::Full`] right
@@ -552,7 +619,7 @@ impl EmbeddingService {
         self.session.read().last_refresh()
     }
 
-    /// Number of refreshes published since start (the initial generation
+    /// Number of refreshes published since start (the first generation
     /// does not count). Grows with refreshes, not writes: all writes
     /// landing during one in-flight refresh coalesce into at most one
     /// follow-up.

@@ -1,10 +1,13 @@
 //! Full-system contracts of the multi-database serving engine
 //! (`docs/ENGINE.md`): generation-pinned sessions stay coherent under
-//! concurrent writers, the bounded generation cache never frees a pinned
-//! generation, admission sheds deterministically at the configured depth,
-//! and `NEAREST` in SQL is bit-identical to the exact-scan oracle —
-//! including after a crash/recover cycle through the WAL and the
-//! persisted serving snapshot.
+//! concurrent writers, generations publish in solve order from
+//! `Engine::refresh` and from a background refresher alike, the bounded
+//! generation cache never frees a pinned generation, admission sheds
+//! deterministically at the configured depth (and not at all under the
+//! default bounds with mixed traffic), and `NEAREST` in SQL is
+//! bit-identical to the exact-scan oracle — including after a
+//! crash/recover cycle through the WAL and the persisted serving
+//! snapshot.
 //!
 //! Sizes default small so `cargo test` stays quick; CI raises
 //! `RETRO_SERVE_STRESS` for a release-mode soak (same gate as
@@ -408,4 +411,140 @@ fn recovery_folds_in_writes_made_after_the_snapshot() {
     let rows = session.query("SELECT title FROM movies WHERE id = 900").unwrap().rows;
     assert_eq!(rows, vec![vec![Value::from(movie_title(900))]]);
     assert!(!nearest_rows(&session, &movie_title(900), 3).is_empty());
+}
+
+/// Concurrent refreshes publish in solve order: however the refresh calls
+/// of several writers interleave, the generation cache stays strictly
+/// increasing and a new session pins the newest generation.
+#[test]
+fn concurrent_refreshes_publish_in_order() {
+    let mut db = Database::new();
+    populate(&mut db, 8);
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+
+    const WRITERS: i64 = 4;
+    for round in 0..20 * stress_rounds(3) as i64 {
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let engine = &engine;
+                s.spawn(move || {
+                    engine.execute("tmdb", &insert_sql(10_000 + round * WRITERS + w)).unwrap();
+                    engine.refresh("tmdb").unwrap();
+                });
+            }
+        });
+        let cached = engine.pinned_generations("tmdb").unwrap();
+        assert!(cached.windows(2).all(|w| w[0] < w[1]), "round {round}: cache {cached:?}");
+        let newest = *cached.last().unwrap();
+        assert_eq!(engine.session("tmdb").unwrap().generation(), newest, "round {round}");
+    }
+}
+
+/// A background worker spawned on the service publishes generations that
+/// engine sessions read: a write reaches new sessions through SQL and
+/// `NEAREST` without any `Engine::refresh` call.
+#[test]
+fn background_refresher_reaches_sessions() {
+    let mut db = Database::new();
+    populate(&mut db, 8);
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+    let worker = engine.service("tmdb").unwrap().spawn_refresher(Duration::from_millis(1));
+    engine.execute("tmdb", &insert_sql(900)).unwrap();
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let session = engine.session("tmdb").unwrap();
+        let rows = session.query("SELECT title FROM movies WHERE id = 900").unwrap().rows;
+        if !rows.is_empty() {
+            assert_eq!(rows, vec![vec![Value::from(movie_title(900))]]);
+            assert!(!nearest_rows(&session, &movie_title(900), 3).is_empty());
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker's generation never reached sessions"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    worker.stop();
+}
+
+/// Mixed traffic beside a background refresher: SQL reads, `NEAREST`
+/// queries and inserts each run a fixed number of operations through the
+/// admission gate. Every class completes, the default bounds shed
+/// nothing, and once the worker catches up a new session sees every
+/// write.
+#[test]
+fn mixed_traffic_beside_the_refresher_completes_without_shedding() {
+    let n_movies = 8 * stress_rounds(3);
+    let ops = 10 * stress_rounds(3);
+    let mut db = Database::new();
+    populate(&mut db, n_movies);
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+    let worker = engine.service("tmdb").unwrap().spawn_refresher(Duration::from_millis(1));
+
+    let (sql, nearest, writes) = std::thread::scope(|s| {
+        let sql = s.spawn(|| {
+            (0..ops)
+                .filter(|&i| {
+                    let id = (i % n_movies) as i64;
+                    let session = engine.session("tmdb").unwrap();
+                    let rows = if i % 4 == 0 {
+                        session.query(&format!(
+                            "SELECT m.title, p.name FROM movies m \
+                             JOIN persons p ON m.director_id = p.id WHERE m.id = {id}"
+                        ))
+                    } else {
+                        session.query(&format!("SELECT title FROM movies WHERE id = {id}"))
+                    };
+                    rows.unwrap().rows.len() == 1
+                })
+                .count()
+        });
+        let nearest = s.spawn(|| {
+            (0..ops)
+                .filter(|&i| {
+                    let token = movie_title((i % n_movies) as i64);
+                    let session = engine.session("tmdb").unwrap();
+                    let rows = if i % 4 == 0 {
+                        session.query(&format!(
+                            "SELECT m.title, n.score FROM NEAREST('movies', 'title', '{token}', 10) n \
+                             JOIN movies m ON m.title = n.token"
+                        ))
+                    } else {
+                        session.query(&format!(
+                            "SELECT id, token, score FROM NEAREST('movies', 'title', '{token}', 10) n"
+                        ))
+                    };
+                    let rows = rows.unwrap().rows;
+                    !rows.is_empty() && rows.len() <= 10
+                })
+                .count()
+        });
+        let writes = s.spawn(|| {
+            (0..ops)
+                .filter(|&i| engine.execute("tmdb", &insert_sql(5_000 + i as i64)).is_ok())
+                .count()
+        });
+        (sql.join().unwrap(), nearest.join().unwrap(), writes.join().unwrap())
+    });
+    assert_eq!((sql, nearest, writes), (ops, ops, ops), "every class completes every operation");
+    assert_eq!(engine.shed_count(), 0, "the default admission bounds shed nothing");
+
+    let service = engine.service("tmdb").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while service.out_of_date() {
+        assert!(std::time::Instant::now() < deadline, "the worker never caught up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    worker.stop();
+    let last = engine.session("tmdb").unwrap();
+    assert_eq!(
+        last.query("SELECT COUNT(*) FROM movies").unwrap().rows[0][0],
+        Value::Int((n_movies + ops) as i64)
+    );
+    assert!(!nearest_rows(&last, &movie_title(5_000 + ops as i64 - 1), 3).is_empty());
 }

@@ -20,11 +20,12 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use retro::core::serve::{EmbeddingService, SearchMode};
-use retro::core::{Hyperparameters, RetroConfig};
+use retro::core::{Hyperparameters, RefreshKind, RetroConfig};
 use retro::embed::EmbeddingSet;
-use retro::store::{Database, SharedDatabase, Value};
+use retro::store::{Database, DurabilityPolicy, SharedDatabase, Value};
 
 fn stress_rounds(default: usize) -> usize {
     std::env::var("RETRO_SERVE_STRESS").ok().and_then(|s| s.parse().ok()).unwrap_or(default)
@@ -204,4 +205,44 @@ fn pinned_pre_crash_snapshots_survive_recovery_refreshes() {
     assert_eq!(pinned.generation(), 1);
     assert_eq!(pinned.output().embeddings.as_slice(), &before[..]);
     assert!(recovered.generation() > Arc::clone(&pinned).generation());
+}
+
+/// A serving snapshot saved *ahead* of the store — group commit lost the
+/// unflushed WAL tail in the crash — is not trusted: recovery replaces it
+/// with a full refresh of what the store holds, and later writes are
+/// served normally.
+#[test]
+fn snapshot_ahead_of_the_store_is_refreshed_on_recovery() {
+    let scratch = ScratchDir::new();
+    let embed_path = scratch.0.join("embeddings.rsrv");
+    let mut db = populate(&scratch.0, 8);
+    db.set_durability_policy(DurabilityPolicy::Group(1024, Duration::from_secs(3600))).unwrap();
+    let shared = SharedDatabase::new(db);
+    let service = EmbeddingService::start(shared.clone(), base(), config()).unwrap();
+    insert_movie(&shared, 900);
+    service.refresh().unwrap();
+    service.save_snapshot(&embed_path).unwrap();
+    let lost = movie_title(900);
+    let lost = lost.as_text().unwrap();
+    assert!(service.snapshot().vector("movies", "title", lost).is_some());
+    let saved_version = service.snapshot().write_version();
+
+    // The crash: nothing is dropped, so the buffered group never flushes.
+    std::mem::forget(service);
+    std::mem::forget(shared);
+
+    let recovered_db = Database::recover(&scratch.0).unwrap();
+    assert!(recovered_db.write_version() < saved_version, "the crash must lose the WAL tail");
+    let recovered =
+        EmbeddingService::recover(SharedDatabase::new(recovered_db), base(), config(), &embed_path)
+            .unwrap();
+    assert!(recovered.snapshot().vector("movies", "title", lost).is_none());
+    assert_eq!(recovered.last_refresh(), Some(RefreshKind::Full));
+    assert!(!recovered.out_of_date());
+
+    insert_movie(recovered.database(), 901);
+    assert!(recovered.out_of_date());
+    assert!(recovered.refresh_if_stale().unwrap().is_some());
+    let served = movie_title(901);
+    assert!(recovered.snapshot().vector("movies", "title", served.as_text().unwrap()).is_some());
 }
