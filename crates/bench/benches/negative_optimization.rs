@@ -3,7 +3,7 @@
 //! Numerically identical outputs; asymptotically different cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use retro_core::solver::{solve_ro, solve_ro_enumerated};
+use retro_core::solver::{solve, solve_ro_enumerated, Solver};
 use retro_core::{Hyperparameters, RetrofitProblem};
 use retro_datasets::{TmdbConfig, TmdbDataset};
 
@@ -15,7 +15,7 @@ fn bench_negative_term(c: &mut Criterion) {
         let data = TmdbDataset::generate(TmdbConfig { n_movies, dim: 32, ..TmdbConfig::default() });
         let problem = RetrofitProblem::build(&data.db, &data.base, &[], &[]);
         group.bench_function(BenchmarkId::new("optimized_eq15", problem.len()), |b| {
-            b.iter(|| solve_ro(&problem, &params, 5))
+            b.iter(|| solve(&problem, Solver::Ro, &params, 5, None))
         });
         group.bench_function(BenchmarkId::new("enumerated_eq10", problem.len()), |b| {
             b.iter(|| solve_ro_enumerated(&problem, &params, 5))

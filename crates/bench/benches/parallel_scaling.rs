@@ -1,6 +1,6 @@
 //! Thread-scaling of the RN **and RO** solvers: serial vs scoped-thread
 //! row-partitioned iteration (bit-identical results for every thread count,
-//! see `solver::parallel`).
+//! see `solver::solve`).
 //!
 //! By default the benchmark runs at the `Small` preset so `cargo bench`
 //! stays quick. Set `RETRO_PAPER_SCALE=1` to measure at the paper's real
@@ -8,7 +8,7 @@
 //! numbers refer to; expect minutes per measurement on few cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use retro_core::solver::{solve_rn, solve_rn_parallel, solve_ro, solve_ro_parallel};
+use retro_core::solver::{solve, Solver};
 use retro_core::{Hyperparameters, RetrofitProblem};
 use retro_datasets::{SizePreset, TmdbConfig, TmdbDataset};
 
@@ -29,11 +29,11 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("rn_parallel_scaling/{tag}"));
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("serial", problem.len()), |b| {
-        b.iter(|| solve_rn(&problem, &params, 10))
+        b.iter(|| solve(&problem, Solver::Rn, &params, 10, None))
     });
     for threads in [2usize, 4, 8] {
         group.bench_function(BenchmarkId::new(format!("threads_{threads}"), problem.len()), |b| {
-            b.iter(|| solve_rn_parallel(&problem, &params, 10, threads))
+            b.iter(|| solve(&problem, Solver::Rn, &params.with_threads(threads), 10, None))
         });
     }
     group.finish();
@@ -42,11 +42,11 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("ro_parallel_scaling/{tag}"));
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("serial", problem.len()), |b| {
-        b.iter(|| solve_ro(&problem, &params, 10))
+        b.iter(|| solve(&problem, Solver::Ro, &params, 10, None))
     });
     for threads in [2usize, 4, 8] {
         group.bench_function(BenchmarkId::new(format!("threads_{threads}"), problem.len()), |b| {
-            b.iter(|| solve_ro_parallel(&problem, &params, 10, threads))
+            b.iter(|| solve(&problem, Solver::Ro, &params.with_threads(threads), 10, None))
         });
     }
     group.finish();

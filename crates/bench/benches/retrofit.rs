@@ -2,7 +2,7 @@
 //! problem — the ablation behind Table 2's ordering.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use retro_core::solver::{solve_mf, solve_rn, solve_ro};
+use retro_core::solver::{solve, Solver};
 use retro_core::{Hyperparameters, RetrofitProblem};
 use retro_datasets::{TmdbConfig, TmdbDataset};
 
@@ -16,13 +16,13 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("retrofit_solvers");
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("mf", problem.len()), |b| {
-        b.iter(|| solve_mf(&problem, 20))
+        b.iter(|| solve(&problem, Solver::Mf, &Hyperparameters::default(), 20, None))
     });
     group.bench_function(BenchmarkId::new("ro", problem.len()), |b| {
-        b.iter(|| solve_ro(&problem, &ro_params, 10))
+        b.iter(|| solve(&problem, Solver::Ro, &ro_params, 10, None))
     });
     group.bench_function(BenchmarkId::new("rn", problem.len()), |b| {
-        b.iter(|| solve_rn(&problem, &rn_params, 10))
+        b.iter(|| solve(&problem, Solver::Rn, &rn_params, 10, None))
     });
     group.finish();
 }

@@ -10,7 +10,7 @@
 //! cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use retro_core::solver::{solve_rn, solve_rn_parallel, solve_rn_seeded};
+use retro_core::solver::{solve, Solver};
 use retro_core::{Hyperparameters, RetrofitProblem};
 use retro_datasets::{SizePreset, TmdbConfig, TmdbDataset};
 use retro_linalg::vector;
@@ -32,18 +32,18 @@ fn bench_rn_kernel(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("rn_kernel/{tag}"));
     group.sample_size(10);
     group.bench_function(BenchmarkId::new("serial", problem.len()), |b| {
-        b.iter(|| solve_rn(&problem, &params, 10))
+        b.iter(|| solve(&problem, Solver::Rn, &params, 10, None))
     });
     for threads in [2usize, 4, 8] {
         group.bench_function(BenchmarkId::new(format!("threads_{threads}"), problem.len()), |b| {
-            b.iter(|| solve_rn_parallel(&problem, &params, 10, threads))
+            b.iter(|| solve(&problem, Solver::Rn, &params.with_threads(threads), 10, None))
         });
     }
     // Warm start: the incremental-maintenance shape — few iterations from
     // an already-converged seed.
-    let warm = solve_rn(&problem, &params, 10);
+    let warm = solve(&problem, Solver::Rn, &params, 10, None);
     group.bench_function(BenchmarkId::new("seeded_refresh", problem.len()), |b| {
-        b.iter(|| solve_rn_seeded(&problem, &params, 3, Some(&warm)))
+        b.iter(|| solve(&problem, Solver::Rn, &params, 3, Some(&warm)))
     });
     group.finish();
 }

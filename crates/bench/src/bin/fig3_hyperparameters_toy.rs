@@ -10,7 +10,7 @@
 //! ```
 
 use retro_core::hyper::Hyperparameters;
-use retro_core::solver::solve_ro;
+use retro_core::solver::{solve, Solver};
 use retro_datasets::toy_problem;
 use retro_linalg::vector;
 
@@ -63,7 +63,7 @@ fn main() {
     for (title, settings) in panels {
         println!("\n-- {title} --");
         for params in settings {
-            let w = solve_ro(&toy.problem, &params, 20);
+            let w = solve(&toy.problem, Solver::Ro, &params, 20, None);
             print!("  a={} b={} g={} d={}:", params.alpha, params.beta, params.gamma, params.delta);
             for (i, name) in names.iter().enumerate() {
                 let v = w.row(i);

@@ -28,7 +28,7 @@ use retro_bench::{
 };
 use retro_core::relations::extract_relations;
 use retro_core::serve::{EmbeddingService, SearchMode};
-use retro_core::solver::{solve_rn, solve_rn_parallel, solve_ro, solve_ro_parallel};
+use retro_core::solver::{solve, Solver};
 use retro_core::{Hyperparameters, RefreshKind, RetroConfig, RetrofitProblem, TextValueCatalog};
 use retro_datasets::{GooglePlayConfig, GooglePlayDataset, SizePreset, TmdbConfig, TmdbDataset};
 use retro_embed::EmbeddingSet;
@@ -224,12 +224,13 @@ fn profile_pipeline(
     // scheduler/allocator interference on shared boxes, same policy as the
     // ingest phases above.
     let ro = Hyperparameters::paper_ro();
-    let _ = solve_ro(&problem, &ro, 1);
-    let (w_seq, ro_seq) = best_of(|| solve_ro(&problem, &ro, iterations));
+    let _ = solve(&problem, Solver::Ro, &ro, 1, None);
+    let (w_seq, ro_seq) = best_of(|| solve(&problem, Solver::Ro, &ro, iterations, None));
     println!("  {label}: RO solve (1 thread)      {ro_seq:>9.3}s");
     phases.push(Phase { name: "ro_solve_sequential", secs: ro_seq });
 
-    let (w_par, ro_par) = best_of(|| solve_ro_parallel(&problem, &ro, iterations, threads));
+    let (w_par, ro_par) =
+        best_of(|| solve(&problem, Solver::Ro, &ro.with_threads(threads), iterations, None));
     println!(
         "  {label}: RO solve ({threads} threads)     {ro_par:>9.3}s  (speedup {:.2}x)",
         ro_seq / ro_par.max(1e-9)
@@ -244,12 +245,13 @@ fn profile_pipeline(
     drop(w_par);
 
     let rn = Hyperparameters::paper_rn();
-    let _ = solve_rn(&problem, &rn, 1);
-    let (w_seq, rn_seq) = best_of(|| solve_rn(&problem, &rn, iterations));
+    let _ = solve(&problem, Solver::Rn, &rn, 1, None);
+    let (w_seq, rn_seq) = best_of(|| solve(&problem, Solver::Rn, &rn, iterations, None));
     println!("  {label}: RN solve (1 thread)      {rn_seq:>9.3}s");
     phases.push(Phase { name: "rn_solve_sequential", secs: rn_seq });
 
-    let (w_par, rn_par) = best_of(|| solve_rn_parallel(&problem, &rn, iterations, threads));
+    let (w_par, rn_par) =
+        best_of(|| solve(&problem, Solver::Rn, &rn.with_threads(threads), iterations, None));
     println!(
         "  {label}: RN solve ({threads} threads)     {rn_par:>9.3}s  (speedup {:.2}x)",
         rn_seq / rn_par.max(1e-9)

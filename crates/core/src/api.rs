@@ -8,19 +8,7 @@ use retro_store::Database;
 use crate::catalog::TextValueCatalog;
 use crate::hyper::{check_convexity, Hyperparameters, ParamCheck};
 use crate::problem::RetrofitProblem;
-use crate::solver::{solve_mf, solve_rn_parallel, solve_ro_parallel};
-
-/// Which retrofitting algorithm to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Solver {
-    /// Relational retrofitting via the Ψ optimization (Eq. 8/10).
-    Ro,
-    /// Relational retrofitting via the normalized series (Eq. 9/11) — the
-    /// fast default.
-    Rn,
-    /// The Faruqui et al. baseline (Eq. 3).
-    Mf,
-}
+use crate::solver::{self, Solver};
 
 /// Configuration for a retrofitting run.
 #[derive(Clone, Debug)]
@@ -189,30 +177,35 @@ impl Retro {
     }
 
     /// Solve an already-assembled problem (used by incremental updates and
-    /// the toy examples).
+    /// the toy examples) at the configured iteration count; MF always runs
+    /// 20 iterations, as in the paper.
     ///
-    /// RO and RN honour [`Hyperparameters::threads`]; both parallel paths
-    /// are bit-identical to their sequential counterparts, so the thread
-    /// count never changes the output, only the wall time.
+    /// RO and RN honour [`Hyperparameters::threads`]; the result is
+    /// bit-identical for every thread count, so it changes only the wall
+    /// time.
     pub fn solve(&self, problem: RetrofitProblem) -> RetroOutput {
-        let params = &self.config.params;
-        let embeddings = match self.config.solver {
-            Solver::Ro => {
-                solve_ro_parallel(&problem, params, self.config.iterations, params.threads)
-            }
-            Solver::Rn => {
-                solve_rn_parallel(&problem, params, self.config.iterations, params.threads)
-            }
+        let iterations = match self.config.solver {
             // The paper runs MF with 20 iterations and its own standard
             // parameters regardless of the RETRO configuration.
-            Solver::Mf => solve_mf(&problem, 20),
+            Solver::Mf => 20,
+            Solver::Ro | Solver::Rn => self.config.iterations,
         };
-        let convexity = check_convexity(
-            &problem.groups,
-            &problem.relation_counts,
-            &self.config.params,
-            problem.len(),
-        );
+        self.solve_seeded(problem, iterations, None)
+    }
+
+    /// Run the configured solver for `iterations` rounds from `seed` (or
+    /// `W0`) and assemble the output with its convexity diagnosis — the
+    /// one place a full solve becomes a [`RetroOutput`], cold or warm.
+    pub(crate) fn solve_seeded(
+        &self,
+        problem: RetrofitProblem,
+        iterations: usize,
+        seed: Option<&Matrix>,
+    ) -> RetroOutput {
+        let params = &self.config.params;
+        let embeddings = solver::solve(&problem, self.config.solver, params, iterations, seed);
+        let convexity =
+            check_convexity(&problem.groups, &problem.relation_counts, params, problem.len());
         RetroOutput { catalog: problem.catalog.clone(), problem, embeddings, convexity }
     }
 }

@@ -51,7 +51,7 @@ impl Hyperparameters {
     }
 
     /// Shorthand constructor (single-threaded; chain
-    /// [`Self::with_threads`] for the parallel solvers).
+    /// [`Self::with_threads`] to spread a solve over more workers).
     pub fn new(alpha: f32, beta: f32, gamma: f32, delta: f32) -> Self {
         Self { alpha, beta, gamma, delta, threads: 1 }
     }

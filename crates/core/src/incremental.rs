@@ -27,15 +27,11 @@ use retro_embed::EmbeddingSet;
 use retro_linalg::Matrix;
 use retro_store::Database;
 
-use crate::api::{Retro, RetroConfig, RetroError, RetroOutput, Solver};
+use crate::api::{Retro, RetroConfig, RetroError, RetroOutput};
 use crate::delta::{classify_changes, extract_delta, ChangeSummary, DeltaExtraction};
 use crate::hyper::ParamCheck;
 use crate::problem::RetrofitProblem;
-use crate::solver::mf::solve_mf;
-use crate::solver::parallel::{solve_rn_seeded_parallel, solve_ro_seeded_parallel};
-use crate::solver::rn::RnKernel;
-use crate::solver::ro::RoKernel;
-use crate::solver::RowKernel;
+use crate::solver::{self, Solver};
 
 /// The incremental-maintenance guide, rendered from `docs/INCREMENTAL.md`
 /// so its code examples compile and run as doc tests.
@@ -398,19 +394,17 @@ impl IncrementalRetro {
             PlanKind::Delta(plan) => {
                 let DeltaPlan { extraction, convexity } = *plan;
                 let DeltaExtraction { problem, warm: mut embeddings, dirty } = extraction;
-                let params = &self.engine.config.params;
-                let (iters, threads) = (self.refresh_iterations, params.threads);
-                match self.engine.config.solver {
-                    Solver::Ro => RoKernel::for_rows(&problem, params, &dirty).run_rows(
-                        &mut embeddings,
-                        iters,
-                        threads,
-                    ),
-                    // MF never plans a delta (`prepare_refresh` skips the
-                    // dispatch for it).
-                    Solver::Rn | Solver::Mf => RnKernel::for_rows(&problem, params, &dirty)
-                        .run_rows(&mut embeddings, iters, threads),
-                }
+                let config = &self.engine.config;
+                // MF never plans a delta (`prepare_refresh` skips the
+                // dispatch for it).
+                solver::solve_rows(
+                    &problem,
+                    config.solver,
+                    &config.params,
+                    self.refresh_iterations,
+                    &dirty,
+                    &mut embeddings,
+                );
                 let out = RetroOutput {
                     catalog: problem.catalog.clone(),
                     problem,
@@ -421,20 +415,10 @@ impl IncrementalRetro {
             }
             PlanKind::Full { problem, warm } => {
                 let out = match warm {
+                    // MF ignores the seed: a short re-run from W0 is its
+                    // incremental story.
                     Some(warm) => {
-                        let embeddings = self.solve_from(&problem, warm);
-                        let convexity = crate::hyper::check_convexity(
-                            &problem.groups,
-                            &problem.relation_counts,
-                            &self.engine.config.params,
-                            problem.len(),
-                        );
-                        RetroOutput {
-                            catalog: problem.catalog.clone(),
-                            problem,
-                            embeddings,
-                            convexity,
-                        }
+                        self.engine.solve_seeded(problem, self.refresh_iterations, Some(&warm))
                     }
                     // No previous state: a cold full run at the engine's
                     // configured iteration count, exactly like `full_run`.
@@ -442,24 +426,6 @@ impl IncrementalRetro {
                 };
                 self.install(Arc::new(out), db_version, RefreshKind::Full)
             }
-        }
-    }
-
-    /// Run the configured solver starting from `warm` instead of `W0`,
-    /// honouring [`crate::Hyperparameters::threads`] like the cold path.
-    fn solve_from(&self, problem: &RetrofitProblem, warm: Matrix) -> Matrix {
-        let params = &self.engine.config.params;
-        let iters = self.refresh_iterations;
-        match self.engine.config.solver {
-            Solver::Ro => {
-                solve_ro_seeded_parallel(problem, params, iters, Some(&warm), params.threads)
-            }
-            Solver::Rn => {
-                solve_rn_seeded_parallel(problem, params, iters, Some(&warm), params.threads)
-            }
-            // MF has no anchor/seed separation worth preserving — a short
-            // re-run from W0 is its incremental story.
-            Solver::Mf => solve_mf(problem, iters),
         }
     }
 }

@@ -71,7 +71,7 @@ pub mod relations;
 pub mod serve;
 pub mod solver;
 
-pub use api::{Retro, RetroConfig, RetroOutput, Solver};
+pub use api::{Retro, RetroConfig, RetroOutput};
 pub use catalog::{Category, TextValueCatalog};
 pub use engine::{AdmissionConfig, Engine, EngineConfig, EngineError, Overloaded, Session};
 pub use hyper::{Hyperparameters, ParamCheck};
@@ -79,3 +79,4 @@ pub use incremental::{IncrementalRetro, RefreshKind, RefreshPlan};
 pub use problem::RetrofitProblem;
 pub use relations::{RelationGroup, RelationKind};
 pub use serve::{EmbeddingService, RefreshWorker, Snapshot};
+pub use solver::Solver;

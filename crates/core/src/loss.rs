@@ -95,7 +95,7 @@ mod tests {
     use super::*;
     use crate::catalog::TextValueCatalog;
     use crate::relations::{RelationGroup, RelationKind};
-    use crate::solver::solve_ro;
+    use crate::solver::{solve, Solver};
     use retro_embed::EmbeddingSet;
 
     fn problem() -> RetrofitProblem {
@@ -164,7 +164,7 @@ mod tests {
         let check = crate::hyper::check_convexity(&p.groups, &p.relation_counts, &params, p.len());
         assert!(check.convex, "test premise: configuration must be convex");
         let before = evaluate_loss(&p, &params, &p.w0).total();
-        let w = solve_ro(&p, &params, 20);
+        let w = solve(&p, Solver::Ro, &params, 20, None);
         let after = evaluate_loss(&p, &params, &w).total();
         assert!(after <= before + 1e-6, "after {after} before {before}");
     }
@@ -175,7 +175,7 @@ mod tests {
         let params = Hyperparameters::new(4.0, 0.5, 1.0, 0.1);
         let mut prev = f64::INFINITY;
         for iters in [1usize, 2, 5, 10, 20] {
-            let w = solve_ro(&p, &params, iters);
+            let w = solve(&p, Solver::Ro, &params, iters, None);
             let loss = evaluate_loss(&p, &params, &w).total();
             assert!(loss <= prev + 1e-6, "iters {iters}: {loss} > {prev}");
             prev = loss;

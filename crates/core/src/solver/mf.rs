@@ -17,7 +17,7 @@ use crate::problem::RetrofitProblem;
 ///
 /// Updates are performed in place over nodes in id order, as in Faruqui's
 /// reference implementation (Gauss–Seidel style).
-pub fn solve_mf(problem: &RetrofitProblem, iterations: usize) -> Matrix {
+pub(crate) fn solve_mf(problem: &RetrofitProblem, iterations: usize) -> Matrix {
     let n = problem.len();
     let dim = problem.dim();
     if n == 0 {

@@ -1,39 +1,150 @@
-//! The retrofitting solvers.
+//! The retrofitting solvers, behind one entry point: [`solve`].
 //!
-//! * [`ro`] — Eq. 8/10: Jacobi iteration on the stationary point of the
-//!   convex objective Ψ, with the Eq. 15 negative-centroid optimization,
-//! * [`rn`] — Eq. 9/11: the normalized series update with the Eq. 16
-//!   precomputed target sums (the fast solver, ~10× quicker than RO in the
-//!   paper's Fig. 4),
-//! * [`mf`] — Eq. 3: the Faruqui et al. baseline on the flattened relation
-//!   graph.
+//! * [`Solver::Ro`] — Eq. 8/10: Jacobi iteration on the stationary point
+//!   of the convex objective Ψ, with the Eq. 15 negative-centroid
+//!   optimization (`RoKernel` in `ro.rs`),
+//! * [`Solver::Rn`] — Eq. 9/11: the normalized series update with the
+//!   Eq. 16 precomputed target sums (`RnKernel` in `rn.rs`; the fast
+//!   solver, ~10× quicker than RO in the paper's Fig. 4),
+//! * [`Solver::Mf`] — Eq. 3: the Faruqui et al. baseline on the flattened
+//!   relation graph (`mf.rs`).
 //!
-//! All solvers are deterministic. Each RETRO solver runs one shared kernel
-//! (`RoKernel` in [`ro`], `RnKernel` in [`rn`]) behind every entry point:
-//! the kernel builds its operators, flattened adjacency and scratch
-//! matrices once, then iterates with an allocation-free hot loop split
-//! into a group-partitioned centroid/target-sum phase and a row-partitioned
-//! update phase. Both kernels share the iteration loop in this module
-//! (`RowKernel`). The multi-threaded flavours ([`parallel`]) are the same
-//! kernels with the partitions spread across workers, so their results are
-//! bit-identical to the sequential entry points for every thread count —
-//! by construction, not just by test.
+//! All solvers are deterministic. [`solve`] (with its crate-private
+//! row-subset sibling `solve_rows`) is the only code that maps a
+//! [`Solver`] to its kernel, and [`Hyperparameters::threads`] is its only
+//! thread-count input. Each RETRO kernel builds its operators, flattened
+//! adjacency and scratch matrices once, then iterates with an
+//! allocation-free hot loop split into a group-partitioned
+//! centroid/target-sum phase and a row-partitioned update phase, shared by
+//! both kernels (`RowKernel`). Neither phase's floating-point order depends
+//! on the partition, so the result is bit-identical for every thread count
+//! — by construction, not just by test. The one other public solver,
+//! [`solve_ro_enumerated`], is the paper's unoptimized Fig. 4 / Table 2 RO
+//! path.
 //!
 //! A kernel updates either every row (a full solve) or a row subset with
-//! every other row frozen (`Rows`). The subset run is the solve half of
-//! delta refresh (`crate::incremental`): the same construction, group
-//! phase and row update, restricted to the dirty rows, so a delta can
-//! never drift from the full kernel — with every row dirty it *is* the
-//! full solve, bit for bit.
+//! every other row frozen (`Rows`, run by `solve_rows`).
+//! The subset run is the solve half of delta refresh
+//! (`crate::incremental`): the same construction, group phase and row
+//! update, restricted to the dirty rows, so a delta can never drift from
+//! the full kernel — with every row dirty it *is* the full solve, bit for
+//! bit.
 
-pub mod mf;
-pub mod parallel;
-pub mod rn;
-pub mod ro;
+mod mf;
+mod rn;
+mod ro;
 
 use retro_linalg::Matrix;
 
+use crate::hyper::Hyperparameters;
 use crate::problem::RetrofitProblem;
+use rn::RnKernel;
+use ro::{NegativeMode, RoKernel};
+
+pub use ro::solve_ro_enumerated;
+
+/// Which retrofitting algorithm to run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Solver {
+    /// Relational retrofitting via the Ψ optimization (Eq. 8/10).
+    Ro,
+    /// Relational retrofitting via the normalized series (Eq. 9/11) — the
+    /// fast default.
+    Rn,
+    /// The Faruqui et al. baseline (Eq. 3).
+    Mf,
+}
+
+/// Run `solver` on `problem` for `iterations` rounds, starting from `seed`
+/// (a warm start, e.g. the previous converged state) or from `W0`, on
+/// [`Hyperparameters::threads`] workers. The anchor term still pulls toward
+/// `W0`; a seed changes only the iteration's initial state. RO and RN give
+/// bit-identical results for every thread count. MF runs Eq. 3 with its
+/// own standard parameters: it ignores `params` and `seed`, runs on one
+/// thread, and re-solves from `W0`.
+///
+/// ```
+/// use retro_core::solver::{solve, Solver};
+/// use retro_core::{Hyperparameters, RetrofitProblem};
+/// use retro_embed::EmbeddingSet;
+/// use retro_store::{sql, Database};
+///
+/// let mut db = Database::new();
+/// sql::run_script(&mut db, "
+///     CREATE TABLE countries (id INTEGER PRIMARY KEY, name TEXT);
+///     CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+///                          country_id INTEGER REFERENCES countries(id));
+///     INSERT INTO countries VALUES (1, 'france'), (2, 'usa');
+///     INSERT INTO movies VALUES (1, 'amelie', 1), (2, 'alien', 2);
+/// ").unwrap();
+/// let base = EmbeddingSet::new(
+///     vec!["amelie".into(), "alien".into(), "france".into(), "usa".into()],
+///     vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.9, 0.1], vec![0.1, 0.9]],
+/// );
+/// let problem = RetrofitProblem::build(&db, &base, &[], &[]);
+/// let params = Hyperparameters::paper_ro();
+/// let serial = solve(&problem, Solver::Ro, &params, 10, None);
+/// assert_eq!(serial.shape(), (4, 2));
+/// let parallel = solve(&problem, Solver::Ro, &params.with_threads(4), 10, None);
+/// assert_eq!(serial.max_abs_diff(&parallel), 0.0);
+/// ```
+///
+/// # Panics
+/// Panics if `seed` is `Some` and its shape differs from `(n, dim)` (RO
+/// and RN).
+pub fn solve(
+    problem: &RetrofitProblem,
+    solver: Solver,
+    params: &Hyperparameters,
+    iterations: usize,
+    seed: Option<&Matrix>,
+) -> Matrix {
+    let threads = params.threads;
+    match solver {
+        Solver::Ro => {
+            RoKernel::new(problem, params, NegativeMode::Blanket).run(seed, iterations, threads)
+        }
+        Solver::Rn => RnKernel::new(problem, params).run(seed, iterations, threads),
+        Solver::Mf => mf::solve_mf(problem, iterations),
+    }
+}
+
+/// Iterate only the `dirty` rows of `w` in place (ascending, deduplicated
+/// ids), reading every other row as a constant — the delta-refresh solve,
+/// on [`Hyperparameters::threads`] workers. MF has no subset kernel and
+/// never plans a delta, so it runs the RN kernel here.
+///
+/// # Panics
+/// Panics if `w`'s shape differs from `(n, dim)`.
+pub(crate) fn solve_rows(
+    problem: &RetrofitProblem,
+    solver: Solver,
+    params: &Hyperparameters,
+    iterations: usize,
+    dirty: &[u32],
+    w: &mut Matrix,
+) {
+    let threads = params.threads;
+    match solver {
+        Solver::Ro => RoKernel::for_rows(problem, params, dirty).run_rows(w, iterations, threads),
+        Solver::Rn | Solver::Mf => {
+            RnKernel::for_rows(problem, params, dirty).run_rows(w, iterations, threads)
+        }
+    }
+}
+
+/// [`solve`] with [`Solver::Rn`] on `threads` workers and no seed. Kept
+/// only for the `perfbench` package's rig (`perfbench/src/rig.rs`), its
+/// one caller; new code calls [`solve`].
+#[doc(hidden)]
+pub fn solve_rn_parallel(
+    problem: &RetrofitProblem,
+    params: &Hyperparameters,
+    iterations: usize,
+    threads: usize,
+) -> Matrix {
+    solve(problem, Solver::Rn, &params.with_threads(threads), iterations, None)
+}
 
 /// Flatten `(slot, group, coefficient)` entries into CSR-style per-slot
 /// offset+data arrays with a stable counting sort: per slot, entries keep
@@ -230,9 +341,13 @@ fn for_row_chunks(
         return;
     }
     if threads <= 1 {
+        #[cfg(test)]
+        tests::note_workers(1);
         return f(0, data);
     }
     let per_chunk = rows.div_ceil(threads);
+    #[cfg(test)]
+    tests::note_workers(rows.div_ceil(per_chunk));
     std::thread::scope(|scope| {
         for (idx, chunk) in data.chunks_mut(per_chunk * dim).enumerate() {
             let f = &f;
@@ -350,28 +465,34 @@ fn sweep<K: RowKernel>(
     });
 }
 
-pub use mf::solve_mf;
-pub use parallel::{
-    solve_rn_parallel, solve_rn_seeded_parallel, solve_ro_parallel, solve_ro_seeded_parallel,
-};
-pub use rn::{solve_rn, solve_rn_seeded};
-pub use ro::{solve_ro, solve_ro_enumerated, solve_ro_seeded};
-
 /// Default iteration count (§4.3 "we set it to a fixed number of 20"; the
 /// evaluation trains with 10, which [`crate::RetroConfig`] uses).
 pub const DEFAULT_ITERATIONS: usize = 20;
 
 #[cfg(test)]
 mod tests {
-    use super::rn::RnKernel;
-    use super::ro::RoKernel;
     use super::*;
     use crate::catalog::TextValueCatalog;
-    use crate::hyper::Hyperparameters;
     use crate::relations::{RelationGroup, RelationKind};
     use retro_embed::EmbeddingSet;
+    use std::cell::Cell;
 
     const ITERATIONS: usize = 5;
+
+    thread_local! {
+        /// The most workers any kernel phase used on this thread since the
+        /// last [`take_peak_workers`].
+        static PEAK_WORKERS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Record that a phase on this thread ran on `workers` workers.
+    pub(super) fn note_workers(workers: usize) {
+        PEAK_WORKERS.with(|peak| peak.set(peak.get().max(workers)));
+    }
+
+    fn take_peak_workers() -> usize {
+        PEAK_WORKERS.with(|peak| peak.replace(0))
+    }
 
     /// 24 movies over a 3-value language hub (row-wise) and 8 directors
     /// (foreign key, a few movies without one, two directors without a
@@ -422,7 +543,7 @@ mod tests {
 
     /// A warm start away from `W0`, like a converged previous generation.
     fn seed(p: &RetrofitProblem) -> Matrix {
-        rn::solve_rn(p, &Hyperparameters::paper_rn(), 2)
+        solve(p, Solver::Rn, &Hyperparameters::paper_rn(), 2, None)
     }
 
     /// The subset run over `dirty` from [`seed`].
@@ -434,11 +555,8 @@ mod tests {
         threads: usize,
     ) -> Matrix {
         let mut w = seed(p);
-        if ro {
-            RoKernel::for_rows(p, params, dirty).run_rows(&mut w, ITERATIONS, threads);
-        } else {
-            RnKernel::for_rows(p, params, dirty).run_rows(&mut w, ITERATIONS, threads);
-        }
+        let solver = if ro { Solver::Ro } else { Solver::Rn };
+        solve_rows(p, solver, &params.with_threads(threads), ITERATIONS, dirty, &mut w);
         w
     }
 
@@ -452,11 +570,8 @@ mod tests {
             let all: Vec<u32> = (0..p.len() as u32).collect();
             for params in params() {
                 for ro in [true, false] {
-                    let full = if ro {
-                        ro::solve_ro_seeded(&p, &params, ITERATIONS, Some(&seed))
-                    } else {
-                        rn::solve_rn_seeded(&p, &params, ITERATIONS, Some(&seed))
-                    };
+                    let solver = if ro { Solver::Ro } else { Solver::Rn };
+                    let full = solve(&p, solver, &params, ITERATIONS, Some(&seed));
                     for threads in [1, 2, 3, 8] {
                         let subset = run_rows(ro, &p, &params, &all, threads);
                         assert_eq!(
@@ -510,6 +625,127 @@ mod tests {
                     assert_eq!(w.max_abs_diff(&seed), 0.0, "ro={ro} threads={threads}");
                 }
             }
+        }
+    }
+
+    /// A bipartite problem with genuinely irregular adjacency: every pair
+    /// `(s_k, t_k)` is related, and two strided cross-link sweeps give
+    /// sources uneven fan-out and targets uneven fan-in (the strides 5 and
+    /// 7 are coprime with most lengths, so the extra edges scatter across
+    /// the whole target list instead of clustering).
+    fn irregular_problem(n_extra: usize) -> RetrofitProblem {
+        let n_pairs = 4 + n_extra;
+        let mut catalog = TextValueCatalog::default();
+        let ca = catalog.add_category("a", "x");
+        let cb = catalog.add_category("b", "y");
+        let mut sources = Vec::new();
+        let mut targets = Vec::new();
+        let mut tokens = Vec::new();
+        let mut vectors = Vec::new();
+        for k in 0..n_pairs {
+            sources.push(catalog.intern(ca, &format!("s{k}")));
+            targets.push(catalog.intern(cb, &format!("t{k}")));
+            tokens.push(format!("s{k}"));
+            vectors.push(vec![k as f32 * 0.1, 1.0, -0.3 * k as f32]);
+            tokens.push(format!("t{k}"));
+            vectors.push(vec![1.0 - k as f32 * 0.05, -0.5, 0.2]);
+        }
+        let mut edges = Vec::new();
+        for k in 0..n_pairs {
+            edges.push((sources[k], targets[k]));
+            let cross = (k * 5 + 2) % n_pairs;
+            if k % 3 > 0 && cross != k {
+                edges.push((sources[k], targets[cross]));
+            }
+            let far = (k * 7 + 3) % n_pairs;
+            if k % 4 == 0 && far != k {
+                edges.push((sources[k], targets[far]));
+            }
+        }
+        let groups =
+            vec![RelationGroup::new("a.x~b.y".into(), ca, cb, RelationKind::ForeignKey, edges)];
+        let base = EmbeddingSet::new(tokens, vectors);
+        RetrofitProblem::from_parts(catalog, groups, &base)
+    }
+
+    #[test]
+    fn problem_helper_has_irregular_adjacency() {
+        // Guard the helper itself: the cross-links must produce uneven
+        // fan-in (some target related to several sources, some to one).
+        let p = irregular_problem(20);
+        let dg = p.directed_groups(&Hyperparameters::paper_rn(), false);
+        let mut fan_in = std::collections::HashMap::new();
+        for &(_, j) in &dg[0].group.edges {
+            *fan_in.entry(j).or_insert(0u32) += 1;
+        }
+        let max = fan_in.values().max().copied().unwrap_or(0);
+        let min = fan_in.values().min().copied().unwrap_or(0);
+        assert!(max >= 2 && min == 1, "fan-in should be uneven, got {min}..{max}");
+    }
+
+    /// Cold and seeded solves on irregular adjacency are bit-identical for
+    /// every thread count, for both solvers.
+    #[test]
+    fn irregular_adjacency_is_bit_identical_across_thread_counts() {
+        let p = irregular_problem(20);
+        for (solver, params) in
+            [(Solver::Rn, Hyperparameters::paper_rn()), (Solver::Ro, Hyperparameters::paper_ro())]
+        {
+            let warm = solve(&p, solver, &params, 3, None);
+            for seed in [None, Some(&warm)] {
+                let serial = solve(&p, solver, &params, 10, seed);
+                for threads in [2, 3, 8] {
+                    let parallel = solve(&p, solver, &params.with_threads(threads), 10, seed);
+                    assert_eq!(
+                        serial.max_abs_diff(&parallel),
+                        0.0,
+                        "{solver:?} threads={threads} seeded={}",
+                        seed.is_some()
+                    );
+                }
+            }
+        }
+    }
+
+    /// `solve` and `solve_rows` run on exactly `params.threads` workers.
+    #[test]
+    fn solve_honours_params_threads() {
+        let p = irregular_problem(20);
+        let all: Vec<u32> = (0..p.len() as u32).collect();
+        for solver in [Solver::Ro, Solver::Rn] {
+            for threads in [1, 3] {
+                let params = Hyperparameters::paper_ro().with_threads(threads);
+                take_peak_workers();
+                solve(&p, solver, &params, 2, None);
+                assert_eq!(take_peak_workers(), threads, "{solver:?} solve");
+                let mut w = p.w0.clone();
+                solve_rows(&p, solver, &params, 2, &all, &mut w);
+                assert_eq!(take_peak_workers(), threads, "{solver:?} solve_rows");
+            }
+        }
+    }
+
+    #[test]
+    fn empty_problem_is_handled() {
+        let catalog = TextValueCatalog::default();
+        let base = EmbeddingSet::new(vec!["t".into()], vec![vec![0.0]]);
+        let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
+        for solver in [Solver::Ro, Solver::Rn, Solver::Mf] {
+            let w = solve(&p, solver, &Hyperparameters::default().with_threads(4), 3, None);
+            assert_eq!(w.shape(), (0, 1), "{solver:?}");
+        }
+    }
+
+    #[test]
+    fn zero_dimension_problem_is_handled() {
+        let mut catalog = TextValueCatalog::default();
+        let c = catalog.add_category("a", "x");
+        catalog.intern(c, "v");
+        let base = EmbeddingSet::empty(0);
+        let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
+        for solver in [Solver::Ro, Solver::Rn, Solver::Mf] {
+            let w = solve(&p, solver, &Hyperparameters::paper_ro().with_threads(4), 3, None);
+            assert_eq!(w.shape(), (1, 0), "{solver:?}");
         }
     }
 }

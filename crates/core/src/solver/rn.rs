@@ -15,21 +15,19 @@
 //!
 //! ## One kernel, every execution mode
 //!
-//! All RN entry points ([`solve_rn`], [`solve_rn_seeded`], and the
-//! multi-threaded [`solve_rn_parallel`](super::solve_rn_parallel) /
-//! [`solve_rn_seeded_parallel`](super::solve_rn_seeded_parallel), plus
-//! `Retro::solve`, incremental warm starts and delta refresh) run one
-//! shared kernel (`RnKernel`), the RN counterpart of `RoKernel` in
-//! `ro.rs`, through the shared iteration loop `RowKernel`. Each sweep is
+//! Every RN solve — [`super::solve`] with [`super::Solver::Rn`] (and
+//! through it `Retro::solve` and incremental warm starts) and delta
+//! refresh — runs one kernel (`RnKernel`), the RN counterpart of
+//! `RoKernel` in `ro.rs`, through the shared iteration loop `RowKernel`.
+//! Each sweep is
 //!
 //! 1. a **group phase** — the Eq. 16 per-group target centroids `t_r`
 //!    (they read only the previous iterate `W`), and
 //! 2. a **row phase** — `α·W0 + β·c + Γ·W` minus the negative centroids,
 //!    then row normalization, all *row-local* given the `t_r`.
 //!
-//! Results are **bit-identical** from 1 to N threads; the sequential entry
-//! points are the kernel at `threads = 1`. A kernel built `for_rows`
-//! updates only a row subset, with every other row frozen — the
+//! Results are **bit-identical** from 1 to N threads. A kernel built
+//! `for_rows` updates only a row subset, with every other row frozen — the
 //! delta-refresh solve.
 
 use retro_linalg::{vector, CooMatrix, CsrMatrix, Matrix};
@@ -298,31 +296,12 @@ impl RowKernel for RnKernel<'_> {
     }
 }
 
-/// Run the RN solver for `iterations` rounds, starting from `W0`.
-pub fn solve_rn(problem: &RetrofitProblem, params: &Hyperparameters, iterations: usize) -> Matrix {
-    solve_rn_seeded(problem, params, iterations, None)
-}
-
-/// Run the RN solver from an explicit starting matrix (warm start for
-/// incremental maintenance). The series' constant term still anchors on
-/// `W0`; only the iteration's initial state changes.
-///
-/// # Panics
-/// Panics if `seed` is `Some` and its shape differs from `(n, dim)`.
-pub fn solve_rn_seeded(
-    problem: &RetrofitProblem,
-    params: &Hyperparameters,
-    iterations: usize,
-    seed: Option<&Matrix>,
-) -> Matrix {
-    RnKernel::new(problem, params).run(seed, iterations, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::TextValueCatalog;
     use crate::relations::{RelationGroup, RelationKind};
+    use crate::solver::{solve, Solver};
     use retro_embed::EmbeddingSet;
 
     fn tiny_problem() -> RetrofitProblem {
@@ -350,7 +329,7 @@ mod tests {
     #[test]
     fn rows_are_unit_norm_after_solving() {
         let p = tiny_problem();
-        let w = solve_rn(&p, &Hyperparameters::paper_rn(), 10);
+        let w = solve(&p, Solver::Rn, &Hyperparameters::paper_rn(), 10, None);
         for r in 0..w.rows() {
             let norm = vector::norm(w.row(r));
             assert!((norm - 1.0).abs() < 1e-5, "row {r} norm {norm}");
@@ -360,7 +339,7 @@ mod tests {
     #[test]
     fn related_pairs_end_closer_than_unrelated() {
         let p = tiny_problem();
-        let w = solve_rn(&p, &Hyperparameters::new(1.0, 0.0, 3.0, 1.0), 15);
+        let w = solve(&p, Solver::Rn, &Hyperparameters::new(1.0, 0.0, 3.0, 1.0), 15, None);
         let related = vector::cosine(w.row(0), w.row(2)); // a ~ x
         let unrelated = vector::cosine(w.row(0), w.row(3)); // a vs y
         assert!(related > unrelated, "related {related} unrelated {unrelated}");
@@ -383,7 +362,7 @@ mod tests {
         let base = EmbeddingSet::new(vec!["x".into()], vec![vec![0.0, 1.0]]);
         let p = RetrofitProblem::from_parts(catalog, groups, &base);
         assert!(p.oov[a as usize]);
-        let w = solve_rn(&p, &Hyperparameters::new(1.0, 0.0, 3.0, 0.0), 10);
+        let w = solve(&p, Solver::Rn, &Hyperparameters::new(1.0, 0.0, 3.0, 0.0), 10, None);
         // The OOV movie must align with its related country direction.
         assert!(vector::cosine(w.row(a as usize), &[0.0, 1.0]) > 0.9);
     }
@@ -393,8 +372,8 @@ mod tests {
         // §4.4 / Fig. 3d: with δ = 0 vectors concentrate (higher pairwise
         // cosine); δ > 0 pushes unrelated vectors apart.
         let p = tiny_problem();
-        let w_no = solve_rn(&p, &Hyperparameters::new(1.0, 0.5, 3.0, 0.0), 15);
-        let w_yes = solve_rn(&p, &Hyperparameters::new(1.0, 0.5, 3.0, 2.0), 15);
+        let w_no = solve(&p, Solver::Rn, &Hyperparameters::new(1.0, 0.5, 3.0, 0.0), 15, None);
+        let w_yes = solve(&p, Solver::Rn, &Hyperparameters::new(1.0, 0.5, 3.0, 2.0), 15, None);
         let cos_no = vector::cosine(w_no.row(0), w_no.row(3));
         let cos_yes = vector::cosine(w_yes.row(0), w_yes.row(3));
         assert!(cos_yes < cos_no, "with delta {cos_yes} vs without {cos_no}");
@@ -404,8 +383,8 @@ mod tests {
     fn deterministic_and_finite_even_with_large_delta() {
         let p = tiny_problem();
         let params = Hyperparameters::new(1.0, 0.0, 3.0, 50.0);
-        let a = solve_rn(&p, &params, 10);
-        let b = solve_rn(&p, &params, 10);
+        let a = solve(&p, Solver::Rn, &params, 10, None);
+        let b = solve(&p, Solver::Rn, &params, 10, None);
         assert_eq!(a.max_abs_diff(&b), 0.0);
         assert!(a.as_slice().iter().all(|v| v.is_finite()));
     }
@@ -415,7 +394,7 @@ mod tests {
         let catalog = TextValueCatalog::default();
         let base = EmbeddingSet::new(vec!["t".into()], vec![vec![0.0]]);
         let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
-        let w = solve_rn(&p, &Hyperparameters::default(), 5);
+        let w = solve(&p, Solver::Rn, &Hyperparameters::default(), 5, None);
         assert_eq!(w.shape(), (0, 1));
     }
 

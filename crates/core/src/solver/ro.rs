@@ -15,10 +15,10 @@
 //!
 //! ## One kernel, every execution mode
 //!
-//! All RO entry points ([`solve_ro`], [`solve_ro_seeded`],
-//! [`solve_ro_enumerated`], [`solve_ro_parallel`](super::solve_ro_parallel),
-//! and delta refresh) run one shared kernel (`RoKernel`) through the
-//! shared iteration loop `RowKernel`. Each sweep is
+//! Every RO solve — [`super::solve`] with [`super::Solver::Ro`],
+//! [`solve_ro_enumerated`], and delta refresh — runs one kernel
+//! (`RoKernel`) through the shared iteration loop `RowKernel`. Each sweep
+//! is
 //!
 //! 1. a **group phase** — the per-group target sums `t_r` (`O(n·D)`
 //!    total; they read only the previous iterate `W`), and
@@ -26,11 +26,9 @@
 //!    the diagonal divide, all *row-local* given the `t_r`.
 //!
 //! Because neither phase's floating-point order depends on the partition,
-//! results are **bit-identical** from 1 to N threads; the sequential entry
-//! points are the kernel at `threads = 1`, which is what makes it
-//! impossible for the sequential and parallel paths to drift. A blanket
-//! kernel built `for_rows` updates only a row subset, with every other
-//! row frozen — the delta-refresh solve.
+//! results are **bit-identical** from 1 to N threads. A blanket kernel
+//! built `for_rows` updates only a row subset, with every other row frozen
+//! — the delta-refresh solve.
 
 use retro_linalg::{vector, CooMatrix, CsrMatrix, Matrix};
 
@@ -470,53 +468,12 @@ impl RowKernel for RoKernel<'_> {
     }
 }
 
-/// Run the RO solver for `iterations` rounds, starting from `W0`.
-///
-/// ```
-/// use retro_core::{Retro, RetroConfig, Hyperparameters};
-/// use retro_core::solver::solve_ro;
-/// use retro_embed::EmbeddingSet;
-/// use retro_store::{sql, Database};
-///
-/// let mut db = Database::new();
-/// sql::run_script(&mut db, "
-///     CREATE TABLE countries (id INTEGER PRIMARY KEY, name TEXT);
-///     CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
-///                          country_id INTEGER REFERENCES countries(id));
-///     INSERT INTO countries VALUES (1, 'france');
-///     INSERT INTO movies VALUES (1, 'amelie', 1);
-/// ").unwrap();
-/// let base = EmbeddingSet::new(
-///     vec!["amelie".into(), "france".into()],
-///     vec![vec![1.0, 0.0], vec![0.0, 1.0]],
-/// );
-/// let problem = retro_core::RetrofitProblem::build(&db, &base, &[], &[]);
-/// let w = solve_ro(&problem, &Hyperparameters::paper_ro(), 10);
-/// assert_eq!(w.shape(), (2, 2));
-/// ```
-pub fn solve_ro(problem: &RetrofitProblem, params: &Hyperparameters, iterations: usize) -> Matrix {
-    solve_ro_seeded(problem, params, iterations, None)
-}
-
-/// Run the RO solver from an explicit starting matrix (warm start for
-/// incremental maintenance). The anchor term still pulls toward `W0`; only
-/// the iteration's initial state changes.
-///
-/// # Panics
-/// Panics if `seed` is `Some` and its shape differs from `(n, dim)`.
-pub fn solve_ro_seeded(
-    problem: &RetrofitProblem,
-    params: &Hyperparameters,
-    iterations: usize,
-    seed: Option<&Matrix>,
-) -> Matrix {
-    RoKernel::new(problem, params, NegativeMode::Blanket).run(seed, iterations, 1)
-}
-
 /// The RO solver with the negative term computed by **explicit enumeration**
 /// of the `Ẽr` pairs — the unoptimized Eq. 10 computation that §4.5 warns
-/// about (`|Ẽr| ≫ |Er|`). Numerically equivalent to [`solve_ro`]; its cost
-/// per iteration is `O(Σ_r |sources(r)|·|targets(r)|·D)` instead of
+/// about (`|Ẽr| ≫ |Er|`), run from `W0` on [`Hyperparameters::threads`]
+/// workers. Numerically equivalent to [`super::solve`] with
+/// [`super::Solver::Ro`]; its cost per iteration is
+/// `O(Σ_r |sources(r)|·|targets(r)|·D)` instead of
 /// `O(Σ_r (|sources(r)|+|targets(r)|)·D)`, which is where the paper's
 /// "RO is ~10× slower than RN" runtime shape comes from (Table 2 / Fig. 4).
 pub fn solve_ro_enumerated(
@@ -524,7 +481,7 @@ pub fn solve_ro_enumerated(
     params: &Hyperparameters,
     iterations: usize,
 ) -> Matrix {
-    RoKernel::new(problem, params, NegativeMode::Enumerated).run(None, iterations, 1)
+    RoKernel::new(problem, params, NegativeMode::Enumerated).run(None, iterations, params.threads)
 }
 
 #[cfg(test)]
@@ -532,6 +489,7 @@ mod tests {
     use super::*;
     use crate::catalog::TextValueCatalog;
     use crate::relations::{RelationGroup, RelationKind};
+    use crate::solver::{solve, Solver};
     use retro_embed::EmbeddingSet;
 
     /// Two categories (0: movies {a, b}, 1: countries {x}), one relation
@@ -561,7 +519,7 @@ mod tests {
     fn alpha_only_is_fixed_at_w0() {
         let p = tiny_problem();
         let params = Hyperparameters::new(2.0, 0.0, 0.0, 0.0);
-        let w = solve_ro(&p, &params, 15);
+        let w = solve(&p, Solver::Ro, &params, 15, None);
         assert!(w.max_abs_diff(&p.w0) < 1e-5);
     }
 
@@ -570,7 +528,7 @@ mod tests {
         let p = tiny_problem();
         let before = vector::dist(p.w0.row(0), p.w0.row(2));
         let params = Hyperparameters::new(1.0, 0.0, 2.0, 0.0);
-        let w = solve_ro(&p, &params, 20);
+        let w = solve(&p, Solver::Ro, &params, 20, None);
         let after = vector::dist(w.row(0), w.row(2));
         assert!(after < before, "after {after} < before {before}");
     }
@@ -579,7 +537,7 @@ mod tests {
     fn unrelated_value_only_feels_alpha_and_beta() {
         let p = tiny_problem();
         let params = Hyperparameters::new(1.0, 0.0, 5.0, 0.0);
-        let w = solve_ro(&p, &params, 20);
+        let w = solve(&p, Solver::Ro, &params, 20, None);
         // "b" participates in no relation and β=0 → stays at its original.
         assert!(vector::approx_eq(w.row(1), p.w0.row(1), 1e-5));
     }
@@ -588,7 +546,7 @@ mod tests {
     fn beta_pulls_toward_category_centroid() {
         let p = tiny_problem();
         let params = Hyperparameters::new(1.0, 3.0, 0.0, 0.0);
-        let w = solve_ro(&p, &params, 20);
+        let w = solve(&p, Solver::Ro, &params, 20, None);
         // Movie centroid is [0.5, 0.5]; both movie vectors move toward it.
         let centroid = [0.5f32, 0.5];
         let before = vector::dist(p.w0.row(0), &centroid);
@@ -600,8 +558,8 @@ mod tests {
     fn converges_to_a_fixed_point() {
         let p = tiny_problem();
         let params = Hyperparameters::new(1.0, 0.5, 1.0, 0.1);
-        let w20 = solve_ro(&p, &params, 20);
-        let w40 = solve_ro(&p, &params, 40);
+        let w20 = solve(&p, Solver::Ro, &params, 20, None);
+        let w40 = solve(&p, Solver::Ro, &params, 40, None);
         assert!(w20.max_abs_diff(&w40) < 1e-4);
     }
 
@@ -609,8 +567,8 @@ mod tests {
     fn deterministic() {
         let p = tiny_problem();
         let params = Hyperparameters::paper_ro();
-        let a = solve_ro(&p, &params, 10);
-        let b = solve_ro(&p, &params, 10);
+        let a = solve(&p, Solver::Ro, &params, 10, None);
+        let b = solve(&p, Solver::Ro, &params, 10, None);
         assert!(a.max_abs_diff(&b) == 0.0);
     }
 
@@ -620,7 +578,7 @@ mod tests {
         // must not blow up or emit NaNs.
         let p = tiny_problem();
         let params = Hyperparameters::new(0.0, 0.0, 0.0, 1e9);
-        let w = solve_ro(&p, &params, 5);
+        let w = solve(&p, Solver::Ro, &params, 5, None);
         assert!(w.as_slice().iter().all(|v| v.is_finite()));
     }
 
@@ -632,7 +590,7 @@ mod tests {
             Hyperparameters::paper_ro(),
             Hyperparameters::new(2.0, 0.0, 1.0, 0.0),
         ] {
-            let fast = solve_ro(&p, &params, 10);
+            let fast = solve(&p, Solver::Ro, &params, 10, None);
             let slow = solve_ro_enumerated(&p, &params, 10);
             assert!(
                 fast.max_abs_diff(&slow) < 1e-4,
@@ -647,7 +605,7 @@ mod tests {
         let catalog = TextValueCatalog::default();
         let base = EmbeddingSet::new(vec!["t".into()], vec![vec![0.0, 0.0]]);
         let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
-        let w = solve_ro(&p, &Hyperparameters::default(), 5);
+        let w = solve(&p, Solver::Ro, &Hyperparameters::default(), 5, None);
         assert_eq!(w.shape(), (0, 2));
     }
 

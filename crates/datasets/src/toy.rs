@@ -67,7 +67,7 @@ pub fn toy_problem() -> ToyExample {
 mod tests {
     use super::*;
     use retro_core::hyper::Hyperparameters;
-    use retro_core::solver::{solve_rn, solve_ro};
+    use retro_core::solver::{solve, Solver};
     use retro_linalg::vector;
 
     #[test]
@@ -86,7 +86,7 @@ mod tests {
         let mut prev_drift = f32::INFINITY;
         for alpha in [1.0f32, 2.0, 3.0] {
             let params = Hyperparameters::new(alpha, 1.0, 2.0, 1.0);
-            let w = solve_ro(&toy.problem, &params, 20);
+            let w = solve(&toy.problem, Solver::Ro, &params, 20, None);
             let drift: f32 = (0..5).map(|i| vector::dist(w.row(i), toy.problem.w0.row(i))).sum();
             assert!(drift < prev_drift, "alpha {alpha}: drift {drift} !< {prev_drift}");
             prev_drift = drift;
@@ -103,8 +103,10 @@ mod tests {
                 + vector::dist(w.row(b), w.row(c))
                 + vector::dist(w.row(a), w.row(c))
         };
-        let lo = solve_ro(&toy.problem, &Hyperparameters::new(2.0, 1.0, 2.0, 1.0), 20);
-        let hi = solve_ro(&toy.problem, &Hyperparameters::new(2.0, 3.0, 2.0, 1.0), 20);
+        let lo =
+            solve(&toy.problem, Solver::Ro, &Hyperparameters::new(2.0, 1.0, 2.0, 1.0), 20, None);
+        let hi =
+            solve(&toy.problem, Solver::Ro, &Hyperparameters::new(2.0, 3.0, 2.0, 1.0), 20, None);
         assert!(spread(&hi) < spread(&lo));
     }
 
@@ -116,8 +118,10 @@ mod tests {
             vector::dist(w.row(toy.movies[0]), w.row(toy.countries[0]))
                 + vector::dist(w.row(toy.movies[2]), w.row(toy.countries[1]))
         };
-        let lo = solve_ro(&toy.problem, &Hyperparameters::new(2.0, 1.0, 1.0, 1.0), 20);
-        let hi = solve_ro(&toy.problem, &Hyperparameters::new(2.0, 1.0, 3.0, 1.0), 20);
+        let lo =
+            solve(&toy.problem, Solver::Ro, &Hyperparameters::new(2.0, 1.0, 1.0, 1.0), 20, None);
+        let hi =
+            solve(&toy.problem, Solver::Ro, &Hyperparameters::new(2.0, 1.0, 3.0, 1.0), 20, None);
         assert!(related(&hi) < related(&lo));
     }
 
@@ -127,8 +131,10 @@ mod tests {
         // origin" for the series solver (before normalization the pull has
         // no counter-force; after normalization the *separation* shrinks).
         let toy = toy_problem();
-        let w0 = solve_rn(&toy.problem, &Hyperparameters::new(2.0, 1.0, 3.0, 0.0), 20);
-        let w2 = solve_rn(&toy.problem, &Hyperparameters::new(2.0, 1.0, 3.0, 2.0), 20);
+        let w0 =
+            solve(&toy.problem, Solver::Rn, &Hyperparameters::new(2.0, 1.0, 3.0, 0.0), 20, None);
+        let w2 =
+            solve(&toy.problem, Solver::Rn, &Hyperparameters::new(2.0, 1.0, 3.0, 2.0), 20, None);
         // Average pairwise cosine similarity: higher when concentrated.
         let avg_cos = |w: &retro_linalg::Matrix| {
             let mut s = 0.0f32;

@@ -119,6 +119,7 @@ pub fn top_k_cosine(
         query_norm,
         norms,
         k,
+        matrix.rows(),
     )
 }
 
@@ -157,11 +158,13 @@ pub fn top_k_cosine_among(
         return Vec::new();
     }
     let query_norm = vector::norm(query);
+    // Ids are distinct and in range, so there are at most `rows` of them.
     select_top_k(
         candidates.into_iter().map(|id| (id, vector::dot(matrix.row(id), query))),
         query_norm,
         norms,
         k,
+        matrix.rows(),
     )
 }
 
@@ -189,7 +192,8 @@ pub fn top_k_cosine_blocks<'a>(
         return Vec::new();
     }
     let query_norm = vector::norm(query);
-    let mut top = TopK::new(k);
+    let blocks: Vec<_> = blocks.into_iter().collect();
+    let mut top = TopK::new(k, blocks.iter().map(|(ids, _, _)| ids.len()).sum());
     for (ids, rows, norms) in blocks {
         debug_assert_eq!(rows.len(), ids.len() * dim, "top_k_cosine_blocks: ragged block");
         debug_assert_eq!(norms.len(), ids.len(), "top_k_cosine_blocks: norm block mismatch");
@@ -205,14 +209,16 @@ pub fn top_k_cosine_blocks<'a>(
     top.finish()
 }
 
-/// The shared bounded-heap selection over `(id, raw dot)` pairs.
+/// The shared bounded-heap selection over at most `candidates`
+/// `(id, raw dot)` pairs.
 fn select_top_k(
     scored: impl Iterator<Item = (usize, f32)>,
     query_norm: f32,
     norms: &[f32],
     k: usize,
+    candidates: usize,
 ) -> Vec<(usize, f32)> {
-    let mut top = TopK::new(k);
+    let mut top = TopK::new(k, candidates);
     for (id, dot) in scored {
         top.offer(id, sanitize(dot, query_norm, norms[id]));
     }
@@ -229,8 +235,11 @@ struct TopK {
 }
 
 impl TopK {
-    fn new(k: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(k + 1), k }
+    /// A selection of the best `k` out of at most `candidates` offers. The
+    /// heap is sized by whichever is smaller, so a client-chosen `k` far
+    /// beyond the candidate count allocates nothing extra.
+    fn new(k: usize, candidates: usize) -> Self {
+        Self { heap: BinaryHeap::with_capacity(k.min(candidates)), k }
     }
 
     /// Offer one sanitized-score candidate.
@@ -307,6 +316,20 @@ mod tests {
         let poisoned = top.iter().find(|&&(id, _)| id == 1).expect("present");
         assert_eq!(poisoned.1, 0.0, "NaN scores must be clamped to 0.0");
         assert!(top.iter().all(|&(_, s)| s.is_finite()));
+    }
+
+    #[test]
+    fn k_beyond_the_candidate_count_returns_every_candidate() {
+        let m = matrix();
+        let norms = m.row_norms();
+        let q = [1.0, 0.1];
+        let all = top_k_cosine(&m, &norms, &q, m.rows(), 1, |_| false);
+        assert_eq!(all.len(), m.rows());
+        assert_eq!(top_k_cosine(&m, &norms, &q, usize::MAX, 2, |_| false), all);
+        assert_eq!(top_k_cosine_among(&m, &norms, &q, usize::MAX, 0..m.rows()), all);
+        let ids: Vec<u32> = (0..m.rows() as u32).collect();
+        let block = (ids.as_slice(), m.as_slice(), norms.as_slice());
+        assert_eq!(top_k_cosine_blocks(m.cols(), &q, usize::MAX, [block], |_| false), all);
     }
 
     #[test]

@@ -221,55 +221,21 @@ pub fn field_to_value(field: &str, ty: DataType) -> Result<Value> {
 /// assert!(db.table("apps").unwrap().is_empty());
 /// ```
 pub fn import_csv(db: &mut crate::Database, table: &str, csv_text: &str) -> Result<usize> {
-    let records = parse_records(csv_text)?;
-    let n_records = records.len().saturating_sub(1);
-    let mut it = records.into_iter();
-    let (_, header) = it.next().ok_or_else(|| StoreError::Csv("empty CSV document".to_owned()))?;
-
+    let mut records = parse_records(csv_text)?;
+    if records.is_empty() {
+        return Err(StoreError::Csv("empty CSV document".to_owned()));
+    }
     let mut loader = db.bulk();
     let handle = loader.table(table)?;
-    loader.reserve(handle, n_records);
+    loader.reserve(handle, records.len() - 1);
     let schema = loader.schema(handle).clone();
-    // Map CSV position → table column index.
-    let mut mapping = Vec::with_capacity(header.len());
-    for name in &header {
-        let idx = schema.column_index(name).ok_or_else(|| StoreError::UnknownColumn {
-            table: table.to_owned(),
-            column: name.clone(),
-        })?;
-        mapping.push(idx);
-    }
-
-    // Stage every record. A conversion or constraint error anywhere makes
-    // the loader roll the whole batch back (and its early return drops the
-    // loader, reinstalling the untouched tables), so the import stays
-    // atomic without any snapshot. Rows may reference earlier rows of the
-    // same document — staged rows are live in the loader's indexes, exactly
-    // like the old row-by-row path.
-    let mut inserted = 0;
-    for (line, rec) in it {
-        let result = (|| {
-            if rec.len() != mapping.len() {
-                return Err(StoreError::ArityMismatch {
-                    table: table.to_owned(),
-                    expected: mapping.len(),
-                    got: rec.len(),
-                });
-            }
-            let mut row = vec![Value::Null; schema.columns.len()];
-            for (field, &col) in rec.iter().zip(&mapping) {
-                row[col] = field_to_value(field, schema.columns[col].ty)?;
-            }
-            loader.stage(handle, row).map_err(|err| match err {
-                StoreError::BulkRow { source, .. } => *source,
-                other => other,
-            })
-        })();
-        if let Err(source) = result {
-            return Err(StoreError::CsvRow { line, source: Box::new(source) });
-        }
-        inserted += 1;
-    }
+    // A conversion or constraint error anywhere makes the loader roll the
+    // whole batch back (and its early return drops the loader,
+    // reinstalling the untouched tables), so the import stays atomic
+    // without any snapshot. Rows may reference earlier rows of the same
+    // document — staged rows are live in the loader's indexes.
+    let (mut mapping, mut inserted) = (None, 0);
+    consume_records(&mut records, &mut loader, handle, &schema, &mut mapping, &mut inserted)?;
     loader.commit()?;
     Ok(inserted)
 }
@@ -283,27 +249,17 @@ fn consume_records(
     loader: &mut BulkLoader<'_>,
     handle: TableHandle,
     schema: &TableSchema,
-    table: &str,
     mapping: &mut Option<Vec<usize>>,
     inserted: &mut usize,
 ) -> Result<()> {
     for (line, rec) in records.drain(..) {
         match mapping {
-            None => {
-                let mut built = Vec::with_capacity(rec.len());
-                for name in &rec {
-                    let idx = schema.column_index(name).ok_or_else(|| {
-                        StoreError::UnknownColumn { table: table.to_owned(), column: name.clone() }
-                    })?;
-                    built.push(idx);
-                }
-                *mapping = Some(built);
-            }
+            None => *mapping = Some(schema.column_indices(&rec)?),
             Some(mapping) => {
                 let result = (|| {
                     if rec.len() != mapping.len() {
                         return Err(StoreError::ArityMismatch {
-                            table: table.to_owned(),
+                            table: schema.name.clone(),
                             expected: mapping.len(),
                             got: rec.len(),
                         });
@@ -390,29 +346,13 @@ pub fn import_csv_reader(
             parser.push(c, &mut records)?;
         }
         carry.drain(..valid_len);
-        consume_records(
-            &mut records,
-            &mut loader,
-            handle,
-            &schema,
-            table,
-            &mut mapping,
-            &mut inserted,
-        )?;
+        consume_records(&mut records, &mut loader, handle, &schema, &mut mapping, &mut inserted)?;
     }
     if !carry.is_empty() {
         return Err(StoreError::Csv("truncated UTF-8 sequence at end of CSV input".to_owned()));
     }
     parser.finish(&mut records)?;
-    consume_records(
-        &mut records,
-        &mut loader,
-        handle,
-        &schema,
-        table,
-        &mut mapping,
-        &mut inserted,
-    )?;
+    consume_records(&mut records, &mut loader, handle, &schema, &mut mapping, &mut inserted)?;
     if mapping.is_none() {
         return Err(StoreError::Csv("empty CSV document".to_owned()));
     }
@@ -515,6 +455,22 @@ mod tests {
     fn import_rejects_unknown_column() {
         let mut db = sample_db();
         assert!(import_csv(&mut db, "apps", "bogus\n1\n").is_err());
+    }
+
+    #[test]
+    fn import_rejects_a_header_naming_a_column_twice() {
+        let mut db = sample_db();
+        let err = import_csv(&mut db, "apps", "id,name,name\n1,a,b\n").unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateColumn { column, .. } if column == "name"));
+        assert!(db.table("apps").unwrap().is_empty());
+    }
+
+    #[test]
+    fn streaming_import_rejects_a_header_naming_a_column_twice() {
+        let mut db = sample_db();
+        let err = import_csv_reader(&mut db, "apps", &b"id,id\n3,4\n"[..]).unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateColumn { column, .. } if column == "id"));
+        assert!(db.table("apps").unwrap().is_empty());
     }
 
     #[test]

@@ -348,7 +348,7 @@ impl Database {
         if self.tables.contains_key(&schema.name) {
             return Err(StoreError::DuplicateTable(schema.name));
         }
-        schema.check_primary_key()?;
+        schema.check_columns()?;
         self.check_foreign_keys(&schema)?;
         self.log_op(WalOp::CreateTable(&schema))?;
         let name = schema.name.clone();
@@ -804,6 +804,47 @@ mod tests {
         schema.primary_key = Some(1);
         assert!(matches!(d.create_table(schema), Err(StoreError::UnknownColumn { .. })));
         assert!(!d.has_table("t"));
+    }
+
+    /// A schema naming one column twice, as `TableSchema`'s public fields
+    /// (and a decoded WAL or snapshot record) can spell it.
+    fn repeated_column_schema() -> TableSchema {
+        TableSchema::builder("t").pk("a").column("a", DataType::Text).build()
+    }
+
+    #[test]
+    fn repeated_column_in_a_logged_create_fails_wal_replay() {
+        let dir =
+            std::env::temp_dir().join(format!("retro_db_repeated_wal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Wal::open(&dir.join(WAL_FILE), 1)
+            .unwrap()
+            .append(&WalOp::CreateTable(&repeated_column_schema()))
+            .unwrap();
+        let err = Database::recover(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corruption(msg) if msg.contains("named twice")),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_column_in_a_snapshot_fails_to_load() {
+        let dir =
+            std::env::temp_dir().join(format!("retro_db_repeated_snap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut d = Database::new();
+        d.tables.insert("t".into(), Table::new(repeated_column_schema()));
+        persist::write_snapshot(&d, &dir.join(SNAPSHOT_FILE), 0).unwrap();
+        let err = Database::recover(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corruption(msg) if msg.contains("named twice")),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,6 +16,14 @@ pub enum StoreError {
         /// The missing column name.
         column: String,
     },
+    /// A column name appears twice in a table definition, an `INSERT`
+    /// column list or a CSV header.
+    DuplicateColumn {
+        /// Table the columns belong to.
+        table: String,
+        /// The repeated column name.
+        column: String,
+    },
     /// Value does not fit the declared column type.
     TypeMismatch {
         /// Table owning the column.
@@ -107,6 +115,9 @@ impl fmt::Display for StoreError {
             StoreError::UnknownTable(t) => write!(f, "unknown table `{t}`"),
             StoreError::UnknownColumn { table, column } => {
                 write!(f, "unknown column `{column}` in table `{table}`")
+            }
+            StoreError::DuplicateColumn { table, column } => {
+                write!(f, "column `{column}` named twice for table `{table}`")
             }
             StoreError::TypeMismatch { table, column, expected, got } => {
                 write!(f, "type mismatch in `{table}.{column}`: expected {expected}, got {got}")

@@ -156,7 +156,7 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
     let n_tables = cur.u32("table count")? as usize;
     for _ in 0..n_tables {
         let schema = cur.schema()?;
-        schema.check_primary_key().map_err(corrupt)?;
+        schema.check_columns().map_err(corrupt)?;
         let n_indexes = cur.u32("secondary index count")? as usize;
         let mut index_cols = Vec::with_capacity(n_indexes.min(1024));
         for _ in 0..n_indexes {

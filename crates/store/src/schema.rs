@@ -71,8 +71,18 @@ impl TableSchema {
         self.columns.iter().find(|c| c.name == name)
     }
 
-    /// Error unless the declared primary key indexes one of the columns.
-    pub(crate) fn check_primary_key(&self) -> crate::Result<()> {
+    /// Error unless the column names are unique and the declared primary
+    /// key indexes one of the columns. Every path that admits a schema
+    /// runs this: `create_table` (and through it WAL replay) and snapshot
+    /// decoding.
+    pub(crate) fn check_columns(&self) -> crate::Result<()> {
+        let mut seen = std::collections::HashSet::with_capacity(self.columns.len());
+        if let Some(dup) = self.columns.iter().find(|c| !seen.insert(c.name.as_str())) {
+            return Err(crate::StoreError::DuplicateColumn {
+                table: self.name.clone(),
+                column: dup.name.clone(),
+            });
+        }
         match self.primary_key {
             Some(pk) if pk >= self.columns.len() => Err(crate::StoreError::UnknownColumn {
                 table: self.name.clone(),
@@ -80,6 +90,31 @@ impl TableSchema {
             }),
             _ => Ok(()),
         }
+    }
+
+    /// The column indices of `names` (an `INSERT` column list or a CSV
+    /// header), in list order. A name that is not a column, or one listed
+    /// twice, is an error: a repeated name would otherwise keep only its
+    /// last value.
+    pub(crate) fn column_indices(&self, names: &[String]) -> crate::Result<Vec<usize>> {
+        let mut seen = vec![false; self.columns.len()];
+        names
+            .iter()
+            .map(|name| {
+                let idx =
+                    self.column_index(name).ok_or_else(|| crate::StoreError::UnknownColumn {
+                        table: self.name.clone(),
+                        column: name.clone(),
+                    })?;
+                if std::mem::replace(&mut seen[idx], true) {
+                    return Err(crate::StoreError::DuplicateColumn {
+                        table: self.name.clone(),
+                        column: name.clone(),
+                    });
+                }
+                Ok(idx)
+            })
+            .collect()
     }
 
     /// Indices of all text columns.

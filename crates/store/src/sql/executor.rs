@@ -289,15 +289,7 @@ fn exec_insert(db: &mut Database, ins: &Insert) -> Result<QueryResult> {
     let mapping: Vec<usize> = if ins.columns.is_empty() {
         (0..width).collect()
     } else {
-        ins.columns
-            .iter()
-            .map(|name| {
-                schema.column_index(name).ok_or_else(|| StoreError::UnknownColumn {
-                    table: ins.table.clone(),
-                    column: name.clone(),
-                })
-            })
-            .collect::<Result<_>>()?
+        schema.column_indices(&ins.columns)?
     };
 
     for lit_row in &ins.rows {
@@ -631,6 +623,23 @@ mod tests {
     fn unknown_column_is_error() {
         let mut db = seeded();
         assert!(run_script(&mut db, "SELECT nope FROM movies").is_err());
+    }
+
+    #[test]
+    fn create_table_rejects_a_repeated_column() {
+        let mut db = Database::new();
+        let err =
+            run_script(&mut db, "CREATE TABLE t (a INTEGER PRIMARY KEY, a TEXT)").unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateColumn { column, .. } if column == "a"));
+        assert!(!db.has_table("t"));
+    }
+
+    #[test]
+    fn insert_rejects_a_column_listed_twice() {
+        let mut db = seeded();
+        let err = run_script(&mut db, "INSERT INTO movies (id, id) VALUES (10, 11)").unwrap_err();
+        assert!(matches!(err, StoreError::DuplicateColumn { column, .. } if column == "id"));
+        assert_eq!(db.table("movies").unwrap().len(), 3, "nothing may be inserted");
     }
 
     #[test]

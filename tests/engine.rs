@@ -377,6 +377,36 @@ fn nearest_is_bit_identical_to_the_exact_oracle_even_after_recovery() {
     check_session(&restarted_fresh);
 }
 
+/// A client `k` far beyond the number of values (up to `i64::MAX`) returns
+/// every other value, the same rows as `k` = the value count, on the exact
+/// and the approximate path: the selection is sized by its candidates, not
+/// by `k`.
+#[test]
+fn nearest_with_a_huge_k_returns_every_value() {
+    let mut db = Database::new();
+    populate(&mut db, 24);
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+    let mut session = engine.session("tmdb").unwrap();
+    let values = session.snapshot().output().catalog.len();
+    let token = movie_title(3);
+    for mode in [SearchMode::Exact, SearchMode::Approx { probes: 1 }] {
+        session.set_search_mode(mode);
+        let all = nearest_rows(&session, &token, values);
+        if mode == SearchMode::Exact {
+            assert_eq!(all.len(), values - 1, "every value but the query itself");
+        }
+        let huge = session
+            .query(&format!(
+                "SELECT id, token, score FROM NEAREST('movies', 'title', '{token}', {}) n",
+                i64::MAX
+            ))
+            .unwrap()
+            .rows;
+        assert_eq!(huge, all, "{mode:?}");
+    }
+}
+
 /// A write that lands after the serving snapshot was saved is folded in
 /// at registration: the first session after a crash already sees it, one
 /// generation past the persisted one.

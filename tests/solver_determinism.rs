@@ -1,25 +1,18 @@
 //! Determinism suite for the parallel RO **and RN** solvers.
 //!
-//! The contract (see `retro_core::solver::parallel`): each solver's
-//! parallel path shares one kernel with its sequential path (`RoKernel`,
-//! `RnKernel`), so
-//!
-//! * `solve_*_parallel(.., 1)` equals the sequential entry point
-//!   **exactly** (bit-for-bit; `threads = 1` runs the same phases inline),
-//!   and
-//! * N-thread results are exactly equal for every N, because the group and
-//!   row partitions never reorder the floating-point operations that
-//!   produce any given centroid or row.
+//! The contract (see `retro_core::solver::solve`): each solver runs one
+//! kernel (`RoKernel`, `RnKernel`) for every thread count, and
+//! `Hyperparameters::threads` only spreads its group and row partitions
+//! across workers. The partitions never reorder the floating-point
+//! operations that produce any given centroid or row, so the result of
+//! `solve` is **exactly** equal (bit for bit) for every thread count.
 //!
 //! Checked across multiple seeds and both synthetic datasets, per-iteration
 //! and end-to-end, for cold and seeded warm starts, plus through the
 //! high-level `Retro` API's thread knob.
 
-use retro::core::solver::{
-    solve_rn, solve_rn_parallel, solve_rn_seeded, solve_rn_seeded_parallel, solve_ro,
-    solve_ro_parallel,
-};
-use retro::core::{Hyperparameters, Retro, RetroConfig, RetrofitProblem, Solver};
+use retro::core::solver::{solve, Solver};
+use retro::core::{Hyperparameters, Retro, RetroConfig, RetrofitProblem};
 use retro::datasets::{GooglePlayConfig, GooglePlayDataset, TmdbConfig, TmdbDataset};
 
 fn tmdb_problem(seed: u64) -> RetrofitProblem {
@@ -38,19 +31,9 @@ fn gplay_problem(seed: u64) -> RetrofitProblem {
     RetrofitProblem::build(&data.db, &data.base, &[], &[])
 }
 
-#[test]
-fn one_thread_equals_sequential_exactly() {
-    for seed in [7u64, 99, 1234] {
-        let p = tmdb_problem(seed);
-        let params = Hyperparameters::paper_ro();
-        let sequential = solve_ro(&p, &params, 10);
-        let one_thread = solve_ro_parallel(&p, &params, 10, 1);
-        assert_eq!(
-            sequential.max_abs_diff(&one_thread),
-            0.0,
-            "seed {seed}: 1-thread RO must be bit-identical to sequential"
-        );
-    }
+/// Both RETRO solvers with their paper parameters (single-threaded).
+fn solvers() -> [(Solver, Hyperparameters); 2] {
+    [(Solver::Ro, Hyperparameters::paper_ro()), (Solver::Rn, Hyperparameters::paper_rn())]
 }
 
 #[test]
@@ -58,9 +41,9 @@ fn n_threads_match_sequential_exactly() {
     for seed in [7u64, 99] {
         let p = tmdb_problem(seed);
         let params = Hyperparameters::paper_ro();
-        let sequential = solve_ro(&p, &params, 10);
+        let sequential = solve(&p, Solver::Ro, &params, 10, None);
         for threads in [2usize, 3, 4, 8] {
-            let parallel = solve_ro_parallel(&p, &params, 10, threads);
+            let parallel = solve(&p, Solver::Ro, &params.with_threads(threads), 10, None);
             assert_eq!(
                 sequential.max_abs_diff(&parallel),
                 0.0,
@@ -75,11 +58,16 @@ fn per_iteration_states_match_bit_for_bit() {
     // Equality of the final matrix could in principle hide compensating
     // divergence; compare every iteration prefix.
     let p = gplay_problem(13);
-    let params = Hyperparameters::paper_ro();
-    for iterations in 1..=6 {
-        let sequential = solve_ro(&p, &params, iterations);
-        let parallel = solve_ro_parallel(&p, &params, iterations, 4);
-        assert_eq!(sequential.max_abs_diff(&parallel), 0.0, "iteration {iterations} diverged");
+    for (solver, params) in solvers() {
+        for iterations in 1..=6 {
+            let sequential = solve(&p, solver, &params, iterations, None);
+            let parallel = solve(&p, solver, &params.with_threads(4), iterations, None);
+            assert_eq!(
+                sequential.max_abs_diff(&parallel),
+                0.0,
+                "{solver:?} iteration {iterations} diverged"
+            );
+        }
     }
 }
 
@@ -88,9 +76,9 @@ fn gplay_matches_across_seeds_and_thread_counts() {
     for seed in [13u64, 77] {
         let p = gplay_problem(seed);
         let params = Hyperparameters::paper_ro();
-        let sequential = solve_ro(&p, &params, 10);
-        for threads in [1usize, 2, 6] {
-            let parallel = solve_ro_parallel(&p, &params, 10, threads);
+        let sequential = solve(&p, Solver::Ro, &params, 10, None);
+        for threads in [2usize, 6] {
+            let parallel = solve(&p, Solver::Ro, &params.with_threads(threads), 10, None);
             assert_eq!(sequential.max_abs_diff(&parallel), 0.0, "seed {seed}, threads {threads}");
         }
     }
@@ -98,14 +86,12 @@ fn gplay_matches_across_seeds_and_thread_counts() {
 
 #[test]
 fn rn_parallel_is_bit_identical_for_every_thread_count() {
-    // Since RN runs through the shared `RnKernel`, parity is exact — no
-    // epsilon — for every thread count, like RO.
     for seed in [7u64, 99] {
         let p = tmdb_problem(seed);
         let params = Hyperparameters::paper_rn();
-        let sequential = solve_rn(&p, &params, 10);
-        for threads in [1usize, 2, 3, 8] {
-            let parallel = solve_rn_parallel(&p, &params, 10, threads);
+        let sequential = solve(&p, Solver::Rn, &params, 10, None);
+        for threads in [2usize, 3, 8] {
+            let parallel = solve(&p, Solver::Rn, &params.with_threads(threads), 10, None);
             assert_eq!(
                 sequential.max_abs_diff(&parallel),
                 0.0,
@@ -115,40 +101,30 @@ fn rn_parallel_is_bit_identical_for_every_thread_count() {
     }
 }
 
-#[test]
-fn rn_one_thread_inline_matches_serial_per_iteration() {
-    // `threads = 1` runs the kernel's phases inline on the calling thread —
-    // the same code path the sequential entry point uses. Compare every
-    // iteration prefix so compensating divergence cannot hide.
-    let p = gplay_problem(13);
-    let params = Hyperparameters::paper_rn();
-    for iterations in 1..=6 {
-        let sequential = solve_rn(&p, &params, iterations);
-        let inline = solve_rn_parallel(&p, &params, iterations, 1);
-        assert_eq!(sequential.max_abs_diff(&inline), 0.0, "iteration {iterations} diverged");
-        let parallel = solve_rn_parallel(&p, &params, iterations, 4);
+/// Seeded warm starts (the incremental-maintenance shape) from a
+/// converged-ish state, for `solver`.
+fn assert_seeded_warm_starts_are_bit_identical(solver: Solver, params: Hyperparameters) {
+    let p = tmdb_problem(99);
+    let warm = solve(&p, solver, &params, 4, None);
+    let sequential = solve(&p, solver, &params, 6, Some(&warm));
+    for threads in [2usize, 3, 8] {
+        let parallel = solve(&p, solver, &params.with_threads(threads), 6, Some(&warm));
         assert_eq!(
             sequential.max_abs_diff(&parallel),
             0.0,
-            "iteration {iterations} diverged (4 threads)"
+            "seeded {solver:?} {threads} threads diverged from sequential"
         );
     }
 }
 
 #[test]
 fn rn_seeded_warm_starts_are_bit_identical() {
-    let p = tmdb_problem(99);
-    let params = Hyperparameters::paper_rn();
-    let warm = solve_rn(&p, &params, 4);
-    let sequential = solve_rn_seeded(&p, &params, 6, Some(&warm));
-    for threads in [1usize, 2, 3, 8] {
-        let parallel = solve_rn_seeded_parallel(&p, &params, 6, Some(&warm), threads);
-        assert_eq!(
-            sequential.max_abs_diff(&parallel),
-            0.0,
-            "seeded RN {threads} threads diverged from sequential"
-        );
-    }
+    assert_seeded_warm_starts_are_bit_identical(Solver::Rn, Hyperparameters::paper_rn());
+}
+
+#[test]
+fn ro_seeded_warm_starts_are_bit_identical() {
+    assert_seeded_warm_starts_are_bit_identical(Solver::Ro, Hyperparameters::paper_ro());
 }
 
 #[test]

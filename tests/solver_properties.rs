@@ -6,7 +6,7 @@ use retro::core::catalog::TextValueCatalog;
 use retro::core::hyper::check_convexity;
 use retro::core::loss::evaluate_loss;
 use retro::core::relations::{RelationGroup, RelationKind};
-use retro::core::solver::{solve_mf, solve_rn, solve_rn_parallel, solve_ro, solve_ro_enumerated};
+use retro::core::solver::{solve, solve_ro_enumerated, Solver};
 use retro::core::{Hyperparameters, RetrofitProblem};
 use retro::embed::EmbeddingSet;
 use retro::linalg::vector;
@@ -69,7 +69,7 @@ proptest! {
         delta in 0.0f32..2.0,
     ) {
         let p = build_problem(6, 5, edges, coords);
-        let w = solve_rn(&p, &Hyperparameters::new(1.0, 0.5, gamma, delta), 8);
+        let w = solve(&p, Solver::Rn, &Hyperparameters::new(1.0, 0.5, gamma, delta), 8, None);
         for r in 0..w.rows() {
             let norm = vector::norm(w.row(r));
             prop_assert!(norm < 1.0 + 1e-4, "row {r} norm {norm}");
@@ -87,7 +87,7 @@ proptest! {
         let check = check_convexity(&p.groups, &p.relation_counts, &params, p.len());
         prop_assume!(check.convex);
         let before = evaluate_loss(&p, &params, &p.w0).total();
-        let w = solve_ro(&p, &params, 15);
+        let w = solve(&p, Solver::Ro, &params, 15, None);
         let after = evaluate_loss(&p, &params, &w).total();
         prop_assert!(after <= before + 1e-4, "loss rose: {before} -> {after}");
     }
@@ -100,7 +100,7 @@ proptest! {
     ) {
         let p = build_problem(5, 4, edges, coords);
         let params = Hyperparameters::new(1.0, 0.0, 2.0, delta);
-        let fast = solve_ro(&p, &params, 8);
+        let fast = solve(&p, Solver::Ro, &params, 8, None);
         let slow = solve_ro_enumerated(&p, &params, 8);
         prop_assert!(fast.max_abs_diff(&slow) < 1e-3,
             "divergence {}", fast.max_abs_diff(&slow));
@@ -114,8 +114,8 @@ proptest! {
     ) {
         let p = build_problem(8, 6, edges, coords);
         let params = Hyperparameters::paper_rn();
-        let serial = solve_rn(&p, &params, 6);
-        let parallel = solve_rn_parallel(&p, &params, 6, threads);
+        let serial = solve(&p, Solver::Rn, &params, 6, None);
+        let parallel = solve(&p, Solver::Rn, &params.with_threads(threads), 6, None);
         // Exact: both run the shared `RnKernel`.
         prop_assert!(serial.max_abs_diff(&parallel) == 0.0);
     }
@@ -129,7 +129,7 @@ proptest! {
         // max absolute coordinate can never exceed the initial max.
         let p = build_problem(5, 4, edges, coords);
         let bound = p.w0.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let w = solve_mf(&p, 20);
+        let w = solve(&p, Solver::Mf, &Hyperparameters::default(), 20, None);
         let out = w.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         prop_assert!(out <= bound + 1e-5, "escaped hull: {out} > {bound}");
     }
@@ -155,7 +155,7 @@ proptest! {
         prop_assume!(check.convex);
         let mut prev = f64::INFINITY;
         for iters in [1usize, 2, 4, 8, 15] {
-            let w = solve_ro(&p, &params, iters);
+            let w = solve(&p, Solver::Ro, &params, iters, None);
             let loss = evaluate_loss(&p, &params, &w).total();
             prop_assert!(
                 loss <= prev + 1e-4,
@@ -177,7 +177,7 @@ proptest! {
         let p = build_problem(6, 5, edges, coords);
         let params = Hyperparameters::new(1.0, 0.5, gamma, delta);
         for iters in [1usize, 2, 4, 8] {
-            let w = solve_rn(&p, &params, iters);
+            let w = solve(&p, Solver::Rn, &params, iters, None);
             for r in 0..w.rows() {
                 let norm = vector::norm(w.row(r));
                 prop_assert!(norm.is_finite(), "iters {iters} row {r}: non-finite norm");
@@ -200,7 +200,7 @@ proptest! {
     ) {
         let p = build_problem(4, 4, edges, coords);
         let params = Hyperparameters::new(alpha, beta, gamma, delta);
-        for w in [solve_ro(&p, &params, 6), solve_rn(&p, &params, 6)] {
+        for w in [solve(&p, Solver::Ro, &params, 6, None), solve(&p, Solver::Rn, &params, 6, None)] {
             prop_assert!(w.as_slice().iter().all(|v| v.is_finite()));
         }
     }
