@@ -490,7 +490,8 @@ mod tests {
         PEAK_WORKERS.with(|peak| peak.set(peak.get().max(workers)));
     }
 
-    fn take_peak_workers() -> usize {
+    /// The peak recorded by [`note_workers`] since the last call, reset.
+    pub(super) fn take_peak_workers() -> usize {
         PEAK_WORKERS.with(|peak| peak.replace(0))
     }
 
@@ -627,125 +628,187 @@ mod tests {
             }
         }
     }
+}
 
-    /// A bipartite problem with genuinely irregular adjacency: every pair
-    /// `(s_k, t_k)` is related, and two strided cross-link sweeps give
-    /// sources uneven fan-out and targets uneven fan-in (the strides 5 and
-    /// 7 are coprime with most lengths, so the extra edges scatter across
-    /// the whole target list instead of clustering).
-    fn irregular_problem(n_extra: usize) -> RetrofitProblem {
-        let n_pairs = 4 + n_extra;
-        let mut catalog = TextValueCatalog::default();
-        let ca = catalog.add_category("a", "x");
-        let cb = catalog.add_category("b", "y");
-        let mut sources = Vec::new();
-        let mut targets = Vec::new();
-        let mut tokens = Vec::new();
-        let mut vectors = Vec::new();
-        for k in 0..n_pairs {
-            sources.push(catalog.intern(ca, &format!("s{k}")));
-            targets.push(catalog.intern(cb, &format!("t{k}")));
-            tokens.push(format!("s{k}"));
-            vectors.push(vec![k as f32 * 0.1, 1.0, -0.3 * k as f32]);
-            tokens.push(format!("t{k}"));
-            vectors.push(vec![1.0 - k as f32 * 0.05, -0.5, 0.2]);
-        }
-        let mut edges = Vec::new();
-        for k in 0..n_pairs {
-            edges.push((sources[k], targets[k]));
-            let cross = (k * 5 + 2) % n_pairs;
-            if k % 3 > 0 && cross != k {
-                edges.push((sources[k], targets[cross]));
+/// Thread-count parity of [`solve`]: `Hyperparameters::threads` is a speed
+/// knob only, so every check here demands bit-identical output from
+/// `with_threads(1)` — the inline, sequential run — and larger counts.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::catalog::TextValueCatalog;
+        use crate::relations::{RelationGroup, RelationKind};
+        use crate::solver::tests::take_peak_workers;
+        use crate::solver::*;
+        use retro_embed::EmbeddingSet;
+
+        /// A bipartite problem with genuinely irregular adjacency: every
+        /// pair `(s_k, t_k)` is related, and two strided cross-link sweeps
+        /// give sources uneven fan-out and targets uneven fan-in (the
+        /// strides 5 and 7 are coprime with most lengths, so the extra
+        /// edges scatter across the whole target list instead of
+        /// clustering).
+        fn problem(n_extra: usize) -> RetrofitProblem {
+            let n_pairs = 4 + n_extra;
+            let mut catalog = TextValueCatalog::default();
+            let ca = catalog.add_category("a", "x");
+            let cb = catalog.add_category("b", "y");
+            let mut sources = Vec::new();
+            let mut targets = Vec::new();
+            let mut tokens = Vec::new();
+            let mut vectors = Vec::new();
+            for k in 0..n_pairs {
+                sources.push(catalog.intern(ca, &format!("s{k}")));
+                targets.push(catalog.intern(cb, &format!("t{k}")));
+                tokens.push(format!("s{k}"));
+                vectors.push(vec![k as f32 * 0.1, 1.0, -0.3 * k as f32]);
+                tokens.push(format!("t{k}"));
+                vectors.push(vec![1.0 - k as f32 * 0.05, -0.5, 0.2]);
             }
-            let far = (k * 7 + 3) % n_pairs;
-            if k % 4 == 0 && far != k {
-                edges.push((sources[k], targets[far]));
+            let mut edges = Vec::new();
+            for k in 0..n_pairs {
+                edges.push((sources[k], targets[k]));
+                let cross = (k * 5 + 2) % n_pairs;
+                if k % 3 > 0 && cross != k {
+                    edges.push((sources[k], targets[cross]));
+                }
+                let far = (k * 7 + 3) % n_pairs;
+                if k % 4 == 0 && far != k {
+                    edges.push((sources[k], targets[far]));
+                }
+            }
+            let groups =
+                vec![RelationGroup::new("a.x~b.y".into(), ca, cb, RelationKind::ForeignKey, edges)];
+            let base = EmbeddingSet::new(tokens, vectors);
+            RetrofitProblem::from_parts(catalog, groups, &base)
+        }
+
+        /// `solver` on `p` gives the same matrix, bit for bit, on 1, 2, 3
+        /// and 8 threads — from `W0`, or from a 3-iteration warm start when
+        /// `seeded`.
+        fn assert_thread_parity(
+            p: &RetrofitProblem,
+            solver: Solver,
+            params: Hyperparameters,
+            iterations: usize,
+            seeded: bool,
+        ) {
+            let warm = seeded.then(|| solve(p, solver, &params, 3, None));
+            let serial = solve(p, solver, &params.with_threads(1), iterations, warm.as_ref());
+            for threads in [2, 3, 8] {
+                let parallel =
+                    solve(p, solver, &params.with_threads(threads), iterations, warm.as_ref());
+                assert_eq!(
+                    serial.max_abs_diff(&parallel),
+                    0.0,
+                    "{solver:?} threads={threads} seeded={seeded} diverged from sequential"
+                );
             }
         }
-        let groups =
-            vec![RelationGroup::new("a.x~b.y".into(), ca, cb, RelationKind::ForeignKey, edges)];
-        let base = EmbeddingSet::new(tokens, vectors);
-        RetrofitProblem::from_parts(catalog, groups, &base)
-    }
 
-    #[test]
-    fn problem_helper_has_irregular_adjacency() {
-        // Guard the helper itself: the cross-links must produce uneven
-        // fan-in (some target related to several sources, some to one).
-        let p = irregular_problem(20);
-        let dg = p.directed_groups(&Hyperparameters::paper_rn(), false);
-        let mut fan_in = std::collections::HashMap::new();
-        for &(_, j) in &dg[0].group.edges {
-            *fan_in.entry(j).or_insert(0u32) += 1;
+        fn empty_problem() -> RetrofitProblem {
+            let catalog = TextValueCatalog::default();
+            let base = EmbeddingSet::new(vec!["t".into()], vec![vec![0.0]]);
+            RetrofitProblem::from_parts(catalog, Vec::new(), &base)
         }
-        let max = fan_in.values().max().copied().unwrap_or(0);
-        let min = fan_in.values().min().copied().unwrap_or(0);
-        assert!(max >= 2 && min == 1, "fan-in should be uneven, got {min}..{max}");
-    }
 
-    /// Cold and seeded solves on irregular adjacency are bit-identical for
-    /// every thread count, for both solvers.
-    #[test]
-    fn irregular_adjacency_is_bit_identical_across_thread_counts() {
-        let p = irregular_problem(20);
-        for (solver, params) in
-            [(Solver::Rn, Hyperparameters::paper_rn()), (Solver::Ro, Hyperparameters::paper_ro())]
-        {
-            let warm = solve(&p, solver, &params, 3, None);
-            for seed in [None, Some(&warm)] {
-                let serial = solve(&p, solver, &params, 10, seed);
-                for threads in [2, 3, 8] {
-                    let parallel = solve(&p, solver, &params.with_threads(threads), 10, seed);
-                    assert_eq!(
-                        serial.max_abs_diff(&parallel),
-                        0.0,
-                        "{solver:?} threads={threads} seeded={}",
-                        seed.is_some()
-                    );
+        #[test]
+        fn problem_helper_has_irregular_adjacency() {
+            // Guard the helper itself: the cross-links must produce uneven
+            // fan-in (some target related to several sources, some to one).
+            let p = problem(20);
+            let dg = p.directed_groups(&Hyperparameters::paper_rn(), false);
+            let mut fan_in = std::collections::HashMap::new();
+            for &(_, j) in &dg[0].group.edges {
+                *fan_in.entry(j).or_insert(0u32) += 1;
+            }
+            let max = fan_in.values().max().copied().unwrap_or(0);
+            let min = fan_in.values().min().copied().unwrap_or(0);
+            assert!(max >= 2 && min == 1, "fan-in should be uneven, got {min}..{max}");
+        }
+
+        #[test]
+        fn parallel_matches_serial_exactly() {
+            assert_thread_parity(&problem(20), Solver::Rn, Hyperparameters::paper_rn(), 10, false);
+        }
+
+        #[test]
+        fn rn_seeded_parallel_matches_seeded_serial() {
+            assert_thread_parity(&problem(12), Solver::Rn, Hyperparameters::paper_rn(), 5, true);
+        }
+
+        #[test]
+        fn ro_parallel_matches_serial_bit_for_bit() {
+            assert_thread_parity(&problem(20), Solver::Ro, Hyperparameters::paper_ro(), 10, false);
+        }
+
+        #[test]
+        fn ro_seeded_parallel_matches_seeded_serial() {
+            assert_thread_parity(&problem(12), Solver::Ro, Hyperparameters::paper_ro(), 5, true);
+        }
+
+        /// With one thread both phases of both kernels run inline on the
+        /// calling thread, and the output is still the parallel one.
+        #[test]
+        fn single_thread_runs_the_row_phase_inline() {
+            let p = problem(4);
+            for (solver, params) in [
+                (Solver::Rn, Hyperparameters::paper_rn()),
+                (Solver::Ro, Hyperparameters::paper_ro()),
+            ] {
+                take_peak_workers();
+                let inline = solve(&p, solver, &params.with_threads(1), 5, None);
+                assert_eq!(take_peak_workers(), 1, "{solver:?}");
+                let parallel = solve(&p, solver, &params.with_threads(3), 5, None);
+                assert_eq!(inline.max_abs_diff(&parallel), 0.0, "{solver:?}");
+            }
+        }
+
+        /// `solve` and `solve_rows` run on exactly `params.threads` workers.
+        #[test]
+        fn solve_honours_params_threads() {
+            let p = problem(20);
+            let all: Vec<u32> = (0..p.len() as u32).collect();
+            for solver in [Solver::Ro, Solver::Rn] {
+                for threads in [1, 3] {
+                    let params = Hyperparameters::paper_ro().with_threads(threads);
+                    take_peak_workers();
+                    solve(&p, solver, &params, 2, None);
+                    assert_eq!(take_peak_workers(), threads, "{solver:?} solve");
+                    let mut w = p.w0.clone();
+                    solve_rows(&p, solver, &params, 2, &all, &mut w);
+                    assert_eq!(take_peak_workers(), threads, "{solver:?} solve_rows");
                 }
             }
         }
-    }
 
-    /// `solve` and `solve_rows` run on exactly `params.threads` workers.
-    #[test]
-    fn solve_honours_params_threads() {
-        let p = irregular_problem(20);
-        let all: Vec<u32> = (0..p.len() as u32).collect();
-        for solver in [Solver::Ro, Solver::Rn] {
-            for threads in [1, 3] {
-                let params = Hyperparameters::paper_ro().with_threads(threads);
-                take_peak_workers();
-                solve(&p, solver, &params, 2, None);
-                assert_eq!(take_peak_workers(), threads, "{solver:?} solve");
-                let mut w = p.w0.clone();
-                solve_rows(&p, solver, &params, 2, &all, &mut w);
-                assert_eq!(take_peak_workers(), threads, "{solver:?} solve_rows");
+        #[test]
+        fn empty_problem_is_handled() {
+            let p = empty_problem();
+            for solver in [Solver::Rn, Solver::Mf] {
+                let w = solve(&p, solver, &Hyperparameters::default().with_threads(4), 3, None);
+                assert_eq!(w.shape(), (0, 1), "{solver:?}");
             }
         }
-    }
 
-    #[test]
-    fn empty_problem_is_handled() {
-        let catalog = TextValueCatalog::default();
-        let base = EmbeddingSet::new(vec!["t".into()], vec![vec![0.0]]);
-        let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
-        for solver in [Solver::Ro, Solver::Rn, Solver::Mf] {
-            let w = solve(&p, solver, &Hyperparameters::default().with_threads(4), 3, None);
-            assert_eq!(w.shape(), (0, 1), "{solver:?}");
+        #[test]
+        fn ro_parallel_empty_problem_is_handled() {
+            let p = empty_problem();
+            let w = solve(&p, Solver::Ro, &Hyperparameters::paper_ro().with_threads(4), 3, None);
+            assert_eq!(w.shape(), (0, 1));
         }
-    }
 
-    #[test]
-    fn zero_dimension_problem_is_handled() {
-        let mut catalog = TextValueCatalog::default();
-        let c = catalog.add_category("a", "x");
-        catalog.intern(c, "v");
-        let base = EmbeddingSet::empty(0);
-        let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
-        for solver in [Solver::Ro, Solver::Rn, Solver::Mf] {
-            let w = solve(&p, solver, &Hyperparameters::paper_ro().with_threads(4), 3, None);
-            assert_eq!(w.shape(), (1, 0), "{solver:?}");
+        #[test]
+        fn zero_dimension_problem_is_handled() {
+            let mut catalog = TextValueCatalog::default();
+            let c = catalog.add_category("a", "x");
+            catalog.intern(c, "v");
+            let base = EmbeddingSet::empty(0);
+            let p = RetrofitProblem::from_parts(catalog, Vec::new(), &base);
+            for solver in [Solver::Ro, Solver::Rn, Solver::Mf] {
+                let w = solve(&p, solver, &Hyperparameters::paper_ro().with_threads(4), 3, None);
+                assert_eq!(w.shape(), (1, 0), "{solver:?}");
+            }
         }
     }
 }
