@@ -10,6 +10,7 @@
 //! produce bit-identical catalogs and groups, so the reported speedup is
 //! pure access-path cost (same rows, same ids, same edges).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use retro_core::relations::{RelationGroup, RelationKind};
@@ -41,11 +42,9 @@ pub fn extract_scan(db: &Database) -> ScanExtraction {
             categories.push((schema.name.clone(), schema.columns[col_idx].name.clone()));
             for value in table.column_values(col_idx) {
                 if let Some(text) = value.as_text() {
-                    let key = (cat, text.to_owned());
-                    if !index.contains_key(&key) {
-                        let id = values.len() as u32;
+                    if let Entry::Vacant(slot) = index.entry((cat, text.to_owned())) {
+                        slot.insert(values.len() as u32);
                         values.push((cat, text.to_owned()));
-                        index.insert(key, id);
                     }
                 }
             }

@@ -5,7 +5,7 @@
 //!   (two embeddings) — "Amélie" the person and "Amélie" the movie differ.
 //! * The same string twice in one column yields **one** text value.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -104,22 +104,46 @@ impl TextValueCatalog {
     /// imputation embeddings "by ignoring the original_language column").
     pub fn extract(db: &Database, skip_columns: &[(&str, &str)]) -> Self {
         let mut catalog = Self::default();
+        catalog.intern_rows(db, skip_columns, None);
+        catalog
+    }
+
+    /// Intern the text values of `db`'s rows: every row when `scope` is
+    /// `None`, else only the tables named in the map, each from its mapped
+    /// row index onward (the row scope `extract_relations_scoped` takes).
+    /// A full extraction and a delta refresh both intern through here, in
+    /// one order (tables by name, columns in schema order, rows
+    /// ascending), which fixes the new ids. Every visited text column is
+    /// registered as a category, so a column the catalog had not seen
+    /// shows as a grown [`Self::category_count`].
+    pub(crate) fn intern_rows(
+        &mut self,
+        db: &Database,
+        skip_columns: &[(&str, &str)],
+        scope: Option<&BTreeMap<String, usize>>,
+    ) {
         for table in db.tables() {
+            let start = match scope {
+                None => 0,
+                Some(map) => match map.get(table.name()) {
+                    Some(&s) => s.min(table.len()),
+                    None => continue,
+                },
+            };
             let schema = table.schema();
             for col_idx in schema.text_columns() {
                 let column = &schema.columns[col_idx].name;
                 if skip_columns.iter().any(|(t, c)| *t == schema.name && *c == column.as_str()) {
                     continue;
                 }
-                let cat_id = catalog.add_category(&schema.name, column);
-                for value in table.column_values(col_idx) {
-                    if let Some(text) = value.as_text() {
-                        catalog.intern(cat_id, text);
+                let cat_id = self.add_category(&schema.name, column);
+                for row in &table.rows()[start..] {
+                    if let Some(text) = row[col_idx].as_text() {
+                        self.intern(cat_id, text);
                     }
                 }
             }
         }
-        catalog
     }
 
     /// Register a category (idempotent) and return its id.

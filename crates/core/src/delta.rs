@@ -8,13 +8,20 @@
 //! append — extends the previous problem in place:
 //!
 //! * new text values are interned *after* the previous catalog's ids, so
-//!   every old id (and therefore every old embedding row) stays valid,
+//!   every old id (and therefore every old embedding row) stays valid, by
+//!   the **same** interning pass a full extraction runs, restricted to the
+//!   appended row ranges (`TextValueCatalog::intern_rows`),
 //! * new edges are extracted by running the **same** relation-extraction
 //!   code restricted to the appended row ranges
-//!   ([`crate::relations::extract_relations_scoped`]); append-only history
-//!   guarantees completeness, because every new edge has its scanning-side
-//!   row among the appended rows (foreign keys are validated on insert, so
-//!   a pre-existing row can never reference a row that did not exist yet),
+//!   ([`crate::relations::extract_relations_scoped`]) and merged into the
+//!   previous groups by name (names are unique within one extraction);
+//!   append-only history guarantees completeness, because every new edge
+//!   has its scanning-side row among the appended rows (foreign keys are
+//!   validated on insert, so a pre-existing row can never reference a row
+//!   that did not exist yet),
+//! * `W0`, the Eq. 5 centroids and `|Ri|` are extended by the **same**
+//!   assembly a full build runs (`RetrofitProblem::assemble`), which
+//!   tokenizes only the new ids,
 //! * the *dirty set* — new value ids plus every endpoint of a fresh edge —
 //!   is handed to the solver kernel's row-subset run; all other rows keep
 //!   their converged vectors verbatim.
@@ -26,14 +33,14 @@
 //! catalog. See `docs/INCREMENTAL.md` for the accuracy contract (bounded
 //! drift, pinned by the root `delta_refresh` suite).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use retro_embed::EmbeddingSet;
 use retro_linalg::Matrix;
 use retro_store::{Database, TableChange};
 
 use crate::api::RetroOutput;
-use crate::catalog::TextValueCatalog;
 use crate::problem::RetrofitProblem;
 use crate::relations::extract_relations_scoped;
 
@@ -114,6 +121,8 @@ pub(crate) struct DeltaExtraction {
 ///   `base` (nothing sound to extend),
 /// * an appended text value belongs to a category the previous catalog
 ///   never saw (the schema changed under us),
+/// * two previous groups share a name, so fresh edges cannot be merged
+///   by name,
 /// * the dirty set exceeds `max_dirty_fraction` of the merged catalog
 ///   (re-solving most rows anyway — the full path is simpler and exact).
 pub(crate) fn extract_delta(
@@ -132,48 +141,18 @@ pub(crate) fn extract_delta(
     }
 
     // ── 1. Intern the appended rows' text values ──────────────────────
-    // First find which values are genuinely new (appends often repeat
-    // existing values); only then pay for a catalog clone. Iteration
-    // order — tables in name order (BTreeMap), columns in schema order,
-    // rows ascending — is deterministic, which fixes the new ids.
-    let mut fresh_values: Vec<(u32, String)> = Vec::new();
-    let mut seen: HashSet<(u32, String)> = HashSet::new();
-    for (table_name, &start) in appends {
-        let Ok(table) = db.table(table_name) else { return None };
-        let schema = table.schema();
-        for col_idx in schema.text_columns() {
-            let column = &schema.columns[col_idx].name;
-            if skip_columns.iter().any(|(t, c)| *t == schema.name && *c == column.as_str()) {
-                continue;
-            }
-            // Every text column was registered as a category at the
-            // initial extraction; a missing one means the schema itself
-            // changed (category ids could not stay stable).
-            let cat = prev.catalog.category_id(&schema.name, column)?;
-            for row in &table.rows()[start.min(table.len())..] {
-                if let Some(text) = row[col_idx].as_text() {
-                    if prev.catalog.lookup_in_category(cat, text).is_none()
-                        && seen.insert((cat, text.to_owned()))
-                    {
-                        fresh_values.push((cat, text.to_owned()));
-                    }
-                }
-            }
-        }
+    // Into an `O(Δ)` copy-on-write extension: it shares the previous
+    // catalog's values and appends only the fresh ones. When the appends
+    // only repeat existing values, the previous catalog is kept as is.
+    let mut extended = prev.catalog.extend_clone();
+    extended.intern_rows(db, skip_columns, Some(appends));
+    if extended.category_count() != prev.catalog.category_count() {
+        // A text column the previous extraction never saw: the schema
+        // changed under us.
+        return None;
     }
-    let catalog = if fresh_values.is_empty() {
-        prev.catalog.clone()
-    } else {
-        // `O(Δ)` copy-on-write: the extension shares the previous
-        // catalog's values and appends only the fresh ones — cloning the
-        // full half-million-string catalog was the single largest
-        // fixed cost of a paper-scale delta refresh.
-        let mut extended = prev.catalog.extend_clone();
-        for (cat, text) in &fresh_values {
-            extended.intern(*cat, text);
-        }
-        std::sync::Arc::new(extended)
-    };
+    let catalog =
+        if extended.len() == prev_n { Arc::clone(&prev.catalog) } else { Arc::new(extended) };
     let n = catalog.len();
 
     // ── 2. Extract the appended rows' edges with the full extractor ───
@@ -181,26 +160,19 @@ pub(crate) fn extract_delta(
 
     // ── 3. Merge fresh edges into the previous groups ─────────────────
     let mut groups = prev.problem.groups.clone();
-    let mut relation_counts = prev.problem.relation_counts.clone();
-    relation_counts.resize(n, 0);
     let by_name: HashMap<String, usize> =
         groups.iter().enumerate().map(|(i, g)| (g.name.clone(), i)).collect();
-    let mut dirty_mask = vec![false; n];
-    for id in prev_n..n {
-        dirty_mask[id] = true;
+    if by_name.len() != groups.len() {
+        // Two groups share a name (a problem persisted before names were
+        // made unique): fresh edges could land in the wrong one.
+        return None;
     }
-    // Degree scratch shared across groups (reset via touched edges only).
-    let mut fwd_deg = vec![0u32; n];
-    let mut inv_deg = vec![0u32; n];
-
+    let mut dirty_mask = vec![false; n];
+    dirty_mask[prev_n..].fill(true);
     for dgroup in delta_groups {
-        match by_name.get(&dgroup.name) {
+        let fresh = match by_name.get(&dgroup.name) {
             Some(&gi) => {
                 let group = &mut groups[gi];
-                for &(i, j) in &group.edges {
-                    fwd_deg[i as usize] += 1;
-                    inv_deg[j as usize] += 1;
-                }
                 // `RelationGroup::new` sorted both lists, so membership is
                 // one binary search per candidate edge.
                 let fresh: Vec<(u32, u32)> = dgroup
@@ -210,49 +182,21 @@ pub(crate) fn extract_delta(
                     .filter(|e| group.edges.binary_search(e).is_err())
                     .collect();
                 if !fresh.is_empty() {
-                    for &(i, j) in &fresh {
-                        dirty_mask[i as usize] = true;
-                        dirty_mask[j as usize] = true;
-                        // Degree 0 → first participation in this direction:
-                        // one more directed group for |Ri|.
-                        if fwd_deg[i as usize] == 0 {
-                            relation_counts[i as usize] += 1;
-                        }
-                        if inv_deg[j as usize] == 0 {
-                            relation_counts[j as usize] += 1;
-                        }
-                        fwd_deg[i as usize] += 1;
-                        inv_deg[j as usize] += 1;
-                    }
                     group.edges = merge_sorted(&group.edges, &fresh);
                 }
-                for &(i, j) in &group.edges {
-                    fwd_deg[i as usize] = 0;
-                    inv_deg[j as usize] = 0;
-                }
+                fresh
             }
             None => {
                 // A group the previous extraction never produced (it was
-                // empty then). Append it: every distinct endpoint is a new
-                // participant.
-                for &(i, j) in &dgroup.edges {
-                    dirty_mask[i as usize] = true;
-                    dirty_mask[j as usize] = true;
-                    if fwd_deg[i as usize] == 0 {
-                        relation_counts[i as usize] += 1;
-                    }
-                    if inv_deg[j as usize] == 0 {
-                        relation_counts[j as usize] += 1;
-                    }
-                    fwd_deg[i as usize] += 1;
-                    inv_deg[j as usize] += 1;
-                }
-                for &(i, j) in &dgroup.edges {
-                    fwd_deg[i as usize] = 0;
-                    inv_deg[j as usize] = 0;
-                }
+                // empty then).
+                let fresh = dgroup.edges.clone();
                 groups.push(dgroup);
+                fresh
             }
+        };
+        for (i, j) in fresh {
+            dirty_mask[i as usize] = true;
+            dirty_mask[j as usize] = true;
         }
     }
 
@@ -279,38 +223,15 @@ pub(crate) fn extract_delta(
         return None;
     }
 
-    // ── 4. Extend W0 / OOV / centroids without re-tokenizing the world ─
-    // Extend-in-place construction (`Vec::extend_from_slice` + tail
-    // `resize`), not `Matrix::zeros` + overwrite: these are the two
-    // `O(n·D)` buffers of the delta path, and writing each one twice is
-    // measurable at paper scale.
-    let mut w0_data = Vec::with_capacity(n * dim);
-    w0_data.extend_from_slice(prev.problem.w0.as_slice());
-    w0_data.resize(n * dim, 0.0);
-    let mut w0 = Matrix::from_vec(n, dim, w0_data);
-    let mut oov = prev.problem.oov.clone();
-    oov.resize(n, false);
-    let mut category_centroids = prev.problem.category_centroids.clone();
-    if n > prev_n {
-        // The base's cached tokenizer: without it, rebuilding the
-        // `O(vocabulary)` trie would be the one per-refresh cost that
-        // scales with the base rather than the delta.
-        let tokenizer = base.tokenizer();
-        for id in prev_n..n {
-            let (vec, is_oov) = tokenizer.initial_vector(base, catalog.text(id));
-            w0.set_row(id, &vec);
-            oov[id] = is_oov;
-        }
-        update_centroids(&mut category_centroids, &catalog, &w0, prev_n);
-    }
+    // ── 4. W0, OOV, centroids and |Ri| through the one assembly path ──
+    let problem = RetrofitProblem::assemble(catalog, groups, base, Some(&prev.problem));
 
     // ── 5. Warm seed: previous embeddings verbatim, W0 for new ids ────
     let mut warm_data = Vec::with_capacity(n * dim);
     warm_data.extend_from_slice(prev.embeddings.as_slice());
-    warm_data.extend_from_slice(&w0.as_slice()[prev_n * dim..]);
+    warm_data.extend_from_slice(&problem.w0.as_slice()[prev_n * dim..]);
     let warm = Matrix::from_vec(n, dim, warm_data);
 
-    let problem = RetrofitProblem { catalog, groups, w0, oov, category_centroids, relation_counts };
     Some(DeltaExtraction { problem, warm, dirty })
 }
 
@@ -331,47 +252,6 @@ fn merge_sorted(old: &[(u32, u32)], fresh: &[(u32, u32)]) -> Vec<(u32, u32)> {
     out.extend_from_slice(&old[a..]);
     out.extend_from_slice(&fresh[b..]);
     out
-}
-
-/// Fold the new values' `W0` rows into the Eq. 5 category centroids.
-/// `centroid' = (centroid · old_count + Σ new rows) / new_count` — only
-/// categories that actually gained values are touched, so unaffected
-/// centroids keep their previous bits.
-fn update_centroids(
-    centroids: &mut Matrix,
-    catalog: &TextValueCatalog,
-    w0: &Matrix,
-    prev_n: usize,
-) {
-    let n = catalog.len();
-    let m = centroids.rows();
-    let mut old_counts = vec![0usize; m];
-    for id in 0..prev_n {
-        old_counts[catalog.category_of(id) as usize] += 1;
-    }
-    let mut added = vec![0usize; m];
-    for id in prev_n..n {
-        added[catalog.category_of(id) as usize] += 1;
-    }
-    for (c, &extra) in added.iter().enumerate() {
-        if extra == 0 {
-            continue;
-        }
-        let row = centroids.row_mut(c);
-        retro_linalg::vector::scale(old_counts[c] as f32, row);
-    }
-    for id in prev_n..n {
-        let c = catalog.category_of(id) as usize;
-        let new_row = w0.row(id).to_vec();
-        retro_linalg::vector::axpy(1.0, &new_row, centroids.row_mut(c));
-    }
-    for (c, &extra) in added.iter().enumerate() {
-        if extra == 0 {
-            continue;
-        }
-        let total = old_counts[c] + extra;
-        retro_linalg::vector::scale(1.0 / total as f32, centroids.row_mut(c));
-    }
 }
 
 #[cfg(test)]
@@ -512,6 +392,22 @@ mod tests {
         // 3 dirty of 5 (new value + neighbour + second ring) = 0.6 > 0.1
         // → refuse.
         assert!(extract_delta(&db, &base(), &prev, &appends, &[], &[], 0.1).is_none());
+    }
+
+    #[test]
+    fn extract_delta_refuses_groups_sharing_a_name() {
+        // A problem whose groups share a name cannot take fresh edges by
+        // name: the delta declines and the caller runs a full refresh.
+        let mut db = db();
+        let mut prev = converged(&db);
+        let twin = prev.problem.groups[0].clone();
+        prev.problem.groups.push(twin);
+        let v = db.write_version();
+        sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
+        let ChangeSummary::Appends(appends) = classify_changes(&db, v) else {
+            panic!("expected appends");
+        };
+        assert!(extract_delta(&db, &base(), &prev, &appends, &[], &[], 1.0).is_none());
     }
 
     #[test]

@@ -701,7 +701,7 @@ mod tests {
         let fresh = engine.session("tmdb").unwrap();
         let count = fresh.query("SELECT COUNT(*) FROM movies").unwrap();
         assert_eq!(count.rows[0][0], Value::Int(3));
-        assert!(fresh.query("SELECT id FROM NEAREST('prometheus', 2) n").unwrap().rows.len() > 0);
+        assert!(!fresh.query("SELECT id FROM NEAREST('prometheus', 2) n").unwrap().rows.is_empty());
     }
 
     #[test]

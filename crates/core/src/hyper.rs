@@ -12,6 +12,7 @@
 //! * RN: `δ^r_i = δ / (odr(i) · (|Ri| + 1))` — Eq. 14.
 
 use crate::relations::RelationGroup;
+use crate::solver::Degrees;
 
 /// The four global hyperparameters, plus one execution knob.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,37 +84,6 @@ pub struct GroupWeights {
     pub mc: usize,
 }
 
-/// `mr(r)` of Eq. 13: the maximum `|Ri| + 1` over all participants of `r`
-/// (sources and targets of the forward group).
-pub fn mr(group: &RelationGroup, relation_counts: &[u32]) -> usize {
-    let mut m = 0usize;
-    for &(i, j) in &group.edges {
-        m = m.max(relation_counts[i as usize] as usize + 1);
-        m = m.max(relation_counts[j as usize] as usize + 1);
-    }
-    m.max(1)
-}
-
-/// Derive the per-source weights of one *directed* group.
-///
-/// `ro_delta` selects the Eq. 13 (true, optimization solver) or Eq. 14
-/// (false, series solver) δ normalization.
-pub fn derive_group_weights(
-    group: &RelationGroup,
-    relation_counts: &[u32],
-    params: &Hyperparameters,
-    n_values: usize,
-    ro_delta: bool,
-) -> GroupWeights {
-    let mut out_deg = vec![0u32; n_values];
-    for &(i, _) in &group.edges {
-        out_deg[i as usize] += 1;
-    }
-    let mr_v = mr(group, relation_counts);
-    let mc_v = group.mc().max(1);
-    derive_weights_from_degrees(&out_deg, relation_counts, params, mc_v, mr_v, ro_delta)
-}
-
 /// The Eq. 12 per-source weight `γ/(od·(|Ri|+1))` (also the Eq. 14 RN δ
 /// with `delta` in place of `gamma`). The single source of the formula:
 /// [`derive_weights_from_degrees`] and the solver kernels' direct
@@ -130,10 +100,12 @@ pub(crate) fn delta_hat_weight(delta: f32, mc: usize, mr: usize) -> f32 {
     delta / (mc as f32 * mr as f32)
 }
 
-/// [`derive_group_weights`] with the per-source out-degrees and the Eq. 13
-/// `mc`/`mr` already known — the allocation-light path `directed_groups`
-/// uses after its single counting pass over the edges (identical output to
-/// re-deriving them from the group).
+/// Derive the per-source weights of one *directed* group from its
+/// per-source out-degrees and its Eq. 13 `mc`/`mr` (all from one
+/// [`crate::solver::Degrees`] pass).
+///
+/// `ro_delta` selects the Eq. 13 (true, optimization solver) or Eq. 14
+/// (false, series solver) δ normalization.
 pub(crate) fn derive_weights_from_degrees(
     out_deg: &[u32],
     relation_counts: &[u32],
@@ -187,17 +159,13 @@ pub fn check_convexity(
     n_values: usize,
 ) -> ParamCheck {
     let mut delta_mass = vec![0.0f32; n_values];
+    let mut deg = Degrees::new(n_values);
     for group in groups {
-        let mr_v = mr(group, relation_counts) as f32;
-        let mc_v = group.mc().max(1) as f32;
-        let delta_r = params.delta / (mc_v * mr_v);
-        let n_targets = group.targets().len() as f32;
-        let mut out_deg = std::collections::HashMap::new();
-        for &(i, _) in &group.edges {
-            *out_deg.entry(i).or_insert(0u32) += 1;
-        }
-        for (&i, &od) in &out_deg {
-            let neg_count = (n_targets - od as f32).max(0.0);
+        deg.count(&group.edges);
+        let delta_r = delta_hat_weight(params.delta, deg.mc(), deg.mr(relation_counts));
+        let n_targets = deg.targets.len() as f32;
+        for &i in &deg.sources {
+            let neg_count = (n_targets - deg.fwd[i as usize] as f32).max(0.0);
             delta_mass[i as usize] += delta_r * neg_count;
         }
     }
@@ -219,10 +187,25 @@ pub fn check_convexity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::TextValueCatalog;
+    use crate::problem::RetrofitProblem;
     use crate::relations::{relation_type_counts, RelationKind};
+    use retro_embed::EmbeddingSet;
 
     fn group(edges: Vec<(u32, u32)>) -> RelationGroup {
         RelationGroup::new("a.x~b.y".into(), 0, 1, RelationKind::RowWise, edges)
+    }
+
+    /// A problem of `n` values whose only relation group is `group(edges)`.
+    fn problem(n: usize, edges: Vec<(u32, u32)>) -> RetrofitProblem {
+        let mut catalog = TextValueCatalog::default();
+        let a = catalog.add_category("a", "x");
+        catalog.add_category("b", "y");
+        for k in 0..n {
+            catalog.intern(a, &format!("v{k}"));
+        }
+        let base = EmbeddingSet::new(vec!["v0".into()], vec![vec![1.0]]);
+        RetrofitProblem::from_parts(catalog, vec![group(edges)], &base)
     }
 
     #[test]
@@ -235,11 +218,9 @@ mod tests {
     fn gamma_matches_eq12_hand_computation() {
         // Node 0 has out-degree 2 in this group and |R0| = 1 (only source
         // here). γ^r_0 = γ / (2 · (1+1)) = γ/4.
-        let g = group(vec![(0, 1), (0, 2)]);
-        let counts = relation_type_counts(std::slice::from_ref(&g), 3);
-        assert_eq!(counts, vec![1, 1, 1]);
-        let w =
-            derive_group_weights(&g, &counts, &Hyperparameters::new(1.0, 0.0, 2.0, 1.0), 3, false);
+        let p = problem(3, vec![(0, 1), (0, 2)]);
+        assert_eq!(p.relation_counts, vec![1, 1, 1]);
+        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 2.0, 1.0), false)[0].own;
         assert!((w.gamma_i[0] - 0.5).abs() < 1e-6);
         assert_eq!(w.gamma_i[1], 0.0); // not a source
     }
@@ -248,10 +229,8 @@ mod tests {
     fn ro_delta_uses_mc_times_mr() {
         // edges (0,1),(0,2),(3,1): sources {0,3}, targets {1,2} → mc=2.
         // counts: all participants have 1 group → mr = 2.
-        let g = group(vec![(0, 1), (0, 2), (3, 1)]);
-        let counts = relation_type_counts(std::slice::from_ref(&g), 4);
-        let w =
-            derive_group_weights(&g, &counts, &Hyperparameters::new(1.0, 0.0, 1.0, 8.0), 4, true);
+        let p = problem(4, vec![(0, 1), (0, 2), (3, 1)]);
+        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 1.0, 8.0), true)[0].own;
         assert_eq!(w.mc, 2);
         assert_eq!(w.mr, 2);
         assert!((w.delta_i[0] - 2.0).abs() < 1e-6); // 8/(2·2)
@@ -261,10 +240,8 @@ mod tests {
 
     #[test]
     fn rn_delta_uses_outdegree() {
-        let g = group(vec![(0, 1), (0, 2), (3, 1)]);
-        let counts = relation_type_counts(std::slice::from_ref(&g), 4);
-        let w =
-            derive_group_weights(&g, &counts, &Hyperparameters::new(1.0, 0.0, 1.0, 8.0), 4, false);
+        let p = problem(4, vec![(0, 1), (0, 2), (3, 1)]);
+        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 1.0, 8.0), false)[0].own;
         // Node 0: od 2, |R0|+1 = 2 → 8/(2·2) = 2. Node 3: od 1 → 8/2 = 4.
         assert!((w.delta_i[0] - 2.0).abs() < 1e-6);
         assert!((w.delta_i[3] - 4.0).abs() < 1e-6);

@@ -217,7 +217,7 @@ impl IncrementalRetro {
     fn install(&mut self, out: Arc<RetroOutput>, version: u64, kind: RefreshKind) -> &RetroOutput {
         self.state_version = Some(version);
         self.last_refresh = Some(kind);
-        &**self.state.insert(out)
+        self.state.insert(out)
     }
 
     /// Full (cold) run.

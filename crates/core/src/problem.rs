@@ -1,18 +1,23 @@
 //! Assembly of the retrofitting problem: `W0`, category centroids, relation
 //! groups in both directions, and per-node weight derivations.
 
+use std::sync::Arc;
+
 use retro_embed::EmbeddingSet;
-use retro_linalg::Matrix;
+use retro_linalg::{vector, Matrix};
 use retro_store::Database;
 
 use crate::catalog::TextValueCatalog;
-use crate::hyper::{beta_i, Hyperparameters};
+use crate::hyper::{beta_i, derive_weights_from_degrees, Hyperparameters};
 use crate::relations::{extract_relations, relation_type_counts, RelationGroup};
+use crate::solver::Degrees;
 
 /// A fully-assembled retrofitting problem instance.
 ///
-/// `groups` holds the *forward* relation groups as extracted; the solvers
-/// materialize both directions via [`RetrofitProblem::directed_groups`].
+/// `groups` holds the *forward* relation groups as extracted. The solver
+/// kernels derive both directions' weights from them with one degree pass
+/// per group; [`RetrofitProblem::directed_groups`] materializes both
+/// directions for the enumerated RO path, the loss and the tests.
 ///
 /// The catalog is held behind an `Arc`: it is immutable once assembled, and
 /// sharing it lets [`crate::RetroOutput`] (and every published serving
@@ -21,7 +26,7 @@ use crate::relations::{extract_relations, relation_type_counts, RelationGroup};
 #[derive(Clone, Debug)]
 pub struct RetrofitProblem {
     /// Text values and categories (shared, immutable).
-    pub catalog: std::sync::Arc<TextValueCatalog>,
+    pub catalog: Arc<TextValueCatalog>,
     /// Forward relation groups.
     pub groups: Vec<RelationGroup>,
     /// `n × D` initial vectors (§3.1 tokenized centroids; zero rows for OOV).
@@ -52,53 +57,76 @@ impl RetrofitProblem {
         Self::from_parts(catalog, groups, base)
     }
 
-    /// Build from pre-extracted parts (used by incremental maintenance and
+    /// Build from pre-extracted parts (used by recovery, the benches and
     /// the toy examples).
     pub fn from_parts(
         catalog: TextValueCatalog,
         groups: Vec<RelationGroup>,
         base: &EmbeddingSet,
     ) -> Self {
-        let tokenizer = base.tokenizer();
-        let n = catalog.len();
-        let dim = base.dim();
+        Self::assemble(Arc::new(catalog), groups, base, None)
+    }
+
+    /// The one assembly path: a full build (`prev` = `None`) and a delta
+    /// refresh (`prev` = the problem `catalog` extends) both run it.
+    ///
+    /// `catalog` must keep `prev`'s ids and categories, and `groups` must be
+    /// the merged groups. Only the ids past `prev`'s length are tokenized
+    /// into `W0`/`oov` (§3.1); they are folded into the Eq. 5 centroids of
+    /// their categories as `(c · old_count + Σ new rows) / total`, so a
+    /// category that gained nothing keeps its bits, and from an empty
+    /// prefix the fold is the plain per-category mean. `|Ri|` is counted
+    /// from the merged groups.
+    pub(crate) fn assemble(
+        catalog: Arc<TextValueCatalog>,
+        groups: Vec<RelationGroup>,
+        base: &EmbeddingSet,
+        prev: Option<&RetrofitProblem>,
+    ) -> Self {
+        let (n, m, dim) = (catalog.len(), catalog.category_count(), base.dim());
+        let prev_n = prev.map_or(0, |p| p.len());
         let mut w0 = Matrix::zeros(n, dim);
         let mut oov = vec![false; n];
-        for (i, oov_flag) in oov.iter_mut().enumerate() {
-            let (vec, is_oov) = tokenizer.initial_vector(base, catalog.text(i));
-            w0.set_row(i, &vec);
-            *oov_flag = is_oov;
+        let mut category_centroids = Matrix::zeros(m, dim);
+        if let Some(p) = prev {
+            w0.as_mut_slice()[..prev_n * dim].copy_from_slice(p.w0.as_slice());
+            oov[..prev_n].copy_from_slice(&p.oov);
+            let rows = p.category_centroids.rows();
+            category_centroids.as_mut_slice()[..rows * dim]
+                .copy_from_slice(p.category_centroids.as_slice());
+        }
+        let tokenizer = base.tokenizer();
+        for (id, flag) in oov.iter_mut().enumerate().skip(prev_n) {
+            let (vec, is_oov) = tokenizer.initial_vector(base, catalog.text(id));
+            w0.set_row(id, &vec);
+            *flag = is_oov;
         }
 
         // Eq. 5: cᵢ is the centroid of the *original* vectors of the value's
         // category — constant across iterations, so computed once per
-        // category.
-        let m = catalog.category_count();
-        let mut category_centroids = Matrix::zeros(m, dim);
-        let mut counts = vec![0usize; m];
-        for i in 0..n {
-            let c = catalog.category_of(i) as usize;
-            counts[c] += 1;
-            let row = w0.row(i).to_vec();
-            retro_linalg::vector::axpy(1.0, &row, category_centroids.row_mut(c));
+        // category and extended only by the values a delta appends.
+        let mut old_counts = vec![0usize; m];
+        for id in 0..prev_n {
+            old_counts[catalog.category_of(id) as usize] += 1;
         }
-        for (c, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                retro_linalg::vector::scale(1.0 / count as f32, category_centroids.row_mut(c));
-            }
+        let mut totals = old_counts.clone();
+        for id in prev_n..n {
+            totals[catalog.category_of(id) as usize] += 1;
+        }
+        let grown: Vec<usize> = (0..m).filter(|&c| totals[c] > old_counts[c]).collect();
+        for &c in &grown {
+            vector::scale(old_counts[c] as f32, category_centroids.row_mut(c));
+        }
+        for id in prev_n..n {
+            let c = catalog.category_of(id) as usize;
+            vector::axpy(1.0, w0.row(id), category_centroids.row_mut(c));
+        }
+        for &c in &grown {
+            vector::scale(1.0 / totals[c] as f32, category_centroids.row_mut(c));
         }
 
-        // Directed participation counts need forward + inverted groups.
         let relation_counts = relation_type_counts(&groups, n);
-
-        Self {
-            catalog: std::sync::Arc::new(catalog),
-            groups,
-            w0,
-            oov,
-            category_centroids,
-            relation_counts,
-        }
+        Self { catalog, groups, w0, oov, category_centroids, relation_counts }
     }
 
     /// Number of text values.
@@ -122,66 +150,33 @@ impl RetrofitProblem {
     }
 
     /// Materialize both directions of every relation group together with
-    /// their derived weights — the solvers' working representation.
-    ///
-    /// Kernel construction is on the solve path, so this avoids the
-    /// per-direction sort/dedup/binary-search passes of the convenience
-    /// accessors ([`RelationGroup::sources`] etc.): one counting pass over
-    /// each group's edges yields both directions' out-degrees, from which
-    /// the distinct id lists (ascending id scan ≡ sorted + deduped), the
-    /// Eq. 13 `mc`, and the per-source weights all follow. The degree
-    /// scratch is reused across groups by resetting only touched entries.
+    /// their derived weights: one `solver::Degrees` pass per group gives both
+    /// directions' out-degrees, distinct ids and the Eq. 13 `mc`/`mr`.
     pub fn directed_groups(&self, params: &Hyperparameters, ro_delta: bool) -> Vec<DirectedGroup> {
-        let n = self.len();
+        let counts = &self.relation_counts;
         let mut out = Vec::with_capacity(self.groups.len() * 2);
-        let mut fwd_deg = vec![0u32; n];
-        let mut inv_deg = vec![0u32; n];
+        let mut deg = Degrees::new(self.len());
         for group in &self.groups {
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] += 1;
-                inv_deg[j as usize] += 1;
-            }
-            let (sources, src_deg) = distinct_with_degrees(&fwd_deg);
-            let (targets, tgt_deg) = distinct_with_degrees(&inv_deg);
-            // `mr` and `mc` are direction-symmetric (both scan every edge's
-            // two endpoints / both distinct counts), so compute them once.
-            let mr_v = crate::hyper::mr(group, &self.relation_counts);
-            let mc_v = sources.len().max(targets.len()).max(1);
-            let w_fwd = crate::hyper::derive_weights_from_degrees(
-                &fwd_deg,
-                &self.relation_counts,
-                params,
-                mc_v,
-                mr_v,
-                ro_delta,
-            );
-            let w_inv = crate::hyper::derive_weights_from_degrees(
-                &inv_deg,
-                &self.relation_counts,
-                params,
-                mc_v,
-                mr_v,
-                ro_delta,
-            );
-            for &(i, j) in &group.edges {
-                fwd_deg[i as usize] = 0;
-                inv_deg[j as usize] = 0;
-            }
-            let inverted = group.inverted();
+            deg.count(&group.edges);
+            let (mc, mr) = (deg.mc(), deg.mr(counts));
+            let w_fwd = derive_weights_from_degrees(&deg.fwd, counts, params, mc, mr, ro_delta);
+            let w_inv = derive_weights_from_degrees(&deg.inv, counts, params, mc, mr, ro_delta);
+            let src_deg = deg.sources.iter().map(|&i| deg.fwd[i as usize]).collect();
+            let tgt_deg = deg.targets.iter().map(|&j| deg.inv[j as usize]).collect();
             out.push(DirectedGroup {
                 group: group.clone(),
                 own: w_fwd.clone(),
                 rev: w_inv.clone(),
-                sources: sources.clone(),
-                targets: targets.clone(),
+                sources: deg.sources.clone(),
+                targets: deg.targets.clone(),
                 source_out_degree: src_deg,
             });
             out.push(DirectedGroup {
-                group: inverted,
+                group: group.inverted(),
                 own: w_inv,
                 rev: w_fwd,
-                sources: targets,
-                targets: sources,
+                sources: deg.targets.clone(),
+                targets: deg.sources.clone(),
                 source_out_degree: tgt_deg,
             });
         }
@@ -212,20 +207,6 @@ pub struct DirectedGroup {
     pub targets: Vec<u32>,
     /// Out-degree per source (aligned with `sources`).
     pub source_out_degree: Vec<u32>,
-}
-
-/// Collect the ids with nonzero degree (ascending, i.e. sorted and
-/// deduped) together with their degrees, from a dense degree array.
-fn distinct_with_degrees(deg: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut ids = Vec::new();
-    let mut out_deg = Vec::new();
-    for (i, &d) in deg.iter().enumerate() {
-        if d > 0 {
-            ids.push(i as u32);
-            out_deg.push(d);
-        }
-    }
-    (ids, out_deg)
 }
 
 impl DirectedGroup {

@@ -14,11 +14,12 @@
 //! group `Er̄` by transposition. Edge lists are deduplicated (the same value
 //! pair related by many rows is one relation).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use retro_store::{Database, Value};
+use retro_store::Database;
 
 use crate::catalog::TextValueCatalog;
+use crate::solver::Degrees;
 
 /// Which schema shape produced a group.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +36,8 @@ pub enum RelationKind {
 /// from the source category to the target category.
 #[derive(Clone, Debug)]
 pub struct RelationGroup {
-    /// Human-readable label, e.g. `movies.title~persons.name`.
+    /// Human-readable label, e.g. `movies.title~persons.name`; unique
+    /// within one extraction (a delta refresh merges fresh edges by it).
     pub name: String,
     /// Source category id.
     pub source_category: u32,
@@ -71,27 +73,6 @@ impl RelationGroup {
         self.edges.is_empty()
     }
 
-    /// Distinct source ids.
-    pub fn sources(&self) -> Vec<u32> {
-        let mut s: Vec<u32> = self.edges.iter().map(|&(i, _)| i).collect();
-        s.sort_unstable();
-        s.dedup();
-        s
-    }
-
-    /// Distinct target ids.
-    pub fn targets(&self) -> Vec<u32> {
-        let mut t: Vec<u32> = self.edges.iter().map(|&(_, j)| j).collect();
-        t.sort_unstable();
-        t.dedup();
-        t
-    }
-
-    /// Out-degree of a source id (`odr(i)` in Eq. 12).
-    pub fn out_degree(&self, i: u32) -> usize {
-        self.edges.iter().filter(|&&(s, _)| s == i).count()
-    }
-
     /// The inverted group `Er̄`.
     pub fn inverted(&self) -> RelationGroup {
         RelationGroup::new(
@@ -101,11 +82,6 @@ impl RelationGroup {
             self.kind,
             self.edges.iter().map(|&(i, j)| (j, i)).collect(),
         )
-    }
-
-    /// `mc(r)` of Eq. 13: max of the distinct source and target counts.
-    pub fn mc(&self) -> usize {
-        self.sources().len().max(self.targets().len())
     }
 }
 
@@ -219,21 +195,36 @@ pub(crate) fn extract_relations_scoped(
         }
 
         if schema.is_link_table() {
-            // (c) Many-to-many: all FK pairs through this link table.
+            // (c) Many-to-many: all FK pairs through this link table. Two
+            // pairs joining the same two tables would share a name, so
+            // those name their key columns too.
             let fks = &schema.foreign_keys;
-            for (fi, fk_a) in fks.iter().enumerate() {
-                for fk_b in &fks[fi + 1..] {
-                    extract_m2m(
-                        db,
-                        catalog,
-                        table,
-                        if scope.is_none() { None } else { Some(start) },
-                        fk_a,
-                        fk_b,
-                        &mut groups,
-                        skip_relations,
-                    );
-                }
+            let pairs: Vec<_> = fks
+                .iter()
+                .enumerate()
+                .flat_map(|(fi, fk_a)| fks[fi + 1..].iter().map(move |fk_b| (fk_a, fk_b)))
+                .collect();
+            for &(fk_a, fk_b) in &pairs {
+                let same_tables = pairs
+                    .iter()
+                    .filter(|(a, b)| a.ref_table == fk_a.ref_table && b.ref_table == fk_b.ref_table)
+                    .count();
+                let via = if same_tables > 1 {
+                    format!("{}: {}, {}", schema.name, fk_a.column, fk_b.column)
+                } else {
+                    schema.name.clone()
+                };
+                extract_m2m(
+                    db,
+                    catalog,
+                    table,
+                    if scope.is_none() { None } else { Some(start) },
+                    fk_a,
+                    fk_b,
+                    &via,
+                    &mut groups,
+                    skip_relations,
+                );
             }
         } else {
             // (b) One-to-many: the *primary* text column here ↔ the primary
@@ -293,21 +284,25 @@ pub(crate) fn extract_relations_scoped(
                             }
                         }
                     }
+                    let mut name = format!(
+                        "{}.{}~{}.{}",
+                        schema.name,
+                        schema.columns[a].name,
+                        ref_schema.name,
+                        ref_schema.columns[b].name
+                    );
+                    // Several keys into one table would share that name
+                    // (a delta merges fresh edges by name): add the key
+                    // column. Decided by the schema, not by which groups
+                    // have edges, so every extraction names alike.
+                    if schema.foreign_keys.iter().filter(|f| f.ref_table == fk.ref_table).count()
+                        > 1
+                    {
+                        name = format!("{name} ({})", fk.column);
+                    }
                     push_group(
                         &mut groups,
-                        RelationGroup::new(
-                            format!(
-                                "{}.{}~{}.{}",
-                                schema.name,
-                                schema.columns[a].name,
-                                ref_schema.name,
-                                ref_schema.columns[b].name
-                            ),
-                            cat_a,
-                            cat_b,
-                            RelationKind::ForeignKey,
-                            edges,
-                        ),
+                        RelationGroup::new(name, cat_a, cat_b, RelationKind::ForeignKey, edges),
                         skip_relations,
                     );
                 }
@@ -320,6 +315,7 @@ pub(crate) fn extract_relations_scoped(
 /// `scope_start` mirrors [`extract_relations_scoped`]: `None` = full
 /// extraction (cache the endpoint tables' value ids, probe the pk index),
 /// `Some(start)` = delta scope (scan `O(Δ)` link rows, probe directly).
+/// `via` names the link in the group name.
 #[allow(clippy::too_many_arguments)]
 fn extract_m2m(
     db: &Database,
@@ -328,6 +324,7 @@ fn extract_m2m(
     scope_start: Option<usize>,
     fk_a: &retro_store::ForeignKey,
     fk_b: &retro_store::ForeignKey,
+    via: &str,
     groups: &mut Vec<RelationGroup>,
     skip_relations: &[&str],
 ) {
@@ -399,7 +396,7 @@ fn extract_m2m(
                     table_a.schema().columns[ta].name,
                     fk_b.ref_table,
                     table_b.schema().columns[tb].name,
-                    schema.name
+                    via
                 ),
                 cat_a,
                 cat_b,
@@ -504,40 +501,14 @@ fn push_group(groups: &mut Vec<RelationGroup>, group: RelationGroup, skip: &[&st
 /// one outgoing edge.
 pub fn relation_type_counts(groups: &[RelationGroup], n_values: usize) -> Vec<u32> {
     let mut counts = vec![0u32; n_values];
+    let mut deg = Degrees::new(n_values);
     for group in groups {
-        let mut seen: HashSet<u32> = HashSet::new();
-        for &(i, _) in &group.edges {
-            seen.insert(i);
-        }
-        for i in seen {
+        deg.count(&group.edges);
+        for &i in deg.sources.iter().chain(&deg.targets) {
             counts[i as usize] += 1;
-        }
-        let mut seen_t: HashSet<u32> = HashSet::new();
-        for &(_, j) in &group.edges {
-            seen_t.insert(j);
-        }
-        for j in seen_t {
-            counts[j as usize] += 1;
         }
     }
     counts
-}
-
-/// Utility for tests and datasets: collect the distinct text of a column
-/// keyed by primary key.
-pub fn text_by_pk(db: &Database, table: &str, column: &str) -> HashMap<i64, String> {
-    let mut out = HashMap::new();
-    if let Ok(t) = db.table(table) {
-        let schema = t.schema();
-        if let (Some(pk), Some(col)) = (schema.primary_key, schema.column_index(column)) {
-            for row in t.rows() {
-                if let (Value::Int(k), Some(text)) = (&row[pk], row[col].as_text()) {
-                    out.insert(*k, text.to_owned());
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -629,6 +600,38 @@ mod tests {
     }
 
     #[test]
+    fn keys_into_one_table_name_their_groups_apart() {
+        let mut db = Database::new();
+        sql::run_script(
+            &mut db,
+            "CREATE TABLE persons (id INTEGER PRIMARY KEY, name TEXT);
+             CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+                                  director_id INTEGER REFERENCES persons(id),
+                                  writer_id INTEGER REFERENCES persons(id));
+             CREATE TABLE credits (movie_id INTEGER REFERENCES movies(id),
+                                   cast_id INTEGER REFERENCES persons(id),
+                                   crew_id INTEGER REFERENCES persons(id));
+             INSERT INTO persons VALUES (1, 'Luc Besson'), (2, 'Eric Serra');
+             INSERT INTO movies VALUES (1, 'Lucy', 1, 2);
+             INSERT INTO credits VALUES (1, 1, 2);",
+        )
+        .unwrap();
+        let catalog = TextValueCatalog::extract(&db, &[]);
+        let names: Vec<String> =
+            extract_relations(&db, &catalog, &[]).into_iter().map(|g| g.name).collect();
+        assert_eq!(
+            names,
+            vec![
+                "movies.title~persons.name (via credits: movie_id, cast_id)",
+                "movies.title~persons.name (via credits: movie_id, crew_id)",
+                "persons.name~persons.name (via credits)",
+                "movies.title~persons.name (director_id)",
+                "movies.title~persons.name (writer_id)",
+            ]
+        );
+    }
+
+    #[test]
     fn inverted_group_swaps_edges() {
         let (_, _, groups) = setup();
         let g = &groups[0];
@@ -667,17 +670,11 @@ mod tests {
         let (_, catalog, groups) = setup();
         let g = groups.iter().find(|g| g.kind == RelationKind::ManyToMany).unwrap();
         let alien = catalog.lookup("movies", "title", "Alien").unwrap() as u32;
-        assert_eq!(g.out_degree(alien), 2);
-        assert_eq!(g.sources().len(), 3);
-        assert_eq!(g.targets().len(), 2);
-        assert_eq!(g.mc(), 3);
-    }
-
-    #[test]
-    fn text_by_pk_maps_keys() {
-        let (db, _, _) = setup();
-        let titles = text_by_pk(&db, "movies", "title");
-        assert_eq!(titles.get(&2).map(String::as_str), Some("Alien"));
-        assert_eq!(titles.len(), 3);
+        let mut deg = Degrees::new(catalog.len());
+        deg.count(&g.edges);
+        assert_eq!(deg.fwd[alien as usize], 2);
+        assert_eq!(deg.sources.len(), 3);
+        assert_eq!(deg.targets.len(), 2);
+        assert_eq!(deg.mc(), 3);
     }
 }

@@ -224,10 +224,12 @@ impl Rows {
     }
 }
 
-/// Degree scratch for the kernels' constructions: one counting pass over
-/// a group's edges gives both directions' out-degrees plus the distinct
-/// sources and targets in ascending order — `O(E)` per group, never
-/// `O(n)`.
+/// The one per-group degree counter: one counting pass over a group's
+/// edges gives both directions' out-degrees plus the distinct sources and
+/// targets in ascending order — `O(E)` per group, never `O(n)`. The
+/// kernels, `|Ri|` ([`crate::relations::relation_type_counts`]), the
+/// convexity check and [`RetrofitProblem::directed_groups`] all count
+/// through it, and derive the Eq. 13 `mc`/`mr` from it.
 pub(crate) struct Degrees {
     /// Forward out-degree per row (edges `(i, _)` per `i`).
     pub(crate) fwd: Vec<u32>,
@@ -266,6 +268,22 @@ impl Degrees {
         }
         self.sources.sort_unstable();
         self.targets.sort_unstable();
+    }
+
+    /// `mc(r)` of Eq. 13 for the counted group: the larger of its distinct
+    /// source and target counts (at least 1).
+    pub(crate) fn mc(&self) -> usize {
+        self.sources.len().max(self.targets.len()).max(1)
+    }
+
+    /// `mr(r)` of Eq. 13 for the counted group: the largest `|Ri| + 1`
+    /// over its endpoints (at least 1).
+    pub(crate) fn mr(&self, relation_counts: &[u32]) -> usize {
+        self.sources
+            .iter()
+            .chain(&self.targets)
+            .map(|&i| relation_counts[i as usize] as usize + 1)
+            .fold(1, usize::max)
     }
 }
 

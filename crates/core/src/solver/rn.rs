@@ -84,10 +84,10 @@ impl<'p> RnKernel<'p> {
     }
 
     /// Construction works directly from the forward relation groups with
-    /// one degree-counting pass per group — the per-edge `γ^r_i` and
+    /// one [`Degrees`] pass per group — the per-edge `γ^r_i` and
     /// per-source `δ^r_i` of Eq. 12/14 are computed on the fly from the
     /// out-degrees and `|Ri|` counts (the same expressions
-    /// [`crate::hyper::derive_group_weights`] evaluates, so the same bits)
+    /// [`RetrofitProblem::directed_groups`] evaluates, so the same bits)
     /// without materializing [`crate::problem::DirectedGroup`]s. Only the
     /// kernel's rows get operator entries and negative plans, and only the
     /// groups they read get target lists.

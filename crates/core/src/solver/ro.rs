@@ -114,14 +114,13 @@ impl<'p> RoKernel<'p> {
     }
 
     /// Blanket mode (the hot path) constructs directly from the forward
-    /// relation groups with one degree-counting pass per group — the
-    /// per-edge `γ` weights and the shared `δ̂ = δ/(mc·mr)` of Eq. 13 are
-    /// computed on the fly from out-degrees and `|Ri|` counts (the same
-    /// expressions [`crate::hyper::derive_group_weights`] evaluates, so
-    /// the same bits) without materializing
-    /// [`crate::problem::DirectedGroup`]s. Only the kernel's rows get
-    /// operator entries, diagonals and negative plans, and only the groups
-    /// they read get target lists.
+    /// relation groups with one [`Degrees`] pass per group — the per-edge
+    /// `γ` weights and the shared `δ̂ = δ/(mc·mr)` of Eq. 13 are computed
+    /// on the fly from out-degrees and `|Ri|` counts (the same expressions
+    /// [`RetrofitProblem::directed_groups`] evaluates, so the same bits)
+    /// without materializing [`crate::problem::DirectedGroup`]s. Only the
+    /// kernel's rows get operator entries, diagonals and negative plans,
+    /// and only the groups they read get target lists.
     fn new_blanket(problem: &'p RetrofitProblem, params: &Hyperparameters, rows: Rows) -> Self {
         let n = problem.len();
         let beta = problem.beta_weights(params);
@@ -146,20 +145,16 @@ impl<'p> RoKernel<'p> {
         // edges.
         let mut edge_w: Vec<f32> = Vec::new();
         for (gi, group) in problem.groups.iter().enumerate() {
-            // One counting pass yields both directions' out-degrees and
-            // distinct source/target sets; the Eq. 13 mr is the largest
-            // |Ri|+1 over the group's endpoints.
+            // One counting pass yields both directions' out-degrees,
+            // distinct source/target sets and the Eq. 13 mc/mr.
             deg.count(&group.edges);
-            let mr = group
-                .edges
-                .iter()
-                .map(|&(i, j)| counts[i as usize].max(counts[j as usize]) as usize + 1)
-                .fold(1, usize::max);
             let src_count = deg.sources.len();
             let t_count = deg.targets.len();
-            let mc = src_count.max(t_count).max(1);
-            let dh =
-                if group.edges.is_empty() { 0.0 } else { delta_hat_weight(params.delta, mc, mr) };
+            let dh = if group.edges.is_empty() {
+                0.0
+            } else {
+                delta_hat_weight(params.delta, deg.mc(), deg.mr(counts))
+            };
 
             // Edge weights carry +2δ̂ to re-add what the blanket
             // subtraction of t_r removes (Eq. 15); `γ^r_i + γ^r̄_j` is the
@@ -346,8 +341,8 @@ impl<'p> RoKernel<'p> {
             let out_row = &mut chunk[local * D..(local + 1) * D];
             let d = self.denom[s];
             if d.abs() > 1e-6 {
-                for j in 0..D {
-                    acc[j] /= d;
+                for a in &mut acc {
+                    *a /= d;
                 }
                 out_row.copy_from_slice(&acc);
             } else {

@@ -299,11 +299,11 @@ impl Generator {
         // Venues: per field, one flagship (index 0) + satellites. Names
         // blend the field token (in-vocabulary) with a serial.
         let mut venue_names = Vec::with_capacity(n_venues);
-        for f in 0..FIELDS.len() {
-            for v in 0..=VENUES_PER_FIELD {
+        for (field, pool) in FIELDS.iter().zip(&self.field_pools) {
+            for (v, token) in pool[..=VENUES_PER_FIELD].iter().enumerate() {
                 let id = venue_names.len() as i64 + 1;
                 let kind = if v == 0 { "symposium" } else { "workshop" };
-                let name = format!("{} {} {kind} v{id}", FIELDS[f], self.field_pools[f][v]);
+                let name = format!("{field} {token} {kind} v{id}");
                 loader
                     .stage(t_venues, vec![Value::Int(id), Value::from(name.clone())])
                     .expect("generated row");

@@ -123,62 +123,21 @@ pub fn top_k_cosine(
     )
 }
 
-/// [`top_k_cosine`] restricted to an explicit candidate id set — the
-/// scoring phase of an ANN probe (`retro_nn::ann`), and the reason the
-/// approximate path can never disagree with the exact one on a shared
-/// candidate: both run this exact sanitize + total order, and each
-/// candidate's dot product is the same chunked [`retro_linalg::vector::dot`]
-/// kernel [`Matrix::dot_scan`] applies per row, so scores are bit-equal.
+/// [`top_k_cosine`] restricted to *packed* candidate blocks — the scoring
+/// phase of an ANN probe (`retro_nn::ann`). Each block is
+/// `(ids, rows, norms)` where `rows` holds `ids.len()` vectors of `dim`
+/// floats back to back and `norms[j]` is the L2 norm of row `ids[j]`;
+/// blocks are scanned sequentially, so an inverted list stored
+/// contiguously costs streaming reads instead of an `O(candidates)` gather
+/// across the full matrix.
 ///
-/// The result depends only on the candidate *set* (the bounded heap keeps
-/// the k best under a total order), so callers may stream ids in any order;
-/// duplicate ids must not be passed. Ids must be in range.
-///
-/// ```
-/// use retro_embed::nn::{top_k_cosine, top_k_cosine_among};
-/// use retro_linalg::Matrix;
-///
-/// let m = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0], vec![0.7, 0.7]]);
-/// let norms = m.row_norms();
-/// // Over all ids, the subset selection IS the exact scan.
-/// assert_eq!(
-///     top_k_cosine_among(&m, &norms, &[1.0, 0.1], 2, 0..3),
-///     top_k_cosine(&m, &norms, &[1.0, 0.1], 2, 1, |_| false),
-/// );
-/// ```
-pub fn top_k_cosine_among(
-    matrix: &Matrix,
-    norms: &[f32],
-    query: &[f32],
-    k: usize,
-    candidates: impl IntoIterator<Item = usize>,
-) -> Vec<(usize, f32)> {
-    assert_eq!(norms.len(), matrix.rows(), "top_k_cosine_among: norm cache length mismatch");
-    if k == 0 || matrix.rows() == 0 {
-        return Vec::new();
-    }
-    let query_norm = vector::norm(query);
-    // Ids are distinct and in range, so there are at most `rows` of them.
-    select_top_k(
-        candidates.into_iter().map(|id| (id, vector::dot(matrix.row(id), query))),
-        query_norm,
-        norms,
-        k,
-        matrix.rows(),
-    )
-}
-
-/// [`top_k_cosine_among`] over *packed* candidate blocks — the scoring
-/// phase of a cache-friendly ANN probe. Each block is `(ids, rows, norms)`
-/// where `rows` holds `ids.len()` vectors of `dim` floats back to back and
-/// `norms[j]` is the L2 norm of row `ids[j]`; blocks are scanned
-/// sequentially, so an inverted list stored contiguously costs streaming
-/// reads instead of an `O(candidates)` gather across the full matrix.
-///
-/// Scores are bit-equal to [`top_k_cosine`] / [`top_k_cosine_among`] on
-/// the same candidate set as long as the packed bytes equal the matrix
-/// rows: same chunked [`retro_linalg::vector::dot`] kernel, same sanitize,
-/// same total order. Rows for which `exclude` returns `true` are skipped
+/// This is why the approximate path can never disagree with the exact one
+/// on a shared candidate: scores are bit-equal to [`top_k_cosine`] with
+/// every other row excluded, as long as the packed bytes equal the matrix
+/// rows — same chunked [`retro_linalg::vector::dot`] kernel
+/// [`Matrix::dot_scan`] applies per row, same sanitize, same total order.
+/// The result depends only on the candidate *set*, so blocks and ids may
+/// come in any order. Rows for which `exclude` returns `true` are skipped
 /// (their dot product is never computed). Duplicate ids must not appear
 /// across blocks.
 pub fn top_k_cosine_blocks<'a>(
@@ -326,7 +285,6 @@ mod tests {
         let all = top_k_cosine(&m, &norms, &q, m.rows(), 1, |_| false);
         assert_eq!(all.len(), m.rows());
         assert_eq!(top_k_cosine(&m, &norms, &q, usize::MAX, 2, |_| false), all);
-        assert_eq!(top_k_cosine_among(&m, &norms, &q, usize::MAX, 0..m.rows()), all);
         let ids: Vec<u32> = (0..m.rows() as u32).collect();
         let block = (ids.as_slice(), m.as_slice(), norms.as_slice());
         assert_eq!(top_k_cosine_blocks(m.cols(), &q, usize::MAX, [block], |_| false), all);
@@ -349,19 +307,34 @@ mod tests {
         }
     }
 
+    /// One packed block of the rows `ids` of `m`, as an ANN list stores it.
+    fn pack(m: &Matrix, norms: &[f32], ids: &[u32]) -> (Vec<u32>, Vec<f32>, Vec<f32>) {
+        let mut rows = Vec::new();
+        let mut block_norms = Vec::new();
+        for &id in ids {
+            rows.extend_from_slice(m.row(id as usize));
+            block_norms.push(norms[id as usize]);
+        }
+        (ids.to_vec(), rows, block_norms)
+    }
+
     #[test]
     fn among_matches_full_scan_and_is_order_independent() {
         let m = Matrix::from_fn(57, 6, |r, c| ((r * 11 + c * 5) as f32 * 0.23).sin());
         let norms = m.row_norms();
         let query: Vec<f32> = (0..6).map(|i| (i as f32 * 0.31).cos()).collect();
         let full = top_k_cosine(&m, &norms, &query, 8, 1, |_| false);
-        assert_eq!(top_k_cosine_among(&m, &norms, &query, 8, 0..m.rows()), full);
+        let scan = |ids: Vec<u32>| {
+            let (ids, rows, block_norms) = pack(&m, &norms, &ids);
+            let block = (ids.as_slice(), rows.as_slice(), block_norms.as_slice());
+            top_k_cosine_blocks(6, &query, 8, [block], |_| false)
+        };
+        assert_eq!(scan((0..57).collect()), full);
         // Reversed streaming order: same set in, same ranking out.
-        assert_eq!(top_k_cosine_among(&m, &norms, &query, 8, (0..m.rows()).rev()), full);
+        assert_eq!(scan((0..57).rev().collect()), full);
         // A strict subset only ever loses candidates, never reorders the
         // survivors.
-        let subset: Vec<usize> = (0..m.rows()).filter(|i| i % 2 == 0).collect();
-        let among = top_k_cosine_among(&m, &norms, &query, 8, subset.iter().copied());
+        let among = scan((0..57).filter(|i| i % 2 == 0).collect());
         let expected: Vec<_> = full.iter().copied().filter(|&(id, _)| id % 2 == 0).collect();
         assert_eq!(&among[..expected.len().min(among.len())], &expected[..]);
     }
@@ -371,21 +344,19 @@ mod tests {
         let m = Matrix::from_fn(90, 5, |r, c| ((r * 7 + c * 11) as f32 * 0.19).sin());
         let norms = m.row_norms();
         let query: Vec<f32> = (0..5).map(|i| (i as f32 * 0.53).cos()).collect();
-        // Pack the rows into two blocks (evens, odds).
-        let mut blocks: Vec<(Vec<u32>, Vec<f32>, Vec<f32>)> = Vec::new();
-        for parity in 0..2u32 {
-            let ids: Vec<u32> = (0..90u32).filter(|i| i % 2 == parity).collect();
-            let mut rows = Vec::new();
-            let mut block_norms = Vec::new();
-            for &id in &ids {
-                rows.extend_from_slice(m.row(id as usize));
-                block_norms.push(norms[id as usize]);
-            }
-            blocks.push((ids, rows, block_norms));
-        }
+        // Two blocks (evens, odds below 60); the odds from 60 up are not
+        // candidates.
+        let candidate = |id: usize| id.is_multiple_of(2) || id < 60;
+        let blocks: Vec<_> = (0..2u32)
+            .map(|parity| {
+                let ids: Vec<u32> =
+                    (0..90u32).filter(|&i| i % 2 == parity && candidate(i as usize)).collect();
+                pack(&m, &norms, &ids)
+            })
+            .collect();
         let view = || blocks.iter().map(|(i, r, n)| (i.as_slice(), r.as_slice(), n.as_slice()));
         let packed = top_k_cosine_blocks(5, &query, 8, view(), |_| false);
-        assert_eq!(packed, top_k_cosine_among(&m, &norms, &query, 8, 0..90));
+        assert_eq!(packed, top_k_cosine(&m, &norms, &query, 8, 1, |id| !candidate(id)));
         // Exclusion skips rows entirely; k = 0 short-circuits.
         let tail = top_k_cosine_blocks(5, &query, 8, view(), |id| id < 40);
         assert!(!tail.is_empty() && tail.iter().all(|&(id, _)| id >= 40));

@@ -120,8 +120,8 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub fn scale(alpha: f32, y: &mut [f32]) {
     let mut yc = y.chunks_exact_mut(LANES);
     for cy in &mut yc {
-        for j in 0..LANES {
-            cy[j] *= alpha;
+        for v in cy {
+            *v *= alpha;
         }
     }
     for yi in yc.into_remainder() {

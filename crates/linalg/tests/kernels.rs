@@ -90,8 +90,8 @@ fn dense_matvec_matches_matmul_column() {
     let v: Vec<f32> = (0..5).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let as_vec = a.matvec(&v);
     let as_col = a.matmul(&Matrix::from_rows(&v.iter().map(|&x| vec![x]).collect::<Vec<_>>()));
-    for r in 0..8 {
-        assert!((as_vec[r] - as_col.get(r, 0)).abs() < 1e-5);
+    for (r, &x) in as_vec.iter().enumerate() {
+        assert!((x - as_col.get(r, 0)).abs() < 1e-5);
     }
 }
 

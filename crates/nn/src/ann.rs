@@ -267,6 +267,10 @@ impl IvfIndex {
     /// order breaks centroid-score ties by ascending list id, and the
     /// result depends only on the probed candidate set. Scores are against
     /// the rows the index was built / last refreshed from.
+    ///
+    /// # Panics
+    /// Panics if `query`'s length differs from the indexed rows' width
+    /// (unless `k` is 0 or the index is empty).
     pub fn search_filtered(
         &self,
         query: &[f32],
@@ -277,6 +281,10 @@ impl IvfIndex {
         if k == 0 || self.is_empty() {
             return Vec::new();
         }
+        // Checked once per search, as the exact scan does: the per-row
+        // `vector::dot` only debug-asserts, so a query of the wrong width
+        // would otherwise be ranked on a truncated dot product.
+        assert_eq!(query.len(), self.dim, "search_filtered: dimension mismatch");
         let probes = probes.clamp(1, self.nlist());
         let mut ranked: Vec<(f32, usize)> = (0..self.nlist())
             .map(|l| {
@@ -407,13 +415,13 @@ fn train_centroids(matrix: &Matrix, norms: &[f32], config: &IvfConfig) -> Matrix
     for _ in 0..config.train_iters {
         sums.fill(0.0);
         counts.iter_mut().for_each(|c| *c = 0);
-        for i in 0..take {
-            let l = assign_row(sample.row(i), sample_norms[i], &centroids) as usize;
+        for (i, &norm) in sample_norms.iter().enumerate() {
+            let l = assign_row(sample.row(i), norm, &centroids) as usize;
             vector::axpy(1.0, sample.row(i), sums.row_mut(l));
             counts[l] += 1;
         }
-        for l in 0..nlist {
-            if counts[l] == 0 {
+        for (l, &count) in counts.iter().enumerate() {
+            if count == 0 {
                 continue; // empty cluster keeps its previous centroid
             }
             let mean = sums.row(l);
@@ -574,5 +582,14 @@ mod tests {
         let index = IvfIndex::build(&zeros, &norms, IvfConfig::auto(3), 1);
         assert_eq!(index.nlist(), 1, "all-degenerate input gets one catch-all list");
         assert_eq!(index.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "search_filtered: dimension mismatch")]
+    fn a_query_of_the_wrong_width_panics() {
+        let m = clustered(40, 8, 3);
+        let norms = m.row_norms();
+        let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()), 1);
+        index.search(&[1.0, 0.0, 0.0], 3, 2);
     }
 }

@@ -228,7 +228,7 @@ impl Database {
         std::fs::create_dir_all(dir).map_err(io_err)?;
         let covered_seq = self.durability.as_ref().map_or(0, |d| d.wal.next_seq - 1);
         persist::write_snapshot(self, &dir.join(SNAPSHOT_FILE), covered_seq)?;
-        if self.durability.as_ref().map_or(true, |d| d.dir != dir) {
+        if self.durability.as_ref().is_none_or(|d| d.dir != dir) {
             match std::fs::remove_file(dir.join(WAL_FILE)) {
                 Ok(()) => {}
                 Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
@@ -509,10 +509,17 @@ impl Database {
     /// state is identical to calling [`Database::insert`] per row.
     ///
     /// ```
-    /// use retro_store::{Database, DataType, TableSchema, Value};
+    /// use retro_store::{Database, DataType, StoreError, TableSchema, Value};
     ///
     /// let mut db = Database::new();
     /// db.create_table(TableSchema::builder("t").pk("id").build()).unwrap();
+    /// // The second row repeats primary key 1: nothing at all is inserted.
+    /// let err = db
+    ///     .insert_batch("t", vec![vec![Value::Int(1)], vec![Value::Int(1)]])
+    ///     .unwrap_err();
+    /// assert!(matches!(err, StoreError::BulkRow { row: 1, .. }));
+    /// assert!(db.table("t").unwrap().is_empty());
+    ///
     /// let n = db
     ///     .insert_batch("t", (1..=3).map(|k| vec![Value::Int(k)]))
     ///     .unwrap();
@@ -529,32 +536,6 @@ impl Database {
             loader.stage(handle, row)?;
         }
         loader.commit()
-    }
-
-    /// Bulk insert into one table — an alias for [`Database::insert_batch`].
-    ///
-    /// The whole batch is **atomic**: a bad row anywhere leaves the table
-    /// exactly as it was (before PR 3 this method inserted rows until the
-    /// first error, stranding a partial prefix).
-    ///
-    /// ```
-    /// use retro_store::{Database, DataType, StoreError, TableSchema, Value};
-    ///
-    /// let mut db = Database::new();
-    /// db.create_table(TableSchema::builder("t").pk("id").build()).unwrap();
-    /// // The second row repeats primary key 1: nothing at all is inserted.
-    /// let err = db
-    ///     .insert_many("t", vec![vec![Value::Int(1)], vec![Value::Int(1)]])
-    ///     .unwrap_err();
-    /// assert!(matches!(err, StoreError::BulkRow { row: 1, .. }));
-    /// assert!(db.table("t").unwrap().is_empty());
-    /// ```
-    pub fn insert_many(
-        &mut self,
-        table: &str,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<usize> {
-        self.insert_batch(table, rows)
     }
 
     /// Look up a table.
@@ -942,7 +923,7 @@ mod tests {
             vec![Value::Int(1), Value::from("a")],
             vec![Value::Int(1), Value::from("dup")], // duplicate key → rollback
         ];
-        assert!(d.insert_many("persons", rows).is_err());
+        assert!(d.insert_batch("persons", rows).is_err());
         assert_eq!(d.write_version(), before, "a rolled-back batch is not a write");
 
         // An aborted (dropped, uncommitted) loader is not a write either.
@@ -999,7 +980,7 @@ mod tests {
 
         // A rolled-back batch records nothing.
         let v1 = d.write_version();
-        let _ = d.insert_many(
+        let _ = d.insert_batch(
             "persons",
             vec![vec![Value::Int(9), Value::from("y")], vec![Value::Int(9), Value::from("dup")]],
         );
@@ -1120,18 +1101,18 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_is_atomic() {
+    fn insert_batch_is_atomic() {
         let mut d = db();
         let rows = vec![
             vec![Value::Int(1), Value::from("a")],
             vec![Value::Int(1), Value::from("b")], // duplicate key
         ];
-        assert!(d.insert_many("persons", rows).is_err());
+        assert!(d.insert_batch("persons", rows).is_err());
         assert_eq!(d.table("persons").unwrap().len(), 0, "bad batch must insert nothing");
 
         let rows =
             vec![vec![Value::Int(1), Value::from("a")], vec![Value::Int(2), Value::from("b")]];
-        assert_eq!(d.insert_many("persons", rows).unwrap(), 2);
+        assert_eq!(d.insert_batch("persons", rows).unwrap(), 2);
         assert_eq!(d.table("persons").unwrap().len(), 2);
     }
 
@@ -1248,7 +1229,7 @@ mod tests {
         assert_eq!(after_one, 0, "one buffered record must not hit the file yet");
         d.insert("t", vec![Value::Int(1)]).unwrap();
         // Second record fills the group: both frames land together.
-        assert!(std::fs::read(dir.join(WAL_FILE)).unwrap().len() > 0);
+        assert!(!std::fs::read(dir.join(WAL_FILE)).unwrap().is_empty());
         let flushed = std::fs::read(dir.join(WAL_FILE)).unwrap().len();
 
         // A clean drop flushes the trailing partial group.

@@ -197,7 +197,7 @@ impl IndexMap {
         }
     }
 
-    fn probe_int<'a>(&'a self, key: i64) -> &'a [u32] {
+    fn probe_int(&self, key: i64) -> &[u32] {
         match self {
             IndexMap::Int(m) => m.get(&key).map_or(&[], Vec::as_slice),
             IndexMap::Text(_) => &[],

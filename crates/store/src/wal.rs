@@ -311,13 +311,14 @@ impl WalEntry {
 /// the *most recent* commits a crash may lose. Records are framed and
 /// sequence-numbered identically either way, so a log written under one
 /// policy recovers under the other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DurabilityPolicy {
     /// Write and flush every record before the commit returns (the
     /// default). A crash loses nothing that was committed.
+    #[default]
     PerCommit,
     /// Group commit: buffer up to `n` framed records in memory and write
-    /// + flush them together when the group fills, when `max_delay` has
+    /// and flush them together when the group fills, when `max_delay` has
     /// elapsed since the group's first record, or on an explicit
     /// [`crate::Database::flush_wal`] / checkpoint / drop. A crash may
     /// lose the buffered tail (at most `n` commits, at most `max_delay`
@@ -328,12 +329,6 @@ pub enum DurabilityPolicy {
     /// background timer thread — so a quiet writer's last group stays
     /// buffered until the next append, an explicit flush, or drop.
     Group(usize, Duration),
-}
-
-impl Default for DurabilityPolicy {
-    fn default() -> Self {
-        DurabilityPolicy::PerCommit
-    }
 }
 
 /// Append-only handle on the log file. Owned by

@@ -12,8 +12,10 @@
 //! deletes / relational updates / change-log overflow fall back to the
 //! full path (where both sessions must agree *bit-identically*).
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use retro::core::{IncrementalRetro, RefreshKind, RetroConfig, RetroOutput, Solver};
+use retro::core::{IncrementalRetro, RefreshKind, Retro, RetroConfig, RetroOutput, Solver};
 use retro::embed::EmbeddingSet;
 use retro::store::{sql, Database, Value};
 
@@ -307,4 +309,56 @@ fn zero_dirty_budget_forces_the_full_path() {
     sim.insert_movie(700);
     session.refresh(&sim.db, &base).expect("refresh");
     assert_eq!(session.last_refresh(), Some(RefreshKind::Full));
+}
+
+/// Every relation group as `(name, edges by text)`, sorted — comparable
+/// between a delta-extended problem (new ids appended) and a fresh build
+/// (new ids interleaved).
+fn groups_by_text(out: &RetroOutput) -> Vec<(String, BTreeSet<(String, String)>)> {
+    let text = |id: u32| out.catalog.text(id as usize).to_owned();
+    let mut groups: Vec<_> = out
+        .problem
+        .groups
+        .iter()
+        .map(|g| (g.name.clone(), g.edges.iter().map(|&(i, j)| (text(i), text(j))).collect()))
+        .collect();
+    groups.sort();
+    groups
+}
+
+/// Two foreign keys from `movies` into `persons` give two groups between
+/// the same two columns. A delta refresh must merge each fresh edge into
+/// its own key's group — also when one key was all NULL at the full run,
+/// so its group did not exist yet.
+#[test]
+fn refreshed_groups_equal_a_fresh_build_with_two_keys_into_one_table() {
+    for writer in ["3", "NULL"] {
+        let mut db = Database::new();
+        sql::run_script(
+            &mut db,
+            &format!(
+                "CREATE TABLE persons (id INTEGER PRIMARY KEY, name TEXT);
+                 CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+                                      director_id INTEGER REFERENCES persons(id),
+                                      writer_id INTEGER REFERENCES persons(id));
+                 INSERT INTO persons VALUES (1, 'besson'), (2, 'scott'), (3, 'kamen');
+                 INSERT INTO movies VALUES (10, 'valerian', 1, {writer}),
+                                           (11, 'alien', 2, {writer});"
+            ),
+        )
+        .expect("schema");
+        let base = base();
+        let mut session = IncrementalRetro::new(config(Solver::Rn, 1));
+        session.delta_max_dirty_fraction = 1.0;
+        session.full_run(&db, &base).expect("seed run");
+        sql::run(&mut db, "INSERT INTO movies VALUES (12, 'lucy', 1, 3)").expect("insert");
+        session.refresh(&db, &base).expect("refresh");
+        assert_eq!(session.last_refresh(), Some(RefreshKind::Delta), "writer {writer}");
+        let fresh = Retro::new(config(Solver::Rn, 1)).retrofit(&db, &base).expect("fresh build");
+        assert_eq!(
+            groups_by_text(session.current().unwrap()),
+            groups_by_text(&fresh),
+            "writer {writer}"
+        );
+    }
 }

@@ -58,8 +58,55 @@ fn build_problem(
     RetrofitProblem::from_parts(catalog, groups, &base)
 }
 
+/// A problem over `n` values of one category with one relation group per
+/// entry of `groups` (endpoints taken modulo `n`, so groups share nodes
+/// and `|Ri|` varies between values).
+fn build_multi_group_problem(n: usize, groups: Vec<Vec<(usize, usize)>>) -> RetrofitProblem {
+    let mut catalog = TextValueCatalog::default();
+    let c = catalog.add_category("t", "a");
+    for k in 0..n {
+        catalog.intern(c, &format!("v{k}"));
+    }
+    let groups = groups
+        .into_iter()
+        .enumerate()
+        .map(|(g, edges)| {
+            let edges = edges.into_iter().map(|(i, j)| ((i % n) as u32, (j % n) as u32)).collect();
+            RelationGroup::new(format!("g{g}"), c, c, RelationKind::RowWise, edges)
+        })
+        .collect();
+    let base = EmbeddingSet::new(vec!["v0".into()], vec![vec![1.0, 0.0]]);
+    RetrofitProblem::from_parts(catalog, groups, &base)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn convexity_mass_equals_the_enumerated_negative_pairs(
+        groups in prop::collection::vec(prop::collection::vec((0usize..9, 0usize..9), 0..12), 1..4),
+        delta in 0.0f32..4.0,
+    ) {
+        // Brute force from the explicit target lists of the forward
+        // directed groups (the groups the check bounds): a source `i` of
+        // group `r` carries δ̂r once per target of `r` it is *not* related
+        // to, i.e. per member of Ẽr(i).
+        let p = build_multi_group_problem(9, groups);
+        let params = Hyperparameters::new(1.0, 0.0, 1.0, delta);
+        let mut mass = vec![0.0f32; p.len()];
+        for dg in p.directed_groups(&params, true).iter().step_by(2) {
+            for &i in &dg.sources {
+                let negatives =
+                    dg.targets.iter().filter(|&&k| !dg.group.edges.contains(&(i, k))).count();
+                mass[i as usize] += dg.delta_hat() * negatives as f32;
+            }
+        }
+        let worst = mass.iter().copied().fold(0.0f32, f32::max);
+        let worst_node = mass.iter().rposition(|&m| m == worst).expect("nonempty");
+        let check = check_convexity(&p.groups, &p.relation_counts, &params, p.len());
+        prop_assert_eq!(check.worst_delta_mass, 4.0 * worst);
+        prop_assert_eq!(check.worst_node, worst_node);
+    }
 
     #[test]
     fn rn_rows_are_unit_or_zero(

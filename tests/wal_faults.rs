@@ -109,7 +109,7 @@ fn assert_state_eq(got: &Database, want: &Database, context: &str) {
 
 /// The expected recovery state when everything from byte `pos` on is
 /// untrustworthy: the last boundary at or below `pos`.
-fn expected_at<'a>(boundaries: &'a [(u64, Database)], pos: u64) -> Option<&'a Database> {
+fn expected_at(boundaries: &[(u64, Database)], pos: u64) -> Option<&Database> {
     boundaries.iter().rev().find(|(len, _)| *len <= pos).map(|(_, db)| db)
 }
 
