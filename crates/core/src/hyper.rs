@@ -151,7 +151,9 @@ pub struct ParamCheck {
 ///
 /// For a node `i` that is a source of group `r` with out-degree `odr(i)`,
 /// the negative-pair set `Ẽr(i)` has `|targets(r)| − odr(i)` members, each
-/// weighted `δ/(mc(r)·mr(r))`.
+/// weighted `δ/(mc(r)·mr(r))`. The reverse direction counts too: a target
+/// `j` of `r` with in-degree `idr(j)` carries `|sources(r)| − idr(j)`
+/// more, because the RO objective repels along both directions.
 pub fn check_convexity(
     groups: &[RelationGroup],
     relation_counts: &[u32],
@@ -167,6 +169,13 @@ pub fn check_convexity(
         for &i in &deg.sources {
             let neg_count = (n_targets - deg.fwd[i as usize] as f32).max(0.0);
             delta_mass[i as usize] += delta_r * neg_count;
+        }
+        // The RO kernel repels both directions of every group: a target
+        // `j` is pushed from each source it is not related to as well.
+        let n_sources = deg.sources.len() as f32;
+        for &j in &deg.targets {
+            let neg_count = (n_sources - deg.inv[j as usize] as f32).max(0.0);
+            delta_mass[j as usize] += delta_r * neg_count;
         }
     }
     let (worst_node, &worst) = delta_mass

@@ -450,6 +450,13 @@ impl Database {
         self.fk_scan_fallbacks.load(Ordering::Relaxed)
     }
 
+    /// Heap bytes of the join hashes the tables hold: built by planned
+    /// hash joins, dropped by any write to their table. A clone shares the
+    /// original's, so two databases can count the same bytes.
+    pub fn join_cache_bytes(&self) -> usize {
+        self.tables.values().map(Table::join_hash_bytes).sum()
+    }
+
     /// Insert a row, enforcing arity, types, key uniqueness and foreign keys.
     /// Returns the row's position in the table.
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<usize> {
@@ -755,6 +762,57 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    #[test]
+    fn join_cache_bytes_count_built_hashes_until_a_write() {
+        use crate::sql::run_script;
+        let mut d = db();
+        assert_eq!(d.join_cache_bytes(), 0);
+        run_script(
+            &mut d,
+            "INSERT INTO persons VALUES (1, 'Luc Besson');
+             INSERT INTO movies VALUES (10, 'Luc Besson', 1), (11, 'Nikita', 1);",
+        )
+        .unwrap();
+        assert_eq!(d.join_cache_bytes(), 0, "ingest builds nothing");
+        // movies.title is unindexed, so the planned join hashes it.
+        let join = "SELECT m.id FROM persons p JOIN movies m ON m.title = p.name";
+        assert_eq!(run_script(&mut d, join).unwrap().rows, vec![vec![Value::Int(10)]]);
+        let built = d.join_cache_bytes();
+        assert!(built > 0);
+        run_script(&mut d, join).unwrap();
+        assert_eq!(d.join_cache_bytes(), built, "a warm join builds nothing more");
+        run_script(&mut d, "INSERT INTO persons VALUES (2, 'Nikita')").unwrap();
+        assert_eq!(d.join_cache_bytes(), built, "a write elsewhere keeps movies' hash");
+        run_script(&mut d, "INSERT INTO movies VALUES (12, 'Leon', 2)").unwrap();
+        assert_eq!(d.join_cache_bytes(), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_warm_join_hashes_until_the_original_writes() {
+        use crate::sql::run_script;
+        use std::sync::Arc;
+        let mut d = db();
+        run_script(
+            &mut d,
+            "INSERT INTO persons VALUES (1, 'Luc Besson');
+             INSERT INTO movies VALUES (10, 'Luc Besson', 1), (11, 'Nikita', 1);",
+        )
+        .unwrap();
+        let join = "SELECT m.id FROM persons p JOIN movies m ON m.title = p.name";
+        let ids = |db: &mut Database| run_script(db, join).unwrap().rows;
+        ids(&mut d);
+        let mut frozen = d.clone();
+        let title_hash = |db: &Database| Arc::clone(db.table("movies").unwrap().join_hash(1));
+        let warm = title_hash(&d);
+        assert!(Arc::ptr_eq(&warm, &title_hash(&frozen)), "the clone shares the built hash");
+
+        run_script(&mut d, "INSERT INTO movies VALUES (12, 'Luc Besson', 1)").unwrap();
+        assert_eq!(ids(&mut d), vec![vec![Value::Int(10)], vec![Value::Int(12)]]);
+        assert_eq!(ids(&mut frozen), vec![vec![Value::Int(10)]]);
+        assert!(Arc::ptr_eq(&warm, &title_hash(&frozen)), "the clone keeps its hash");
+        assert!(!Arc::ptr_eq(&warm, &title_hash(&d)), "the original rebuilt its own");
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! * [`Database::create_index`](crate::Database::create_index) declares
 //!   one explicitly (WAL-logged and recorded in snapshots, so recovery
 //!   rebuilds it bit-identically).
+//!
+//! The join-key semantics every join path shares ([`join_eq`],
+//! [`join_hash`]) live here too, with [`JoinHash`], the sorted build side
+//! of a hash join. Unlike the indexes above it is not maintained: a
+//! [`Table`](crate::Table) builds one per column on the first planned
+//! hash join into it and drops them all on any write.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -388,6 +394,99 @@ impl IndexSet {
     }
 }
 
+// ---------------------------------------------------------------------
+// Join keys and the per-column join hash
+// ---------------------------------------------------------------------
+
+/// The canonical form of a join key. Ints and integral floats collapse
+/// to the same key (SQL equality says `1 = 1.0`); non-integral floats
+/// compare by bits; text joins text; NULL never joins. This is a proper
+/// equivalence relation — unlike raw SQL comparison, which is not
+/// transitive across int/float precision edges — and every join path
+/// (hash, secondary index, pk probe) matches it exactly.
+#[derive(PartialEq, Eq)]
+pub(crate) enum JoinKey<'a> {
+    Int(i64),
+    Bits(u64),
+    Text(&'a str),
+}
+
+/// Same integral-float window [`IndexMap::probe`] uses: keep the two
+/// paths bit-identical.
+pub(crate) fn join_canon(v: &Value) -> Option<JoinKey<'_>> {
+    match v {
+        Value::Null => None,
+        Value::Int(i) => Some(JoinKey::Int(*i)),
+        Value::Float(x) if x.fract() == 0.0 && x.abs() < 2f64.powi(63) => {
+            Some(JoinKey::Int(*x as i64))
+        }
+        Value::Float(x) => {
+            Some(JoinKey::Bits(if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }))
+        }
+        Value::Text(s) => Some(JoinKey::Text(s)),
+    }
+}
+
+/// Join equality: canonical keys equal, NULL never matches.
+pub(crate) fn join_eq(a: &Value, b: &Value) -> bool {
+    match (join_canon(a), join_canon(b)) {
+        (Some(x), Some(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// Hash of the canonical join key — no allocation, even for text.
+/// Equal keys hash equal; collisions are resolved by [`join_eq`].
+pub(crate) fn join_hash(v: &Value) -> Option<u64> {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    Some(match join_canon(v)? {
+        JoinKey::Int(i) => (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        JoinKey::Bits(b) => b.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15,
+        JoinKey::Text(s) => {
+            s.bytes().fold(FNV_OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+        }
+    })
+}
+
+/// The hash-join build side of one column: every non-NULL cell's
+/// [`join_hash`] beside its row position, sorted. One flat allocation,
+/// nothing per key; a probe is one binary search, and the positions
+/// sharing a hash come out ascending. Hash equality only nominates
+/// candidates — the caller confirms each with [`join_eq`].
+pub(crate) struct JoinHash(Vec<(u64, u32)>);
+
+impl JoinHash {
+    /// Hash column `col` of `rows`.
+    pub(crate) fn build(rows: &[Vec<Value>], col: usize) -> Self {
+        let mut entries = Vec::with_capacity(rows.len());
+        for (pos, row) in rows.iter().enumerate() {
+            if let Some(h) = join_hash(&row[col]) {
+                entries.push((h, pos as u32));
+            }
+        }
+        entries.sort_unstable();
+        Self(entries)
+    }
+
+    /// Row positions whose key hashes to `h`, ascending.
+    pub(crate) fn probe(&self, h: u64) -> impl Iterator<Item = u32> + '_ {
+        let start = self.0.partition_point(|&(k, _)| k < h);
+        self.0[start..].iter().take_while(move |&&(k, _)| k == h).map(|&(_, pos)| pos)
+    }
+
+    /// Heap bytes held.
+    pub(crate) fn bytes(&self) -> usize {
+        self.0.capacity() * std::mem::size_of::<(u64, u32)>()
+    }
+}
+
+impl std::fmt::Debug for JoinHash {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JoinHash").field("entries", &self.0.len()).finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,5 +582,21 @@ mod tests {
         let mut set = indexed();
         assert!(!set.create_secondary(1, false, &sample_rows()));
         assert_eq!(set.secondary_columns().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    #[test]
+    fn join_hash_probes_canonical_keys_in_position_order() {
+        let rows: Vec<Vec<Value>> =
+            [Value::Float(2.0), Value::from("a"), Value::Null, Value::Int(2), Value::from("a")]
+                .into_iter()
+                .map(|v| vec![v])
+                .collect();
+        let hash = JoinHash::build(&rows, 0);
+        let probe = |v: &Value| hash.probe(join_hash(v).unwrap()).collect::<Vec<_>>();
+        assert_eq!(probe(&Value::Int(2)), vec![0, 3]);
+        assert_eq!(probe(&Value::from("a")), vec![1, 4]);
+        assert!(probe(&Value::Int(3)).is_empty());
+        assert_eq!(join_hash(&Value::Null), None, "NULL is never hashed");
+        assert!(hash.bytes() >= 4 * std::mem::size_of::<(u64, u32)>());
     }
 }

@@ -8,21 +8,21 @@
 //! buckets verified by [`join_eq`]), so the probe loop allocates nothing
 //! per row.
 //!
-//! A planned hash join builds on whichever input has fewer rows at run
-//! time, by exact count: the position tuples joined so far, or the new
-//! binding's rows (ties build on the new binding). When the tuples are
-//! smaller, their outer keys are hashed and the new binding's rows stream
-//! past as the probe side; its pushed-down filters run only on rows whose
-//! key hits. A `NEAREST(..., 10)` result joined to a 108.5k-row table
-//! hashes 10 keys, not the table. [`PlanMode::ForceScan`] always builds on
-//! the new binding, so the oracle checks one build side against the
-//! other. Output order cannot depend on the build side: the canonical
-//! declared-order sort after the joins decides it.
-
-use std::collections::HashMap;
+//! A hash join builds on the new binding and probes it once per tuple
+//! joined so far. A planned join into a stored table probes that
+//! column's cached [`JoinHash`], built on the first such join and kept
+//! until the table is written: every session pinned to one frozen
+//! generation shares it, so a `NEAREST(..., 10)` result joined to a
+//! 108.5k-row table costs 10 binary searches, not a pass over the table.
+//! A join into a table-function result, and every
+//! [`PlanMode::ForceScan`] join, hashes the binding for the statement
+//! alone, so the oracle checks the cached build against a fresh one. The
+//! probe side applies the binding's pushed-down filters to each match.
+//! Output order cannot depend on the build: the canonical declared-order
+//! sort after the joins decides it.
 
 use crate::error::StoreError;
-use crate::index::FastBuild;
+use crate::index::{join_canon, join_eq, join_hash, JoinHash, JoinKey};
 use crate::schema::{ForeignKey, TableSchema};
 use crate::sql::ast::*;
 use crate::sql::planner::{self, Access, DmlPlan, JoinVia, PlanMode, Pred, ProjItem};
@@ -101,61 +101,6 @@ pub fn query_provided(
             Err(StoreError::Sql("read-only execution supports only SELECT and EXPLAIN".to_owned()))
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Join-key semantics
-// ---------------------------------------------------------------------
-
-/// The canonical form of a join key. Ints and integral floats collapse
-/// to the same key (SQL equality says `1 = 1.0`); non-integral floats
-/// compare by bits; text joins text; NULL never joins. This is a proper
-/// equivalence relation — unlike raw SQL comparison, which is not
-/// transitive across int/float precision edges — and every join path
-/// (hash, secondary index, pk probe) matches it exactly.
-#[derive(PartialEq, Eq)]
-enum JoinKey<'a> {
-    Int(i64),
-    Bits(u64),
-    Text(&'a str),
-}
-
-/// Same integral-float window the index probe uses
-/// (`crate::index::IndexMap::probe`): keep the two paths bit-identical.
-fn join_canon(v: &Value) -> Option<JoinKey<'_>> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(JoinKey::Int(*i)),
-        Value::Float(x) if x.fract() == 0.0 && x.abs() < 2f64.powi(63) => {
-            Some(JoinKey::Int(*x as i64))
-        }
-        Value::Float(x) => {
-            Some(JoinKey::Bits(if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }))
-        }
-        Value::Text(s) => Some(JoinKey::Text(s)),
-    }
-}
-
-/// Join equality: canonical keys equal, NULL never matches.
-pub(crate) fn join_eq(a: &Value, b: &Value) -> bool {
-    match (join_canon(a), join_canon(b)) {
-        (Some(x), Some(y)) => x == y,
-        _ => false,
-    }
-}
-
-/// Hash of the canonical join key — no allocation, even for text.
-/// Equal keys hash equal; collisions are resolved by [`join_eq`].
-fn join_hash(v: &Value) -> Option<u64> {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    Some(match join_canon(v)? {
-        JoinKey::Int(i) => (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        JoinKey::Bits(b) => b.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15,
-        JoinKey::Text(s) => {
-            s.bytes().fold(FNV_OFFSET, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-        }
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -397,50 +342,26 @@ fn exec_select(
                             }
                         }
                     }
-                    JoinVia::Hash if mode == PlanMode::Planned && tuples.len() < rel.len() => {
-                        // Fewer tuples than rows: build over the tuples'
-                        // outer keys and stream the new binding's rows as
-                        // the probe side, filtering only rows whose key
-                        // hits. Buckets hold tuple indexes.
-                        let mut built: HashMap<u64, Vec<u32>, FastBuild> = HashMap::default();
-                        for (i, tuple) in tuples.iter().enumerate() {
-                            let Some(h) = join_hash(outer_key(tuple)) else { continue };
-                            built.entry(h).or_default().push(i as u32);
-                        }
-                        for (p, row) in rel.rows().iter().enumerate() {
-                            let probe = &row[join.inner_col];
-                            let Some(h) = join_hash(probe) else { continue };
-                            let Some(bucket) = built.get(&h) else { continue };
-                            if !keep(p as u32) {
-                                continue;
-                            }
-                            for &i in bucket {
-                                let tuple = &tuples[i as usize];
-                                if join_eq(outer_key(tuple), probe) {
-                                    let mut t = tuple.clone();
-                                    t.push(p as u32);
-                                    next.push(t);
-                                }
-                            }
-                        }
-                    }
                     JoinVia::Hash => {
-                        // Build over the new binding's filtered rows,
-                        // keyed by join-value hash; buckets hold position
-                        // lists and are verified by join_eq on probe.
-                        let mut built: HashMap<u64, Vec<u32>, FastBuild> = HashMap::default();
-                        for (p, row) in rel.rows().iter().enumerate() {
-                            let Some(h) = join_hash(&row[join.inner_col]) else { continue };
-                            if keep(p as u32) {
-                                built.entry(h).or_default().push(p as u32);
+                        // Planned joins into a stored table probe its
+                        // cached join hash; the rest hash the binding for
+                        // this statement alone.
+                        let fresh;
+                        let built = match rel {
+                            Rel::Stored(table) if mode == PlanMode::Planned => {
+                                &**table.join_hash(join.inner_col)
                             }
-                        }
+                            _ => {
+                                fresh = JoinHash::build(rel.rows(), join.inner_col);
+                                &fresh
+                            }
+                        };
                         for tuple in &tuples {
                             let probe = outer_key(tuple);
                             let Some(h) = join_hash(probe) else { continue };
-                            let Some(bucket) = built.get(&h) else { continue };
-                            for &p in bucket {
-                                if join_eq(probe, &rel.rows()[p as usize][join.inner_col]) {
+                            for p in built.probe(h) {
+                                let row = &rel.rows()[p as usize];
+                                if join_eq(probe, &row[join.inner_col]) && keep(p) {
                                     let mut t = tuple.clone();
                                     t.push(p);
                                     next.push(t);
@@ -925,11 +846,11 @@ mod tests {
     #[test]
     fn hash_join_builds_on_either_side_with_identical_rows() {
         // budget is unindexed REAL and partly NULL, so both joins below
-        // are hash joins. RANKED(2) (2 tuples < 8 movies) builds on the
-        // tuples and probes with the movie rows; RANKED(9) (9 tuples,
-        // placed first because `r.id >= 1` is estimated at a third)
-        // builds on movies. ForceScan always builds on the new binding.
-        // The title filter runs on the movies side in both builds.
+        // are hash joins into movies (RANKED(9) is placed first because
+        // `r.id >= 1` is estimated at a third). Planned, they probe the
+        // cached hash of movies.budget, cold for k = 2 and warm for k = 9;
+        // ForceScan hashes movies afresh each time. The title filter runs
+        // on each probed movie match.
         let mut db = seeded();
         run_script(
             &mut db,

@@ -149,9 +149,9 @@ pub(crate) enum JoinVia {
     Pk,
     /// Probe a secondary equality index per outer row.
     Index,
-    /// Hash join. The executor builds on the smaller input at run time
-    /// (the new binding's rows, or the tuples joined so far); under
-    /// [`PlanMode::ForceScan`] it always builds on the new binding.
+    /// Hash join on the new binding. A planned join into a stored table
+    /// probes the table's cached join hash; a table-function binding,
+    /// and every join under [`PlanMode::ForceScan`], is hashed afresh.
     Hash,
 }
 

@@ -1,7 +1,9 @@
 //! A single table: schema + rows + its [`IndexSet`](crate::index).
 
+use std::sync::{Arc, OnceLock};
+
 use crate::error::StoreError;
-use crate::index::IndexSet;
+use crate::index::{IndexSet, JoinHash};
 use crate::schema::TableSchema;
 use crate::value::{DataType, Value};
 use crate::Result;
@@ -14,18 +16,26 @@ use crate::Result;
 /// [`crate::Database::create_index`]) map values to sorted posting lists
 /// of row positions. Full-column scans — RETRO's bulk access pattern —
 /// are served by [`Table::column_values`] / [`Table::rows`].
+///
+/// Planned hash joins into the table probe a per-column [`JoinHash`],
+/// built on first use and dropped by every write. A clone shares the built
+/// ones: its rows equal the original's, so they are valid for both until
+/// either side writes.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: TableSchema,
     rows: Vec<Vec<Value>>,
     indexes: IndexSet,
+    /// One slot per column, allocated with the first join hash; reset as
+    /// a whole by [`Self::invalidate_join_hashes`].
+    join_hashes: OnceLock<Box<[OnceLock<Arc<JoinHash>>]>>,
 }
 
 impl Table {
     /// Create an empty table for `schema`.
     pub fn new(schema: TableSchema) -> Self {
         let indexes = IndexSet::new(schema.primary_key);
-        Self { schema, rows: Vec::new(), indexes }
+        Self { schema, rows: Vec::new(), indexes, join_hashes: OnceLock::new() }
     }
 
     /// The table's schema.
@@ -135,6 +145,29 @@ impl Table {
         Ok(self.indexes.create_secondary(col, int_keyed, &self.rows))
     }
 
+    /// The join hash of column `col`, built on the first call and shared
+    /// by every later one (and by clones) until the table is written.
+    /// Concurrent first calls build it once.
+    pub(crate) fn join_hash(&self, col: usize) -> &Arc<JoinHash> {
+        let slots = self
+            .join_hashes
+            .get_or_init(|| (0..self.schema.columns.len()).map(|_| OnceLock::new()).collect());
+        slots[col].get_or_init(|| Arc::new(JoinHash::build(&self.rows, col)))
+    }
+
+    /// Heap bytes held by the built join hashes.
+    pub(crate) fn join_hash_bytes(&self) -> usize {
+        self.join_hashes.get().map_or(0, |slots| {
+            slots.iter().filter_map(OnceLock::get).map(|hash| hash.bytes()).sum()
+        })
+    }
+
+    /// Drop every join hash: the rows are about to change. One check when
+    /// none is built, so an append does no per-column work.
+    fn invalidate_join_hashes(&mut self) {
+        self.join_hashes.take();
+    }
+
     /// Iterator over the values of one column (by index).
     pub fn column_values(&self, col: usize) -> impl Iterator<Item = &Value> {
         self.rows.iter().map(move |r| &r[col])
@@ -211,6 +244,7 @@ impl Table {
     /// go through [`crate::Database::insert`]) first; this method only keeps
     /// the indexes coherent.
     pub(crate) fn push_unchecked(&mut self, row: Vec<Value>) -> usize {
+        self.invalidate_join_hashes();
         let pos = self.rows.len();
         self.indexes.note_append(&row, pos);
         self.rows.push(row);
@@ -233,6 +267,7 @@ impl Table {
         if len >= self.rows.len() {
             return;
         }
+        self.invalidate_join_hashes();
         self.indexes.note_truncate(&self.rows[len..], len);
         self.rows.truncate(len);
     }
@@ -241,6 +276,7 @@ impl Table {
     /// rebuild the indexes (survivors renumber, so incremental repair
     /// would cost as much as rebuilding).
     pub(crate) fn remove_rows(&mut self, sorted_indices: &[usize]) {
+        self.invalidate_join_hashes();
         let mut keep = vec![true; self.rows.len()];
         for &i in sorted_indices {
             if i < keep.len() {
@@ -261,6 +297,7 @@ impl Table {
         for row in &rows {
             self.check_row(row)?;
         }
+        self.invalidate_join_hashes();
         self.rows = rows;
         self.indexes.rebuild(&self.rows);
         // Every row carries an integer key by now, and a repeated key
@@ -304,6 +341,7 @@ impl Table {
                 got: value.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
             });
         }
+        self.invalidate_join_hashes();
         let old = std::mem::replace(&mut self.rows[row][col], value);
         self.indexes.note_cell_update(col, &old, &self.rows[row][col], row);
         Ok(())
@@ -464,6 +502,52 @@ mod tests {
         t.set_rows(vec![vec![Value::Int(9), Value::from("z"), Value::Null]]).unwrap();
         assert_eq!(t.index_probe_text(1, "z"), Some(&[0u32][..]));
         assert_eq!(t.index_probe_text(1, "a"), Some(&[][..]));
+    }
+
+    #[test]
+    fn concurrent_first_joins_build_one_hash() {
+        let mut t = table();
+        for k in 0..64 {
+            t.push_unchecked(vec![Value::Int(k), Value::from(format!("n{}", k % 8)), Value::Null]);
+        }
+        let barrier = std::sync::Barrier::new(2);
+        let built: Vec<Arc<JoinHash>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        Arc::clone(t.join_hash(1))
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&built[0], &built[1]));
+        assert!(Arc::ptr_eq(&built[0], t.join_hash(1)));
+        assert!(t.join_hash_bytes() > 0);
+    }
+
+    #[test]
+    fn every_row_write_drops_the_join_hashes() {
+        let row = |k: i64, name: &str| vec![Value::Int(k), Value::from(name), Value::Null];
+        let writes: [fn(&mut Table); 5] = [
+            |t| {
+                t.push_unchecked(vec![Value::Int(9), Value::from("z"), Value::Null]);
+            },
+            |t| t.truncate(1),
+            |t| t.remove_rows(&[0]),
+            |t| t.set_rows(vec![vec![Value::Int(9), Value::from("z"), Value::Null]]).unwrap(),
+            |t| t.update_cell(0, 2, Value::Float(1.0)).unwrap(),
+        ];
+        for write in writes {
+            let mut t = table();
+            t.push_unchecked(row(1, "a"));
+            t.push_unchecked(row(2, "b"));
+            t.join_hash(1);
+            assert!(t.join_hash_bytes() > 0);
+            write(&mut t);
+            assert_eq!(t.join_hash_bytes(), 0);
+        }
     }
 
     #[test]

@@ -578,3 +578,42 @@ fn mixed_traffic_beside_the_refresher_completes_without_shedding() {
     );
     assert!(!nearest_rows(&last, &movie_title(5_000 + ops as i64 - 1), 3).is_empty());
 }
+
+/// A generation's store is frozen, so `NEAREST ⋈ movies` in a session
+/// pinned to it keeps answering from that generation — over a join hash
+/// that earlier statements built — while the live database takes a row
+/// with a repeated title and a refresh publishes it. A new session joins
+/// that title to both movies that carry it.
+#[test]
+fn a_pinned_session_keeps_its_nearest_join_across_a_refresh() {
+    let mut db = Database::new();
+    populate(&mut db, 40);
+    let engine = Engine::with_defaults();
+    engine.register("tmdb", SharedDatabase::new(db), base(), config()).unwrap();
+    let join = format!(
+        "SELECT m.id, n.score FROM NEAREST('movies', 'title', '{}', 10) n \
+         JOIN movies m ON m.title = n.token",
+        movie_title(3)
+    );
+    let ids = |rows: &[Vec<Value>]| -> Vec<i64> {
+        rows.iter().map(|row| row[0].as_int().unwrap()).collect()
+    };
+
+    let old = engine.session("tmdb").unwrap();
+    let before = old.query(&join).unwrap().rows;
+    assert!(!before.is_empty());
+    assert!(old.store().join_cache_bytes() > 0, "the planned join hashed movies.title");
+    let twin = ids(&before)[0];
+
+    let insert = format!("INSERT INTO movies VALUES (900, '{}', 1)", movie_title(twin));
+    engine.execute("tmdb", &insert).unwrap();
+    engine.refresh("tmdb").unwrap();
+
+    assert_eq!(old.query(&join).unwrap().rows, before);
+    assert_eq!(old.query_with(&join, PlanMode::ForceScan).unwrap().rows, before);
+    let fresh = engine.session("tmdb").unwrap();
+    assert!(fresh.generation() > old.generation());
+    let after = fresh.query(&join).unwrap().rows;
+    assert!(ids(&after).contains(&twin) && ids(&after).contains(&900), "{after:?}");
+    assert_eq!(fresh.query_with(&join, PlanMode::ForceScan).unwrap().rows, after);
+}

@@ -131,16 +131,15 @@ fn run_mode(db: &mut Database, text: &str, mode: sql::PlanMode) -> Result<QueryR
 /// IS NULL, ORDER BY, LIMIT, COUNT(*)) plus queries *without* ORDER BY,
 /// which pin the plan-independent canonical row order.
 ///
-/// The joins on the unindexed `parents.score` run as hash joins when
-/// planned. A planned hash join builds on the side with fewer rows, while
-/// `ForceScan` always builds on the joined table, so these queries check
-/// one build side against the other. Their outer side is filtered to
-/// fewer rows than the inner (`a.id = k`, `b.score IS NULL`) or to more
-/// (`c.id >= 0`, estimated at a third of the rows, and the third join of
-/// the three-way self-join). `b.name != ..` filters the side that streams
-/// past a tuple build. They also cover INTEGER keys meeting integral REAL
-/// scores (`1 = 1.0`, set by `WholeScore`), NULL scores and duplicate
-/// keys on both sides.
+/// The joins on the unindexed `parents.score` run as hash joins. Planned,
+/// they probe the table's cached join hash, while `ForceScan` hashes the
+/// joined table afresh, so these queries check the cache against a fresh
+/// build. Their outer side is filtered to fewer rows than the inner
+/// (`a.id = k`, `b.score IS NULL`) or to more (`c.id >= 0`, estimated at
+/// a third of the rows, and the third join of the three-way self-join).
+/// `b.name != ..` filters the probed side. They also cover INTEGER keys
+/// meeting integral REAL scores (`1 = 1.0`, set by `WholeScore`), NULL
+/// scores and duplicate keys on both sides.
 fn query_suite(probe_pk: i64, probe_tag: u8) -> Vec<String> {
     vec![
         "SELECT * FROM parents".into(),
@@ -305,5 +304,148 @@ proptest! {
         prop_assert_eq!(recovered.create_index("parents", "name").unwrap(), false);
         prop_assert_eq!(recovered.create_index("children", "label").unwrap(), false);
         prop_assert_eq!(recovered.fk_scan_fallbacks(), 0);
+    }
+}
+
+// ── Join hash cache coherence ─────────────────────────────────────────
+
+/// Two unindexed tables whose join columns hold every key shape join
+/// equality distinguishes: INTEGER, integral REAL (`1 = 1.0`, also an
+/// integer stored in a REAL column), fractional REAL, NULL, and TEXT
+/// repeated across rows. Every join in [`join_suite`] is a hash join into
+/// a stored table, so a planned run probes that column's cached hash.
+fn create_join_schema(db: &mut Database) {
+    sql::run_script(
+        db,
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, tag TEXT, num INTEGER, amount REAL);
+         CREATE TABLE probes (id INTEGER PRIMARY KEY, tag TEXT, num INTEGER, amount REAL);",
+    )
+    .unwrap();
+}
+
+fn tag_lit(v: u8) -> String {
+    match v % 4 {
+        3 => "NULL".to_owned(),
+        t => format!("'t{t}'"),
+    }
+}
+
+fn num_lit(j: i64) -> String {
+    match j % 5 {
+        4 => "NULL".to_owned(),
+        n => n.to_string(),
+    }
+}
+
+fn amount_lit(j: i64) -> &'static str {
+    ["0.0", "1.0", "1", "2.0", "1.5", "NULL"][(j % 6) as usize]
+}
+
+/// One write of a cache-coherence history, as SQL. It covers every path
+/// that changes a table's rows: single- and multi-row `INSERT`, a
+/// multi-row `INSERT` that rolls back after staging its first row (its
+/// second row repeats the key, and nothing else writes keys 24..36),
+/// `UPDATE` of each join column, and `DELETE`.
+fn join_write_sql(raw: &(u8, i64, u8, i64)) -> String {
+    let &(op, k, v, j) = raw;
+    let t = if v % 2 == 0 { "items" } else { "probes" };
+    let row = |pk: i64, v: u8, j: i64| {
+        format!("({pk}, {}, {}, {})", tag_lit(v / 2), num_lit(j), amount_lit(j))
+    };
+    match op {
+        0 | 1 => format!("INSERT INTO {t} VALUES {}", row(k, v, j)),
+        2 => format!("INSERT INTO {t} VALUES {}, {}", row(k, v, j), row(k + 12, v + 2, j + 1)),
+        3 => format!("INSERT INTO {t} VALUES {}, {}", row(k + 24, v, j), row(k + 24, v + 2, j)),
+        4 => format!("UPDATE {t} SET tag = {} WHERE id = {k}", tag_lit(v / 2)),
+        5 => format!("UPDATE {t} SET amount = {} WHERE id = {k}", amount_lit(j)),
+        6 => format!("UPDATE {t} SET num = {} WHERE id >= {k}", num_lit(j)),
+        7 => format!("DELETE FROM {t} WHERE id = {k}"),
+        _ => format!("DELETE FROM {t} WHERE num = {}", j % 4),
+    }
+}
+
+/// Joins on every key shape: repeated TEXT, INTEGER against REAL, a
+/// pushed-down filter on the probed side, a REAL self-join, a pk-driven
+/// outer side, `COUNT(*)`, and a three-way join that hashes both tables.
+fn join_suite(probe_pk: i64) -> Vec<String> {
+    vec![
+        "SELECT p.id, i.id FROM probes p JOIN items i ON i.tag = p.tag".into(),
+        "SELECT p.id, i.id FROM probes p JOIN items i ON i.amount = p.num".into(),
+        "SELECT p.id, i.id FROM probes p JOIN items i ON i.num = p.num WHERE i.tag != 't0'".into(),
+        "SELECT a.id, b.id FROM items a JOIN items b ON a.amount = b.amount".into(),
+        format!(
+            "SELECT i.tag, p.amount FROM probes p JOIN items i ON i.amount = p.amount \
+             WHERE p.id = {probe_pk}"
+        ),
+        "SELECT COUNT(*) FROM items i JOIN probes p ON p.tag = i.tag WHERE i.num IS NOT NULL"
+            .into(),
+        "SELECT p.id, i.id, q.id FROM probes p JOIN items i ON i.tag = p.tag \
+         JOIN probes q ON q.num = i.num"
+            .into(),
+    ]
+}
+
+/// Run the join suite three ways on a copy of `pristine` — planned with
+/// cold join hashes, planned again with warm ones, and forced scans — and
+/// once more, planned, on `carried`, whose hashes were built at earlier
+/// steps and must have been dropped by every write since. All four must
+/// be bit-identical. `pristine` has only ever run forced scans and
+/// writes, so it holds no join hash.
+fn check_join_cache(
+    label: &str,
+    carried: &mut Database,
+    pristine: &Database,
+    probe_pk: i64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(pristine.join_cache_bytes(), 0);
+    for q in join_suite(probe_pk) {
+        let mut copy = pristine.clone();
+        let forced = run_mode(&mut copy, &q, sql::PlanMode::ForceScan);
+        prop_assert!(copy.join_cache_bytes() == 0, "{}: ForceScan built a join hash: {}", label, q);
+        let cold = run_mode(&mut copy, &q, sql::PlanMode::Planned);
+        let built = copy.join_cache_bytes();
+        let warm = run_mode(&mut copy, &q, sql::PlanMode::Planned);
+        prop_assert!(copy.join_cache_bytes() == built, "{}: a warm probe rebuilt: {}", label, q);
+        let kept = run_mode(carried, &q, sql::PlanMode::Planned);
+        assert_same_result(&format!("{label}/cold"), &q, &cold, &forced)?;
+        assert_same_result(&format!("{label}/warm"), &q, &warm, &forced)?;
+        assert_same_result(&format!("{label}/carried"), &q, &kept, &forced)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Cached join hashes are an access path, never a semantic: after
+    /// every write of a random history, and again after WAL-replay
+    /// recovery of it, planned joins over cold, warm and carried-over
+    /// hashes answer exactly what forced scans answer.
+    #[test]
+    fn cached_join_hashes_stay_coherent_with_every_write(
+        raw_ops in prop::collection::vec((0u8..9, 0i64..12, 0u8..8, 0i64..12), 1..28)
+    ) {
+        let mut carried = Database::new();
+        let mut pristine = Database::new();
+        create_join_schema(&mut carried);
+        create_join_schema(&mut pristine);
+
+        let scratch = ScratchDir::new();
+        let mut durable = Database::open(&scratch.0).unwrap();
+        create_join_schema(&mut durable);
+
+        for (step, raw) in raw_ops.iter().enumerate() {
+            let text = join_write_sql(raw);
+            let a = run_mode(&mut carried, &text, sql::PlanMode::Planned);
+            let b = run_mode(&mut pristine, &text, sql::PlanMode::ForceScan);
+            assert_same_result("write", &text, &a, &b)?;
+            let d = run_mode(&mut durable, &text, sql::PlanMode::Planned);
+            assert_same_result("durable write", &text, &a, &d)?;
+            check_join_cache(&format!("step {step}"), &mut carried, &pristine, raw.1)?;
+        }
+
+        drop(durable);
+        let recovered = Database::recover(&scratch.0).unwrap();
+        check_join_cache("recovered", &mut carried, &recovered, 5)?;
     }
 }
