@@ -29,7 +29,7 @@ use retro_store::Database;
 
 use crate::api::{Retro, RetroConfig, RetroError, RetroOutput};
 use crate::delta::{classify_changes, extract_delta, ChangeSummary, DeltaExtraction};
-use crate::hyper::ParamCheck;
+use crate::hyper::check_convexity;
 use crate::problem::RetrofitProblem;
 use crate::solver::{self, Solver};
 
@@ -51,18 +51,6 @@ pub enum RefreshKind {
     NoChange,
 }
 
-/// A delta-scoped plan: the extended problem plus everything `complete`
-/// needs without touching the database again.
-#[derive(Clone, Debug)]
-struct DeltaPlan {
-    extraction: DeltaExtraction,
-    /// Convexity carried over from the previous output: the Eq. 12/14
-    /// check is `O(E)` over the whole graph, which would dwarf a small
-    /// delta solve. Appends can only relax `mc`/`mr`, so the previous
-    /// verdict stays valid; it is re-evaluated on every full refresh.
-    convexity: ParamCheck,
-}
-
 #[derive(Clone, Debug)]
 enum PlanKind {
     Full {
@@ -71,7 +59,9 @@ enum PlanKind {
         /// `None` when the session has no prior state (cold full run).
         warm: Option<Matrix>,
     },
-    Delta(Box<DeltaPlan>),
+    /// The extended problem plus everything `complete` needs without
+    /// touching the database again.
+    Delta(Box<DeltaExtraction>),
     NoChange {
         current: Arc<RetroOutput>,
     },
@@ -117,7 +107,7 @@ impl RefreshPlan {
     /// instead of recomputing `O(n·D)` of it.
     pub fn dirty_rows(&self) -> Option<&[u32]> {
         match &self.kind {
-            PlanKind::Delta(plan) => Some(&plan.extraction.dirty),
+            PlanKind::Delta(extraction) => Some(&extraction.dirty),
             _ => None,
         }
     }
@@ -126,7 +116,7 @@ impl RefreshPlan {
     pub fn len(&self) -> usize {
         match &self.kind {
             PlanKind::Full { problem, .. } => problem.len(),
-            PlanKind::Delta(plan) => plan.extraction.problem.len(),
+            PlanKind::Delta(extraction) => extraction.problem.len(),
             PlanKind::NoChange { current } => current.problem.len(),
         }
     }
@@ -336,10 +326,7 @@ impl IncrementalRetro {
                                 });
                             }
                             return Ok(RefreshPlan {
-                                kind: PlanKind::Delta(Box::new(DeltaPlan {
-                                    extraction,
-                                    convexity: prev.convexity.clone(),
-                                })),
+                                kind: PlanKind::Delta(Box::new(extraction)),
                                 db_version,
                             });
                         }
@@ -391,9 +378,8 @@ impl IncrementalRetro {
                 // anchors here.
                 self.install(current, db_version, RefreshKind::NoChange)
             }
-            PlanKind::Delta(plan) => {
-                let DeltaPlan { extraction, convexity } = *plan;
-                let DeltaExtraction { problem, warm: mut embeddings, dirty } = extraction;
+            PlanKind::Delta(extraction) => {
+                let DeltaExtraction { problem, warm: mut embeddings, dirty } = *extraction;
                 let config = &self.engine.config;
                 // MF never plans a delta (`prepare_refresh` skips the
                 // dispatch for it).
@@ -404,6 +390,16 @@ impl IncrementalRetro {
                     self.refresh_iterations,
                     &dirty,
                     &mut embeddings,
+                );
+                // Appends can grow a node's repulsion mass (a new target
+                // is one more negative pair for every source of its
+                // group), so the verdict is re-checked on the extended
+                // graph, never carried over.
+                let convexity = check_convexity(
+                    &problem.groups,
+                    &problem.relation_counts,
+                    &config.params,
+                    problem.len(),
                 );
                 let out = RetroOutput {
                     catalog: problem.catalog.clone(),
@@ -433,6 +429,7 @@ impl IncrementalRetro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hyper::Hyperparameters;
     use retro_store::sql;
 
     fn base() -> EmbeddingSet {
@@ -596,6 +593,41 @@ mod tests {
         let plan = split.prepare_refresh(&db, &base()).unwrap();
         let got = split.complete_refresh(plan).embeddings.clone();
         assert_eq!(expected.max_abs_diff(&got), 0.0, "split refresh must be the same refresh");
+    }
+
+    #[test]
+    fn delta_refresh_rechecks_convexity_on_the_extended_graph() {
+        // Appending `prometheus` by ridley scott leaves luc besson a target
+        // that two of three sources are not related to, against one of two
+        // before: its repulsion mass rises past an α that held before.
+        let config = |alpha: f32| {
+            let params = Hyperparameters { alpha, ..Hyperparameters::paper_ro() };
+            RetroConfig::default().with_solver(Solver::Ro).with_params(params)
+        };
+        let full_check = |db: &Database, alpha: f32| {
+            let mut inc = IncrementalRetro::new(config(alpha));
+            inc.full_run(db, &base()).unwrap().convexity.clone()
+        };
+        let mut db = db();
+        let mut appended = db.clone();
+        let insert = "INSERT INTO movies VALUES (3, 'prometheus', 2)";
+        sql::run_script(&mut appended, insert).unwrap();
+        let before = full_check(&db, 1.0).worst_delta_mass;
+        let after = full_check(&appended, 1.0).worst_delta_mass;
+        assert!(after > before, "the append must raise the mass ({before} -> {after})");
+        let alpha = (before + after) / 2.0;
+
+        let mut inc = IncrementalRetro::new(config(alpha));
+        inc.delta_max_dirty_fraction = 1.0;
+        assert!(inc.full_run(&db, &base()).unwrap().convexity.convex);
+        sql::run_script(&mut db, insert).unwrap();
+        let plan = inc.prepare_refresh(&db, &base()).unwrap();
+        assert_eq!(plan.kind(), RefreshKind::Delta);
+        let delta = inc.complete_refresh(plan).convexity.clone();
+        let full = full_check(&db, alpha);
+        assert!(!full.convex, "a full refresh rejects α = {alpha}");
+        assert_eq!(delta.convex, full.convex, "the delta must not carry the old verdict");
+        assert_eq!(delta.worst_delta_mass, full.worst_delta_mass);
     }
 
     #[test]

@@ -13,11 +13,18 @@
 //! the catalog (categories then values, both in id order, so replaying
 //! them through [`TextValueCatalog::add_category`] /
 //! [`TextValueCatalog::intern`] reproduces the exact dense id assignment),
-//! the relation groups, and the converged matrix as raw f32 bits. The
-//! derived parts of the problem (`W0`, centroids, weights) are *not*
-//! stored — they are recomputed from the base embedding at recovery, which
-//! is both smaller and self-checking: a snapshot recovered against the
-//! wrong base fails loudly instead of serving subtly wrong vectors.
+//! the relation groups, the converged matrix as raw f32 bits, and (from
+//! version 2) the served IVF index: its [`IvfConfig`], its centroids as
+//! raw f32 bits and one u32 list assignment per row. A restart regroups
+//! the checksummed matrix rows by those assignments
+//! ([`IvfIndex::from_parts`]) instead of retraining, so it serves the
+//! very index that was saved; the packed lists themselves are never
+//! stored. A version 1 image (no index section) still decodes, and its
+//! restart trains an index afresh. The derived parts of the problem
+//! (`W0`, centroids, weights) are *not* stored — they are recomputed from
+//! the base embedding at recovery, which is both smaller and
+//! self-checking: a snapshot recovered against the wrong base fails
+//! loudly instead of serving subtly wrong vectors.
 //!
 //! The framing — checksum, writers, cursor, header check — is the store's
 //! [`retro_store::codec`], shared with the WAL and store snapshots. Its
@@ -25,7 +32,8 @@
 //! [`RetroError::Persist`].
 
 use retro_linalg::Matrix;
-use retro_store::codec::{self, crc32, put_str, put_u32, put_u64};
+use retro_nn::ann::{IvfConfig, IvfIndex};
+use retro_store::codec::{self, crc32, put_f32s, put_str, put_u32, put_u64};
 use retro_store::StoreError;
 
 use crate::api::RetroError;
@@ -33,7 +41,9 @@ use crate::catalog::TextValueCatalog;
 use crate::relations::{RelationGroup, RelationKind};
 
 const MAGIC: &[u8; 4] = b"RSRV";
-const VERSION: u32 = 1;
+/// Version 2 added the IVF index section after the matrix; version 1
+/// images (no index section) still decode.
+const VERSION: u32 = 2;
 /// magic + version + crc.
 const HEADER_LEN: usize = 12;
 
@@ -54,6 +64,19 @@ pub(crate) struct PersistedGeneration {
     pub groups: Vec<RelationGroup>,
     /// The converged embedding matrix (one row per value, exact bits).
     pub embeddings: Matrix,
+    /// The served IVF index's parts (`None` in a version 1 image).
+    pub index: Option<PersistedIndex>,
+}
+
+/// The parts [`IvfIndex::from_parts`] rebuilds a served index from; the
+/// packed lists are regrouped from the checksummed matrix, never stored.
+#[derive(Debug)]
+pub(crate) struct PersistedIndex {
+    pub config: IvfConfig,
+    /// `nlist × dim` centroids, exact bits.
+    pub centroids: Matrix,
+    /// Row id → list, one per embedding row.
+    pub assignments: Vec<u32>,
 }
 
 fn kind_tag(kind: RelationKind) -> u8 {
@@ -86,52 +109,85 @@ pub(crate) fn persist_error(err: StoreError) -> RetroError {
     })
 }
 
-/// Serialize a published generation. Infallible: the inputs are in-memory
-/// structures that always encode.
+/// The exact byte length of the image [`encode`] writes, so it fills one
+/// allocation without growing it.
+fn encoded_len(
+    catalog: &TextValueCatalog,
+    groups: &[RelationGroup],
+    embeddings: &Matrix,
+    index: &IvfIndex,
+) -> usize {
+    // Generation, write version, dimension; each list below leads with
+    // its u32 count.
+    let fixed = HEADER_LEN + 8 + 8 + 4;
+    let categories: usize =
+        catalog.categories().iter().map(|c| 8 + c.table.len() + c.column.len()).sum();
+    let values: usize = catalog.iter().map(|(_, _, text)| 8 + text.len()).sum();
+    let groups: usize = groups.iter().map(|g| 4 + g.name.len() + 13 + 8 * g.edges.len()).sum();
+    let matrix = 4 * embeddings.as_slice().len();
+    let index = 4 * 8 + 4 + 4 * index.centroids().as_slice().len() + 4 * index.len();
+    fixed + (4 + categories) + (4 + values) + (4 + groups) + matrix + index
+}
+
+/// Serialize a published generation and the index that serves it into
+/// one buffer: the header with its checksum zeroed, the body, then the
+/// checksum patched in. Infallible: the inputs are in-memory structures
+/// that always encode.
 pub(crate) fn encode(
     generation: u64,
     write_version: u64,
     catalog: &TextValueCatalog,
     groups: &[RelationGroup],
     embeddings: &Matrix,
+    index: &IvfIndex,
 ) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64 + embeddings.rows() * embeddings.cols() * 4);
-    put_u64(&mut body, generation);
-    put_u64(&mut body, write_version);
-    put_u32(&mut body, embeddings.cols() as u32);
-    put_u32(&mut body, catalog.category_count() as u32);
-    for category in catalog.categories() {
-        put_str(&mut body, &category.table);
-        put_str(&mut body, &category.column);
-    }
-    put_u32(&mut body, catalog.len() as u32);
-    for (_, category, text) in catalog.iter() {
-        put_u32(&mut body, category);
-        put_str(&mut body, text);
-    }
-    put_u32(&mut body, groups.len() as u32);
-    for group in groups {
-        put_str(&mut body, &group.name);
-        put_u32(&mut body, group.source_category);
-        put_u32(&mut body, group.target_category);
-        body.push(kind_tag(group.kind));
-        put_u32(&mut body, group.edges.len() as u32);
-        for &(i, j) in &group.edges {
-            put_u32(&mut body, i);
-            put_u32(&mut body, j);
-        }
-    }
-    for r in 0..embeddings.rows() {
-        for &v in embeddings.row(r) {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+    let len = encoded_len(catalog, groups, embeddings, index);
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
+    put_u32(&mut out, 0);
+    put_u64(&mut out, generation);
+    put_u64(&mut out, write_version);
+    put_u32(&mut out, embeddings.cols() as u32);
+    put_u32(&mut out, catalog.category_count() as u32);
+    for category in catalog.categories() {
+        put_str(&mut out, &category.table);
+        put_str(&mut out, &category.column);
+    }
+    put_u32(&mut out, catalog.len() as u32);
+    for (_, category, text) in catalog.iter() {
+        put_u32(&mut out, category);
+        put_str(&mut out, text);
+    }
+    put_u32(&mut out, groups.len() as u32);
+    for group in groups {
+        put_str(&mut out, &group.name);
+        put_u32(&mut out, group.source_category);
+        put_u32(&mut out, group.target_category);
+        out.push(kind_tag(group.kind));
+        put_u32(&mut out, group.edges.len() as u32);
+        for &(i, j) in &group.edges {
+            put_u32(&mut out, i);
+            put_u32(&mut out, j);
+        }
+    }
+    put_f32s(&mut out, embeddings.as_slice());
+
+    let config = index.config();
+    for field in
+        [config.nlist as u64, config.train_iters as u64, config.sample_cap as u64, config.seed]
+    {
+        put_u64(&mut out, field);
+    }
+    put_u32(&mut out, index.nlist() as u32);
+    put_f32s(&mut out, index.centroids().as_slice());
+    for &list in index.assignments() {
+        put_u32(&mut out, list);
+    }
+    debug_assert_eq!(out.len(), len, "encoded_len must match the encoder");
+
+    let crc = crc32(&out[HEADER_LEN..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -142,8 +198,20 @@ pub(crate) fn decode(data: &[u8]) -> Result<PersistedGeneration, RetroError> {
     decode_image(data).map_err(persist_error)
 }
 
+/// `count × 4` bytes as little-endian f32s (a byte count past the address
+/// space is as truncated as one past the bytes left).
+fn read_f32s(
+    cur: &mut codec::Cursor<'_>,
+    count: Option<usize>,
+    what: &str,
+) -> retro_store::Result<Vec<f32>> {
+    let raw = cur.take(count.and_then(|n| n.checked_mul(4)).unwrap_or(usize::MAX), what)?;
+    Ok(raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))).collect())
+}
+
 fn decode_image(data: &[u8]) -> retro_store::Result<PersistedGeneration> {
-    let mut cur = codec::check_header(data, MAGIC, VERSION, HEADER_LEN, "an embedding snapshot")?;
+    let (version, mut cur) =
+        codec::check_header(data, MAGIC, 1..=VERSION, HEADER_LEN, "an embedding snapshot")?;
     let stored = cur.u32("checksum")?;
     if crc32(cur.rest()) != stored {
         return Err(corrupt("checksum mismatch"));
@@ -195,18 +263,39 @@ fn decode_image(data: &[u8]) -> retro_store::Result<PersistedGeneration> {
         groups.push(RelationGroup::new(name, source_category, target_category, kind, edges));
     }
 
-    // `value_count × dim` f32s follow: a byte count past the address
-    // space is as truncated as one past the bytes left.
-    let what = "embedding value";
-    let len = value_count.checked_mul(dim).and_then(|n| n.checked_mul(4));
-    let raw = cur.take(len.unwrap_or(usize::MAX), what)?;
-    let data = raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")));
+    let data = read_f32s(&mut cur, value_count.checked_mul(dim), "embedding value")?;
+    let embeddings = Matrix::from_vec(value_count, dim, data);
+
+    let index = if version >= 2 {
+        let config = IvfConfig {
+            nlist: cur.u64("index nlist")? as usize,
+            train_iters: cur.u64("index training passes")? as usize,
+            sample_cap: cur.u64("index sample cap")? as usize,
+            seed: cur.u64("index seed")?,
+        };
+        let nlist = cur.u32("centroid count")? as usize;
+        let data = read_f32s(&mut cur, nlist.checked_mul(dim), "centroid value")?;
+        let centroids = Matrix::from_vec(nlist, dim, data);
+        let raw = cur.take(value_count * 4, "list assignment")?;
+        let assignments =
+            raw.chunks_exact(4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
+        Some(PersistedIndex { config, centroids, assignments: assignments.collect() })
+    } else {
+        None
+    };
     if !cur.is_empty() {
         return Err(corrupt(format!("{} trailing bytes after snapshot", cur.remaining())));
     }
-    let embeddings = Matrix::from_vec(value_count, dim, data.collect());
 
-    Ok(PersistedGeneration { generation, write_version, categories, values, groups, embeddings })
+    Ok(PersistedGeneration {
+        generation,
+        write_version,
+        categories,
+        values,
+        groups,
+        embeddings,
+        index,
+    })
 }
 
 #[cfg(test)]
@@ -217,7 +306,9 @@ mod tests {
         RetroError::Persist(msg.into())
     }
 
-    fn sample() -> Vec<u8> {
+    /// The sample's parts, and its embedding rows under two fixed
+    /// centroids, so the index section does not depend on k-means.
+    fn sample_parts() -> (TextValueCatalog, Vec<RelationGroup>, Matrix, IvfIndex) {
         let mut catalog = TextValueCatalog::default();
         let titles = catalog.add_category("movies", "title");
         let names = catalog.add_category("persons", "name");
@@ -231,18 +322,19 @@ mod tests {
             vec![(0, 1)],
         )];
         let embeddings = Matrix::from_rows(&[vec![1.0, -0.5], vec![0.25, 2.0]]);
-        encode(7, 42, &catalog, &groups, &embeddings)
+        let centroids = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
+        let norms = embeddings.row_norms();
+        let index = IvfIndex::with_centroids(&embeddings, &norms, centroids, IvfConfig::auto(2), 1);
+        (catalog, groups, embeddings, index)
     }
 
-    #[test]
-    fn encode_matches_the_golden_bytes() {
-        assert_eq!(sample(), include_bytes!("../../../tests/fixtures/golden.rsrv").as_slice());
+    fn sample() -> Vec<u8> {
+        let (catalog, groups, embeddings, index) = sample_parts();
+        encode(7, 42, &catalog, &groups, &embeddings, &index)
     }
 
-    #[test]
-    fn round_trip() {
-        let bytes = sample();
-        let decoded = decode(&bytes).unwrap();
+    /// The fields every image of the sample decodes to, index aside.
+    fn assert_sample_fields(decoded: &PersistedGeneration) {
         assert_eq!(decoded.generation, 7);
         assert_eq!(decoded.write_version, 42);
         assert_eq!(
@@ -257,7 +349,77 @@ mod tests {
         assert_eq!(decoded.groups.len(), 1);
         assert_eq!(decoded.groups[0].edges, vec![(0, 1)]);
         assert_eq!(decoded.groups[0].kind, RelationKind::ForeignKey);
+        assert_eq!(decoded.embeddings.row(0), &[1.0, -0.5]);
         assert_eq!(decoded.embeddings.row(1), &[0.25, 2.0]);
+    }
+
+    #[test]
+    fn encode_matches_the_golden_bytes() {
+        assert_eq!(sample(), include_bytes!("../../../tests/fixtures/golden_v2.rsrv").as_slice());
+    }
+
+    /// `golden.rsrv` is a version 1 image (no index section): it still
+    /// decodes, and a service recovers from it by training an index.
+    #[test]
+    fn golden_v1_image_decodes_and_recovers() {
+        let v1 = include_bytes!("../../../tests/fixtures/golden.rsrv");
+        assert_eq!(&v1[4..8], &1u32.to_le_bytes());
+        let decoded = decode(v1).unwrap();
+        assert_sample_fields(&decoded);
+        assert!(decoded.index.is_none());
+
+        // A store at the image's write version, holding its two values.
+        let mut db = retro_store::Database::new();
+        retro_store::sql::run_script(
+            &mut db,
+            "CREATE TABLE persons (id INTEGER PRIMARY KEY, name TEXT);
+             CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+                                  director_id INTEGER REFERENCES persons(id));
+             CREATE TABLE ticks (id INTEGER PRIMARY KEY);
+             INSERT INTO persons VALUES (1, 'ridley scott');
+             INSERT INTO movies VALUES (1, 'alien', 1);",
+        )
+        .unwrap();
+        for tick in 0.. {
+            if db.write_version() >= 42 {
+                break;
+            }
+            db.insert("ticks", vec![retro_store::Value::Int(tick)]).unwrap();
+        }
+        assert_eq!(db.write_version(), 42);
+        let path = std::env::temp_dir()
+            .join(format!("retro_persist_golden_v1_{}.rsrv", std::process::id()));
+        std::fs::write(&path, v1).unwrap();
+        let base = retro_embed::EmbeddingSet::new(
+            vec!["alien".into(), "ridley".into()],
+            vec![vec![0.5, 0.5], vec![-0.5, 1.0]],
+        );
+        let service = crate::serve::EmbeddingService::recover(
+            retro_store::SharedDatabase::new(db),
+            base,
+            crate::RetroConfig::default(),
+            &path,
+        )
+        .unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let snap = service.snapshot();
+        assert_eq!((snap.generation(), snap.write_version()), (7, 42));
+        assert_eq!(snap.output().embeddings.as_slice(), decoded.embeddings.as_slice());
+        let trained = IvfIndex::build(&decoded.embeddings, snap.norms(), IvfConfig::auto(2), 1);
+        assert_eq!(snap.index().assignments(), trained.assignments());
+        assert_eq!(snap.index().centroids().as_slice(), trained.centroids().as_slice());
+    }
+
+    #[test]
+    fn round_trip() {
+        let bytes = sample();
+        let decoded = decode(&bytes).unwrap();
+        assert_sample_fields(&decoded);
+        let (_, _, _, index) = sample_parts();
+        let persisted = decoded.index.expect("a version 2 image holds the index");
+        assert_eq!(persisted.config, *index.config());
+        assert_eq!(persisted.centroids.as_slice(), index.centroids().as_slice());
+        assert_eq!(persisted.assignments, vec![0, 1]);
     }
 
     #[test]
@@ -282,8 +444,11 @@ mod tests {
             corrupt("bad magic (not an embedding snapshot)")
         );
         let mut future = bytes.clone();
-        future[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert_eq!(decode(&future).unwrap_err(), corrupt("unsupported snapshot version 9"));
+        for version in [0u32, 3, 9] {
+            future[4..8].copy_from_slice(&version.to_le_bytes());
+            let msg = format!("unsupported snapshot version {version}");
+            assert_eq!(decode(&future).unwrap_err(), corrupt(&msg));
+        }
         // Truncating the body is caught by the checksum, not a panic.
         assert!(decode(&bytes[..bytes.len() - 3]).is_err());
     }
@@ -298,5 +463,22 @@ mod tests {
         let crc = crc32(&bytes[HEADER_LEN..]);
         bytes[8..12].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(decode(&bytes).unwrap_err(), corrupt("truncated while reading embedding value"));
+    }
+
+    #[test]
+    fn resealed_index_section_damage_is_typed() {
+        // Relabel a v2 image as v1: the index section is trailing bytes.
+        let mut bytes = sample();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let index_len = 4 * 8 + 4 + 4 * 4 + 4 * 2;
+        let msg = format!("{index_len} trailing bytes after snapshot");
+        assert_eq!(decode(&bytes).unwrap_err(), corrupt(&msg));
+        // A centroid count past the bytes left is truncation.
+        let mut bytes = sample();
+        let count_at = bytes.len() - 4 * 2 - 4 * 4 - 4;
+        bytes[count_at..count_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        let crc = crc32(&bytes[HEADER_LEN..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), corrupt("truncated while reading list assignment"));
     }
 }

@@ -67,15 +67,25 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// A snapshot of `output` with a freshly trained index.
     fn new(generation: u64, write_version: u64, threads: usize, output: Arc<RetroOutput>) -> Self {
         let norms = output.embeddings.row_norms();
-        let index = Arc::new(IvfIndex::build(
-            &output.embeddings,
-            &norms,
-            IvfConfig::auto(output.embeddings.rows()),
-            threads,
-        ));
-        Self { generation, write_version, threads, norms, index, output }
+        let config = IvfConfig::auto(output.embeddings.rows());
+        let index = IvfIndex::build(&output.embeddings, &norms, config, threads);
+        Self::with_index(generation, write_version, threads, norms, index, output)
+    }
+
+    /// A snapshot of `output` served by a ready `index` over its rows,
+    /// whose cached row norms are `norms`.
+    fn with_index(
+        generation: u64,
+        write_version: u64,
+        threads: usize,
+        norms: Vec<f32>,
+        index: IvfIndex,
+        output: Arc<RetroOutput>,
+    ) -> Self {
+        Self { generation, write_version, threads, norms, index: Arc::new(index), output }
     }
 
     /// The next generation after `self`, serving `output`. `dirty` is the
@@ -494,7 +504,8 @@ impl EmbeddingService {
     /// checksummed file (written to a temp sibling and atomically renamed)
     /// holding the generation number, the database write version it
     /// reflects, the catalog and relation groups of the solved problem,
-    /// and the converged embedding matrix bit for bit.
+    /// the converged embedding matrix bit for bit, and the served ANN
+    /// index's centroids and list assignments.
     ///
     /// [`EmbeddingService::recover`] reads it back after a restart. The
     /// snapshot captures one *published generation*, so the natural time
@@ -508,6 +519,7 @@ impl EmbeddingService {
             &snap.output.catalog,
             &snap.output.problem.groups,
             &snap.output.embeddings,
+            &snap.index,
         );
         let writing = |err: &dyn std::fmt::Display| {
             RetroError::Persist(format!("writing {}: {err}", path.display()))
@@ -524,8 +536,11 @@ impl EmbeddingService {
     ///
     /// When the store is at the snapshot's write version, the persisted
     /// generation is republished as-is: same generation number,
-    /// bit-identical embeddings (so rankings match the pre-crash service
-    /// exactly), and an incremental session anchored at the snapshot's
+    /// bit-identical embeddings and the saved ANN index rebuilt from its
+    /// centroids and assignments without retraining (so exact and
+    /// approximate rankings match the pre-crash service exactly; an image
+    /// written before the index was persisted trains one afresh), and an
+    /// incremental session anchored at the snapshot's
     /// database write version. Otherwise one catch-up refresh runs before
     /// this returns, so the first generation served always matches the
     /// store: writes that landed *after* the snapshot are folded in
@@ -560,6 +575,9 @@ impl EmbeddingService {
         let bytes = std::fs::read(path)
             .map_err(|err| RetroError::Persist(format!("reading {}: {err}", path.display())))?;
         let persisted = crate::persist::decode(&bytes)?;
+        // Free the image before the problem and the index are rebuilt
+        // beside its decoded copy.
+        drop(bytes);
         if persisted.embeddings.cols() != base.dim() {
             return Err(RetroError::Persist(format!(
                 "snapshot dimension {} does not match base embedding dimension {}",
@@ -605,10 +623,30 @@ impl EmbeddingService {
             convexity,
         });
 
+        // A version 2 image carries the served index: regroup the
+        // checksummed rows by its assignments instead of retraining, so
+        // the restart serves the very index that was saved. A version 1
+        // image trains one afresh.
         let threads = config.params.threads;
+        let (generation, write_version) = (persisted.generation, persisted.write_version);
+        let first = match persisted.index {
+            Some(parts) => {
+                let norms = output.embeddings.row_norms();
+                let index = IvfIndex::from_parts(
+                    &output.embeddings,
+                    &norms,
+                    parts.config,
+                    parts.centroids,
+                    parts.assignments,
+                )
+                .map_err(|err| RetroError::Persist(format!("snapshot index: {err}")))?;
+                let output = Arc::clone(&output);
+                Snapshot::with_index(generation, write_version, threads, norms, index, output)
+            }
+            None => Snapshot::new(generation, write_version, threads, Arc::clone(&output)),
+        };
         let mut session = IncrementalRetro::new(config);
-        session.restore(Arc::clone(&output), persisted.write_version);
-        let first = Snapshot::new(persisted.generation, persisted.write_version, threads, output);
+        session.restore(output, write_version);
         Self::launch(db, base, session, first, cache)
     }
 
@@ -987,6 +1025,30 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RetroError::Persist("checksum mismatch".into()));
+
+        // A re-sealed index section naming a list that does not exist is
+        // refused by the index rebuild, typed. The last four bytes are the
+        // last row's list assignment.
+        bytes[last] ^= 0x01;
+        bytes[last - 3..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = retro_store::crc32(&bytes[12..]);
+        bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = EmbeddingService::recover(
+            service.database().clone(),
+            base(),
+            RetroConfig::default(),
+            &path,
+        )
+        .unwrap_err();
+        let snap = service.snapshot();
+        let msg = format!(
+            "snapshot index: row {} is assigned to list {} of {}",
+            snap.len() - 1,
+            u32::MAX,
+            snap.index().nlist()
+        );
+        assert_eq!(err, RetroError::Persist(msg));
 
         // A missing file is a typed error, not a panic.
         std::fs::remove_file(&path).unwrap();

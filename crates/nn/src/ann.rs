@@ -38,6 +38,11 @@
 //!   structurally identical to [`IvfIndex::with_centroids`] over the same
 //!   rows. Centroids only retrain on a full build, where the solve already
 //!   dominates.
+//! * **Restarts copy, they don't retrain.** [`IvfIndex::from_parts`]
+//!   rebuilds a persisted index from its config, centroids and per-row
+//!   assignments over the recovered matrix — checked, then packed in one
+//!   pass with the same helper [`IvfIndex::with_centroids`] uses — so a
+//!   restarted service serves the index it saved.
 
 use retro_embed::nn::top_k_cosine_blocks;
 use retro_linalg::{vector, Matrix};
@@ -54,6 +59,81 @@ pub enum SearchMode {
         probes: usize,
     },
 }
+
+/// Why [`IvfIndex::from_parts`] refused its parts.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum IndexPartsError {
+    /// The norm cache does not have one entry per matrix row.
+    NormCount {
+        /// Matrix rows.
+        rows: usize,
+        /// Norms supplied.
+        norms: usize,
+    },
+    /// The assignments do not have one entry per matrix row.
+    AssignmentCount {
+        /// Matrix rows.
+        rows: usize,
+        /// Assignments supplied.
+        assignments: usize,
+    },
+    /// The centroids' width differs from the matrix's.
+    CentroidWidth {
+        /// Matrix width.
+        dim: usize,
+        /// Centroid width.
+        centroids: usize,
+    },
+    /// No centroids, or more than a build over `rows` rows can train.
+    CentroidCount {
+        /// Matrix rows.
+        rows: usize,
+        /// Centroids supplied.
+        centroids: usize,
+    },
+    /// A row is assigned to a list that does not exist.
+    ListOutOfRange {
+        /// The row.
+        row: usize,
+        /// Its assigned list.
+        list: u32,
+        /// Number of lists.
+        nlist: usize,
+    },
+    /// A degenerate row (zero, `NaN` or `±inf` norm) is outside list 0.
+    DegenerateRowListed {
+        /// The row.
+        row: usize,
+        /// Its assigned list.
+        list: u32,
+    },
+}
+
+impl std::fmt::Display for IndexPartsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NormCount { rows, norms } => {
+                write!(f, "{norms} norms for {rows} rows")
+            }
+            Self::AssignmentCount { rows, assignments } => {
+                write!(f, "{assignments} list assignments for {rows} rows")
+            }
+            Self::CentroidWidth { dim, centroids } => {
+                write!(f, "centroids of width {centroids} for rows of width {dim}")
+            }
+            Self::CentroidCount { rows, centroids } => {
+                write!(f, "{centroids} centroids for {rows} rows")
+            }
+            Self::ListOutOfRange { row, list, nlist } => {
+                write!(f, "row {row} is assigned to list {list} of {nlist}")
+            }
+            Self::DegenerateRowListed { row, list } => {
+                write!(f, "degenerate row {row} is assigned to list {list}, not list 0")
+            }
+        }
+    }
+}
+impl std::error::Error for IndexPartsError {}
 
 /// Build parameters for an [`IvfIndex`]. Everything is deterministic: the
 /// same config over the same rows always builds the same index.
@@ -177,22 +257,84 @@ impl IvfIndex {
                 });
             }
         });
-        let mut lists = vec![Vec::new(); centroids.rows()];
-        for (id, &list) in assignments.iter().enumerate() {
-            lists[list as usize].push(id as u32);
+        Self::packed(matrix, norms, config, centroids, assignments)
+    }
+
+    /// Rebuild an index from the parts a persisted one was saved as — its
+    /// config, centroids and per-row list assignments — over `matrix`,
+    /// whose rows the lists pack. No k-means and no assignment pass run:
+    /// the result is structurally identical to the saved index when
+    /// `matrix` holds the rows it was saved over.
+    ///
+    /// The parts are checked first, and every failure is a typed
+    /// [`IndexPartsError`]: the norms and assignments must have one entry
+    /// per matrix row, the centroids the matrix's width and between one
+    /// and `max(1, rows)` of them (what [`IvfIndex::build`] can train),
+    /// every assignment must name a list, and every degenerate row (zero,
+    /// `NaN` or `±inf` norm) must sit in list 0, where the assignment rule
+    /// puts it.
+    pub fn from_parts(
+        matrix: &Matrix,
+        norms: &[f32],
+        config: IvfConfig,
+        centroids: Matrix,
+        assignments: Vec<u32>,
+    ) -> Result<Self, IndexPartsError> {
+        let rows = matrix.rows();
+        if norms.len() != rows {
+            return Err(IndexPartsError::NormCount { rows, norms: norms.len() });
         }
-        // Pack every list's vectors contiguously (probes stream, see the
-        // module docs).
-        let dim = matrix.cols();
-        let mut packed = vec![Vec::new(); lists.len()];
-        let mut packed_norms = vec![Vec::new(); lists.len()];
-        for (l, list) in lists.iter().enumerate() {
-            packed[l].reserve_exact(list.len() * dim);
-            packed_norms[l].reserve_exact(list.len());
-            for &id in list {
-                packed[l].extend_from_slice(matrix.row(id as usize));
-                packed_norms[l].push(norms[id as usize]);
+        if assignments.len() != rows {
+            return Err(IndexPartsError::AssignmentCount { rows, assignments: assignments.len() });
+        }
+        if centroids.cols() != matrix.cols() {
+            return Err(IndexPartsError::CentroidWidth {
+                dim: matrix.cols(),
+                centroids: centroids.cols(),
+            });
+        }
+        let nlist = centroids.rows();
+        if nlist == 0 || nlist > rows.max(1) {
+            return Err(IndexPartsError::CentroidCount { rows, centroids: nlist });
+        }
+        for (row, (&list, &norm)) in assignments.iter().zip(norms).enumerate() {
+            if list as usize >= nlist {
+                return Err(IndexPartsError::ListOutOfRange { row, list, nlist });
             }
+            if list != 0 && !usable(norm) {
+                return Err(IndexPartsError::DegenerateRowListed { row, list });
+            }
+        }
+        Ok(Self::packed(matrix, norms, config, centroids, assignments))
+    }
+
+    /// Group the rows by their (valid) assignments and pack each list's
+    /// vectors and norms contiguously (probes stream, see the module
+    /// docs): one counting pass sizes every list exactly, one pass over
+    /// the rows in ascending order fills them, so lists come out
+    /// ascending.
+    fn packed(
+        matrix: &Matrix,
+        norms: &[f32],
+        config: IvfConfig,
+        centroids: Matrix,
+        assignments: Vec<u32>,
+    ) -> Self {
+        let dim = matrix.cols();
+        let mut sizes = vec![0usize; centroids.rows()];
+        for &list in &assignments {
+            sizes[list as usize] += 1;
+        }
+        let mut lists: Vec<Vec<u32>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut packed: Vec<Vec<f32>> =
+            sizes.iter().map(|&n| Vec::with_capacity(n * dim)).collect();
+        let mut packed_norms: Vec<Vec<f32>> =
+            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for (id, &list) in assignments.iter().enumerate() {
+            let l = list as usize;
+            lists[l].push(id as u32);
+            packed[l].extend_from_slice(matrix.row(id));
+            packed_norms[l].push(norms[id]);
         }
         Self { config, dim, centroids, assignments, lists, packed, packed_norms }
     }
@@ -563,6 +705,97 @@ mod tests {
             fresh.search(q, 10, 3),
             "patched index answers diverged from a fresh assignment"
         );
+    }
+
+    /// Structural equality: config, centroid bits, assignments, every
+    /// list, and the packed bytes as a full-depth probe reads them.
+    fn assert_same_index(a: &IvfIndex, b: &IvfIndex, m: &Matrix) {
+        fn bits(values: &[f32]) -> Vec<u32> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
+        assert_eq!(a.config(), b.config());
+        assert_eq!(bits(a.centroids().as_slice()), bits(b.centroids().as_slice()));
+        assert_eq!(a.assignments(), b.assignments());
+        assert_eq!(a.nlist(), b.nlist());
+        for l in 0..a.nlist() {
+            assert_eq!(a.list(l), b.list(l), "list {l}");
+            assert_eq!(bits(&a.packed[l]), bits(&b.packed[l]), "packed list {l}");
+            assert_eq!(bits(&a.packed_norms[l]), bits(&b.packed_norms[l]), "norms of list {l}");
+        }
+        for q in [0usize, 11, m.rows() - 1] {
+            assert_eq!(a.search(m.row(q), 7, 2), b.search(m.row(q), 7, 2), "query row {q}");
+        }
+    }
+
+    #[test]
+    fn from_parts_equals_a_fresh_assignment() {
+        let mut m = clustered(150, 8, 6);
+        m.row_mut(4).fill(0.0);
+        m.row_mut(9)[1] = f32::NAN;
+        let norms = m.row_norms();
+        let config = IvfConfig::auto(m.rows()).with_seed(3);
+        let built = IvfIndex::build(&m, &norms, config, 2);
+        let rebuilt = IvfIndex::from_parts(
+            &m,
+            &norms,
+            config,
+            built.centroids().clone(),
+            built.assignments().to_vec(),
+        )
+        .unwrap();
+        let fresh = IvfIndex::with_centroids(&m, &norms, built.centroids().clone(), config, 1);
+        assert_same_index(&rebuilt, &fresh, &m);
+        assert_same_index(&rebuilt, &built, &m);
+    }
+
+    #[test]
+    fn from_parts_refuses_malformed_parts_typed() {
+        let m = clustered(40, 6, 3);
+        let norms = m.row_norms();
+        let config = IvfConfig::auto(m.rows());
+        let built = IvfIndex::build(&m, &norms, config, 1);
+        let (centroids, assignments) = (built.centroids().clone(), built.assignments().to_vec());
+        let parts = |norms: &[f32], centroids: Matrix, assignments: Vec<u32>| {
+            IvfIndex::from_parts(&m, norms, config, centroids, assignments).unwrap_err()
+        };
+        assert_eq!(
+            parts(&norms[1..], centroids.clone(), assignments.clone()),
+            IndexPartsError::NormCount { rows: 40, norms: 39 }
+        );
+        assert_eq!(
+            parts(&norms, centroids.clone(), assignments[..39].to_vec()),
+            IndexPartsError::AssignmentCount { rows: 40, assignments: 39 }
+        );
+        assert_eq!(
+            parts(&norms, Matrix::zeros(centroids.rows(), 5), assignments.clone()),
+            IndexPartsError::CentroidWidth { dim: 6, centroids: 5 }
+        );
+        assert_eq!(
+            parts(&norms, Matrix::zeros(0, 6), assignments.clone()),
+            IndexPartsError::CentroidCount { rows: 40, centroids: 0 }
+        );
+        assert_eq!(
+            parts(&norms, Matrix::zeros(41, 6), assignments.clone()),
+            IndexPartsError::CentroidCount { rows: 40, centroids: 41 }
+        );
+        let nlist = centroids.rows();
+        let mut out_of_range = assignments.clone();
+        out_of_range[17] = nlist as u32;
+        assert_eq!(
+            parts(&norms, centroids.clone(), out_of_range),
+            IndexPartsError::ListOutOfRange { row: 17, list: nlist as u32, nlist }
+        );
+        for bad in [0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut degenerate = norms.clone();
+            degenerate[5] = bad;
+            let mut listed = assignments.clone();
+            listed[5] = 1;
+            assert_eq!(
+                parts(&degenerate, centroids.clone(), listed),
+                IndexPartsError::DegenerateRowListed { row: 5, list: 1 },
+                "norm {bad}"
+            );
+        }
     }
 
     #[test]

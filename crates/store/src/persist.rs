@@ -88,40 +88,43 @@ fn read_change(cur: &mut Cursor<'_>) -> Result<TableChange> {
 /// sequence the snapshot covers; recovery skips log records at or below
 /// it.
 pub(crate) fn write_snapshot(db: &Database, path: &Path, wal_seq: u64) -> Result<()> {
-    let mut payload = Vec::with_capacity(4096);
-    put_u64(&mut payload, wal_seq);
-    put_u64(&mut payload, db.write_version);
-    put_u32(&mut payload, db.tables.len() as u32);
-    for table in db.tables.values() {
-        put_schema(&mut payload, table.schema());
-        let index_cols = table.secondary_index_columns();
-        put_u32(&mut payload, index_cols.len() as u32);
-        for col in index_cols {
-            put_u32(&mut payload, col as u32);
-        }
-        put_rows(&mut payload, table.rows());
-    }
-    put_u32(&mut payload, db.table_versions.len() as u32);
-    for (name, version) in &db.table_versions {
-        put_str(&mut payload, name);
-        put_u64(&mut payload, *version);
-    }
-    let log = &db.change_log;
-    put_u64(&mut payload, log.capacity() as u64);
-    put_u64(&mut payload, log.base());
-    put_u32(&mut payload, log.len() as u32);
-    for record in log.records() {
-        put_u64(&mut payload, record.version);
-        put_str(&mut payload, &record.table);
-        put_change(&mut payload, &record.change);
-    }
-
-    let mut out = Vec::with_capacity(payload.len() + HEADER_LEN);
+    // One buffer: the header goes first with its checksum and length
+    // zeroed, the payload is encoded after it, then both are patched in.
+    let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
-    put_u32(&mut out, crc32(&payload));
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
+    out.resize(HEADER_LEN, 0);
+    put_u64(&mut out, wal_seq);
+    put_u64(&mut out, db.write_version);
+    put_u32(&mut out, db.tables.len() as u32);
+    for table in db.tables.values() {
+        put_schema(&mut out, table.schema());
+        let index_cols = table.secondary_index_columns();
+        put_u32(&mut out, index_cols.len() as u32);
+        for col in index_cols {
+            put_u32(&mut out, col as u32);
+        }
+        put_rows(&mut out, table.rows());
+    }
+    put_u32(&mut out, db.table_versions.len() as u32);
+    for (name, version) in &db.table_versions {
+        put_str(&mut out, name);
+        put_u64(&mut out, *version);
+    }
+    let log = &db.change_log;
+    put_u64(&mut out, log.capacity() as u64);
+    put_u64(&mut out, log.base());
+    put_u32(&mut out, log.len() as u32);
+    for record in log.records() {
+        put_u64(&mut out, record.version);
+        put_str(&mut out, &record.table);
+        put_change(&mut out, &record.change);
+    }
+
+    let payload = &out[HEADER_LEN..];
+    let (crc, len) = (crc32(payload), payload.len() as u64);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
+    out[12..20].copy_from_slice(&len.to_le_bytes());
     codec::write_atomic(path, &out)
 }
 
@@ -134,7 +137,8 @@ pub(crate) fn load_snapshot(path: &Path) -> Result<Option<(Database, u64)>> {
         Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(err) => return Err(io_err(err)),
     };
-    let mut header = codec::check_header(&data, MAGIC, VERSION, HEADER_LEN, "a store snapshot")?;
+    let (_, mut header) =
+        codec::check_header(&data, MAGIC, VERSION..=VERSION, HEADER_LEN, "a store snapshot")?;
     let stored_crc = header.u32("snapshot checksum")?;
     let len = header.u64("snapshot payload length")?;
     let payload = header.rest();

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use retro::core::serve::{EmbeddingService, SearchMode};
-use retro::core::{Hyperparameters, RefreshKind, RetroConfig};
+use retro::core::{Hyperparameters, IncrementalRetro, RefreshKind, RetroConfig};
 use retro::embed::EmbeddingSet;
 use retro::store::{Database, DurabilityPolicy, SharedDatabase, Value};
 
@@ -245,4 +245,75 @@ fn snapshot_ahead_of_the_store_is_refreshed_on_recovery() {
     assert!(recovered.refresh_if_stale().unwrap().is_some());
     let served = movie_title(901);
     assert!(recovered.snapshot().vector("movies", "title", served.as_text().unwrap()).is_some());
+}
+
+/// Every structural part of two indexes is the same: config, centroid
+/// bits, list assignments and every list's members.
+fn assert_same_index(a: &retro::nn::IvfIndex, b: &retro::nn::IvfIndex, what: &str) {
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+    assert_eq!(a.config(), b.config(), "{what}: config");
+    assert_eq!(bits(a.centroids().as_slice()), bits(b.centroids().as_slice()), "{what}: centroids");
+    assert_eq!(a.assignments(), b.assignments(), "{what}: assignments");
+    assert_eq!(a.nlist(), b.nlist(), "{what}: list count");
+    for l in 0..a.nlist() {
+        assert_eq!(a.list(l), b.list(l), "{what}: list {l}");
+    }
+}
+
+/// A restart serves the index that was saved, not a retrained one: the
+/// recovered index is structurally the saved one, default-depth
+/// approximate rankings match the pre-crash ones, and after the next
+/// refresh the index equals that of a survivor that never restarted.
+#[test]
+fn restart_serves_the_saved_index_and_keeps_it_in_step() {
+    let scratch = ScratchDir::new();
+    let embed_path = scratch.0.join("embeddings.rsrv");
+    let db = populate(&scratch.0, 8 * stress_rounds(3));
+    let survivor = EmbeddingService::start(SharedDatabase::new(db), base(), config()).unwrap();
+    // A delta refresh after the first build: the saved index is a patched
+    // one, over more rows than its centroids were trained on, which a
+    // retrained index would not reproduce.
+    let any_dirty_set = |session: &mut IncrementalRetro| session.delta_max_dirty_fraction = 1.0;
+    survivor.tune_session(any_dirty_set);
+    for id in 900..903 {
+        insert_movie(survivor.database(), id);
+    }
+    survivor.refresh().unwrap();
+    assert_eq!(survivor.last_refresh(), Some(RefreshKind::Delta));
+    survivor.save_snapshot(&embed_path).unwrap();
+    survivor.database().with_write(|db| db.checkpoint()).unwrap();
+
+    let pre = survivor.snapshot();
+    let probes = SearchMode::Approx { probes: pre.default_probes() };
+    let queries: Vec<Vec<f32>> =
+        (0..pre.len()).step_by(3).map(|i| pre.output().embeddings.row(i).to_vec()).collect();
+    let approx = |snap: &retro::core::serve::Snapshot| -> Vec<Vec<(usize, f32)>> {
+        queries.iter().map(|q| snap.nearest(q, 10, probes)).collect()
+    };
+    let expected = approx(&pre);
+
+    let recovered_db = Database::recover(&scratch.0).unwrap();
+    let recovered =
+        EmbeddingService::recover(SharedDatabase::new(recovered_db), base(), config(), &embed_path)
+            .unwrap();
+    let post = recovered.snapshot();
+    assert_same_index(post.index(), pre.index(), "recovered against saved");
+    assert_eq!(post.default_probes(), pre.default_probes());
+    assert_eq!(approx(&post), expected, "default-depth rankings must survive the restart");
+    recovered.tune_session(any_dirty_set);
+
+    for round in 0..stress_rounds(3) as i64 {
+        insert_movie(survivor.database(), 1_000 + round);
+        insert_movie(recovered.database(), 1_000 + round);
+    }
+    survivor.refresh().unwrap();
+    recovered.refresh().unwrap();
+    assert_eq!(survivor.last_refresh(), recovered.last_refresh());
+    assert_same_index(
+        recovered.snapshot().index(),
+        survivor.snapshot().index(),
+        "after the next refresh",
+    );
 }
