@@ -416,6 +416,8 @@ fn profile_streaming(
         Some(RefreshKind::Delta),
         "a single-row insert must take the delta path"
     );
+    let trace = service.last_trace().expect("a refresh publishes its trace");
+    println!("  {label}: priming refresh          {trace}");
 
     // The stream: one insert, one refresh, repeat — with a reader
     // hammering nearest-neighbour queries the whole time.
@@ -435,13 +437,17 @@ fn profile_streaming(
             });
             let mut latencies = Vec::with_capacity(STREAM);
             for i in 0..STREAM {
-                shared.with_write(|db| insert.insert(db, 2 + i));
+                // The insert pays the copy of the table it writes: the
+                // last refresh froze the store by sharing every table.
+                let (_, insert_secs) = time(|| shared.with_write(|db| insert.insert(db, 2 + i)));
                 let (_, secs) = time(|| service.refresh().expect("refresh"));
                 assert_eq!(
                     service.last_refresh(),
                     Some(RefreshKind::Delta),
                     "streamed insert fell off the delta path"
                 );
+                let trace = service.last_trace().expect("a refresh publishes its trace");
+                println!("  {label}: refresh {i:>2}: insert {:.1} ms, {trace}", insert_secs * 1e3);
                 latencies.push(secs);
             }
             stop.store(true, Ordering::Release);

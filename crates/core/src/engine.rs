@@ -27,10 +27,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use retro_embed::EmbeddingSet;
 use retro_store::sql::{
     self, Literal, PlanMode, QueryResult, TableFunctionProvider, VirtualRelation,
@@ -38,7 +37,9 @@ use retro_store::sql::{
 use retro_store::{csv, ColumnDef, DataType, Database, SharedDatabase, StoreError, Value};
 
 use crate::api::{RetroConfig, RetroError};
-use crate::serve::{EmbeddingService, PinnedGeneration, SearchMode, Snapshot};
+use crate::serve::{
+    lock_read, lock_write, EmbeddingService, PinnedGeneration, SearchMode, Snapshot,
+};
 
 /// The engine guide, rendered from `docs/ENGINE.md` so its code examples
 /// compile and run as doctests.
@@ -471,7 +472,7 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let service =
             EmbeddingService::start_cached(db, base, config, self.config.generation_cache)?;
-        self.dbs.write().insert(name.to_owned(), service);
+        lock_write(&self.dbs).insert(name.to_owned(), service);
         Ok(())
     }
 
@@ -489,13 +490,13 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let cache = self.config.generation_cache;
         let service = EmbeddingService::recover_cached(db, base, config, snapshot_path, cache)?;
-        self.dbs.write().insert(name.to_owned(), service);
+        lock_write(&self.dbs).insert(name.to_owned(), service);
         Ok(())
     }
 
     /// Names of the registered databases, sorted.
     pub fn database_names(&self) -> Vec<String> {
-        self.dbs.read().keys().cloned().collect()
+        lock_read(&self.dbs).keys().cloned().collect()
     }
 
     /// The serving service behind `name` — the escape hatch for
@@ -504,8 +505,7 @@ impl Engine {
     /// the service's generations, so anything it publishes reaches new
     /// sessions.
     pub fn service(&self, name: &str) -> Result<Arc<EmbeddingService>, EngineError> {
-        self.dbs
-            .read()
+        lock_read(&self.dbs)
             .get(name)
             .map(Arc::clone)
             .ok_or_else(|| EngineError::UnknownDatabase(name.to_owned()))

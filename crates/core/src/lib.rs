@@ -78,5 +78,5 @@ pub use hyper::{Hyperparameters, ParamCheck};
 pub use incremental::{IncrementalRetro, RefreshKind, RefreshPlan};
 pub use problem::RetrofitProblem;
 pub use relations::{RelationGroup, RelationKind};
-pub use serve::{EmbeddingService, RefreshWorker, Snapshot};
+pub use serve::{EmbeddingService, RefreshTrace, RefreshWorker, Snapshot};
 pub use solver::Solver;

@@ -16,13 +16,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use retro_embed::{nn, EmbeddingSet};
 use retro_linalg::vector;
-use retro_nn::ann::{IvfConfig, IvfIndex};
+use retro_nn::ann::{IvfConfig, IvfIndex, PatchStats};
 use retro_store::{Database, SharedDatabase};
 
 pub use retro_nn::ann::SearchMode;
@@ -34,6 +33,19 @@ use crate::incremental::{IncrementalRetro, RefreshKind, RefreshPlan};
 /// compile and run as doctests.
 #[doc = include_str!("../../../docs/SERVING.md")]
 pub mod guide {}
+
+/// Read `lock`, recovering it if a holder panicked: the service's locks
+/// guard state that is only ever replaced whole (a session installs a
+/// finished output, the cache pushes a finished generation), so a panic
+/// never leaves a half-written value behind.
+pub(crate) fn lock_read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write `lock`, recovering it if a holder panicked (see [`lock_read`]).
+pub(crate) fn lock_write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One immutable, generation-numbered converged output.
 ///
@@ -91,37 +103,46 @@ impl Snapshot {
     /// The next generation after `self`, serving `output`. `dirty` is the
     /// delta plan's dirty row set when the session's previous state was
     /// `self.output` (the service holds both under its session lock).
+    /// Records the norm and index phases in `trace`.
     fn successor(
         &self,
         write_version: u64,
         output: Arc<RetroOutput>,
         dirty: Option<Vec<u32>>,
+        trace: &mut RefreshTrace,
     ) -> Self {
         let (generation, threads) = (self.generation + 1, self.threads);
+        let rows = output.embeddings.rows();
+        let started = Instant::now();
         if Arc::ptr_eq(&output, &self.output) {
             // No-change refresh: the session kept its output allocation, so
             // reuse the published norms and the ANN index too — the
             // republish is O(n), not O(n·D).
             let (norms, index) = (self.norms.clone(), Arc::clone(&self.index));
             Self { generation, write_version, threads, norms, index, output }
-        } else if let Some(dirty) = dirty.filter(|_| self.norms.len() <= output.embeddings.rows()) {
+        } else if let Some(dirty) = dirty.filter(|_| self.norms.len() <= rows) {
             // Delta refresh: only the dirty rows moved and new rows were
             // appended. Patch the cached norms instead of renormalizing the
             // whole matrix, and patch the ANN index against its frozen
-            // centroids instead of retraining — `O(Δ)` either way.
-            // Centroids retrain on the next full refresh
-            // (tests/ann_serving.rs pins the patched index structurally
-            // identical to a fresh assignment).
-            let mut norms = Vec::with_capacity(output.embeddings.rows());
+            // centroids instead of retraining. Centroids retrain on the
+            // next full refresh (tests/ann_serving.rs pins the patched
+            // index structurally identical to a fresh assignment).
+            let mut norms = Vec::with_capacity(rows);
             norms.extend_from_slice(&self.norms);
-            norms.resize(output.embeddings.rows(), 0.0);
+            norms.resize(rows, 0.0);
             for &r in &dirty {
                 norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
             }
-            let index = Arc::new(self.index.refreshed(&output.embeddings, &norms, &dirty));
+            let normed = Instant::now();
+            let (index, patch) = self.index.patched(&output.embeddings, &norms, &dirty, threads);
+            (trace.norms, trace.index) = (normed - started, normed.elapsed());
+            trace.patch = Some(patch);
+            let index = Arc::new(index);
             Self { generation, write_version, threads, norms, index, output }
         } else {
-            Self::new(generation, write_version, threads, output)
+            let snapshot = Self::new(generation, write_version, threads, output);
+            trace.index = started.elapsed();
+            snapshot
         }
     }
 
@@ -229,14 +250,83 @@ impl Snapshot {
     }
 }
 
+/// Where the refresh that published a generation spent its time, and
+/// what its index patch did: the first slice of the service's refresh
+/// tracing, readable without a debugger.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RefreshTrace {
+    /// The path the refresh took.
+    pub kind: RefreshKind,
+    /// Rows the delta plan re-solved (0 for full and no-change plans).
+    pub dirty_rows: usize,
+    /// Planning under the database read guard, waiting for it included.
+    pub prepare: Duration,
+    /// Freezing the generation's store, under the same guard: one
+    /// [`Database`] clone, which shares every table.
+    pub freeze: Duration,
+    /// The solve, with the database unlocked.
+    pub solve: Duration,
+    /// Patching the cached row norms (delta refreshes only; a full
+    /// refresh counts its norms under `index`).
+    pub norms: Duration,
+    /// Patching the ANN index, or building it on a full refresh.
+    pub index: Duration,
+    /// The index patch's counts, for a delta refresh.
+    pub patch: Option<PatchStats>,
+}
+
+impl RefreshTrace {
+    fn new(kind: RefreshKind, dirty_rows: usize) -> Self {
+        let zero = Duration::ZERO;
+        Self {
+            kind,
+            dirty_rows,
+            prepare: zero,
+            freeze: zero,
+            solve: zero,
+            norms: zero,
+            index: zero,
+            patch: None,
+        }
+    }
+}
+
+impl std::fmt::Display for RefreshTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        write!(
+            f,
+            "{:?} {} dirty: prepare {:.1} ms, freeze {:.1} ms, solve {:.1} ms, norms {:.1} ms, \
+             index {:.1} ms",
+            self.kind,
+            self.dirty_rows,
+            ms(self.prepare),
+            ms(self.freeze),
+            ms(self.solve),
+            ms(self.norms),
+            ms(self.index)
+        )?;
+        if let Some(p) = &self.patch {
+            write!(
+                f,
+                " ({} certified, {} reassigned, {} moved; lists {} rebuilt, {} shared)",
+                p.certified, p.reassigned, p.moved, p.lists_rebuilt, p.lists_shared
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// One published generation, frozen whole: the embedding [`Snapshot`]
 /// plus a clone of the exact database state it was extracted from (both
 /// captured under one database read guard, so their write versions agree
-/// by construction).
+/// by construction), and the trace of the refresh that made it.
 #[derive(Debug)]
 pub struct PinnedGeneration {
     snapshot: Arc<Snapshot>,
     store: Arc<Database>,
+    /// The refresh that made this generation, if one did.
+    trace: Option<RefreshTrace>,
 }
 
 impl PinnedGeneration {
@@ -304,7 +394,9 @@ type Prepare = fn(&IncrementalRetro, &Database, &EmbeddingSet) -> Result<Refresh
 /// database read guard, freezing a clone of the store under the same
 /// guard, then solve with the database unlocked. The clone and the
 /// snapshot's stamp therefore describe exactly the extracted state: no
-/// write can slip between them.
+/// write can slip between them. The clone shares every table, so the
+/// freeze costs O(tables); the live database copies a table on its first
+/// write after it.
 fn advance(
     session: &mut IncrementalRetro,
     db: &SharedDatabase,
@@ -312,15 +404,26 @@ fn advance(
     old: &Snapshot,
     prepare: Prepare,
 ) -> Result<PinnedGeneration, RetroError> {
-    let (plan, store) = {
+    let started = Instant::now();
+    let (plan, prepared, store) = {
         let guard = db.read();
-        (prepare(session, &guard, base)?, Database::clone(&guard))
+        let plan = prepare(session, &guard, base)?;
+        (plan, Instant::now(), Database::clone(&guard))
     };
+    let frozen = Instant::now();
     let dirty = plan.dirty_rows().map(<[u32]>::to_vec);
+    let mut trace = RefreshTrace::new(plan.kind(), dirty.as_ref().map_or(0, Vec::len));
     session.complete_refresh(plan);
+    let solved = Instant::now();
+    (trace.prepare, trace.freeze, trace.solve) =
+        (prepared - started, frozen - prepared, solved - frozen);
     let output = session.current_shared().expect("just completed");
-    let snapshot = old.successor(store.write_version(), output, dirty);
-    Ok(PinnedGeneration { snapshot: Arc::new(snapshot), store: Arc::new(store) })
+    let snapshot = old.successor(store.write_version(), output, dirty, &mut trace);
+    Ok(PinnedGeneration {
+        snapshot: Arc::new(snapshot),
+        store: Arc::new(store),
+        trace: Some(trace),
+    })
 }
 
 impl EmbeddingService {
@@ -374,7 +477,9 @@ impl EmbeddingService {
             (guard.write_version() == first.write_version()).then(|| Database::clone(&guard))
         };
         let pinned = match store {
-            Some(store) => PinnedGeneration { snapshot: Arc::new(first), store: Arc::new(store) },
+            Some(store) => {
+                PinnedGeneration { snapshot: Arc::new(first), store: Arc::new(store), trace: None }
+            }
             None => advance(&mut session, &db, &base, &first, IncrementalRetro::prepare_refresh)?,
         };
         let cache = cache.max(1);
@@ -402,12 +507,12 @@ impl EmbeddingService {
 
     /// The newest published generation: its snapshot and frozen store.
     pub(crate) fn latest(&self) -> Arc<PinnedGeneration> {
-        Arc::clone(self.generations.read().back().expect("a service always has a generation"))
+        Arc::clone(lock_read(&self.generations).back().expect("a service always has a generation"))
     }
 
     /// Generation numbers of the cached generations, oldest first.
     pub(crate) fn cached_generations(&self) -> Vec<u64> {
-        self.generations.read().iter().map(|p| p.snapshot.generation()).collect()
+        lock_read(&self.generations).iter().map(|p| p.snapshot.generation()).collect()
     }
 
     /// The currently published snapshot.
@@ -480,11 +585,11 @@ impl EmbeddingService {
     /// delta dirty-set budget) under the session lock. Takes effect on the
     /// next refresh; concurrent refreshes are serialized against it.
     pub fn tune_session(&self, tune: impl FnOnce(&mut IncrementalRetro)) {
-        tune(&mut self.session.write());
+        tune(&mut lock_write(&self.session));
     }
 
     fn refresh_with(&self, prepare: Prepare) -> Result<u64, RetroError> {
-        let mut session = self.session.write();
+        let mut session = lock_write(&self.session);
         let next = advance(&mut session, &self.db, &self.base, &self.snapshot(), prepare)?;
         let generation = next.snapshot.generation();
         // Publish under the session lock: publish order equals solve
@@ -492,7 +597,7 @@ impl EmbeddingService {
         // observer. An evicted generation is dropped after the cache lock
         // is released: it may hold the last handle on a store clone.
         let _evicted = {
-            let mut generations = self.generations.write();
+            let mut generations = lock_write(&self.generations);
             generations.push_back(Arc::new(next));
             (generations.len() > self.cache).then(|| generations.pop_front())
         };
@@ -650,11 +755,18 @@ impl EmbeddingService {
         Self::launch(db, base, session, first, cache)
     }
 
+    /// The trace of the refresh that published the current generation;
+    /// `None` when no refresh made it (a start, or a recovery with nothing
+    /// to catch up on).
+    pub fn last_trace(&self) -> Option<RefreshTrace> {
+        self.latest().trace.clone()
+    }
+
     /// Which path the most recent solve took — [`RefreshKind::Full`] right
     /// after start (the initial run is a full run), then whatever the last
     /// refresh dispatched to.
     pub fn last_refresh(&self) -> Option<RefreshKind> {
-        self.session.read().last_refresh()
+        lock_read(&self.session).last_refresh()
     }
 
     /// Number of refreshes published since start (the first generation
@@ -866,6 +978,28 @@ mod tests {
             1,
         );
         assert_eq!(snap.index().assignments(), fresh.assignments());
+    }
+
+    #[test]
+    fn each_refresh_publishes_its_trace() {
+        let service = EmbeddingService::start(shared(), base(), RetroConfig::default()).unwrap();
+        assert_eq!(service.last_trace(), None, "no refresh made generation 1");
+        service.tune_session(|s| s.delta_max_dirty_fraction = 1.0);
+        insert_prometheus(service.database());
+        service.refresh().unwrap();
+        let trace = service.last_trace().expect("a refresh made generation 2");
+        assert_eq!(trace.kind, RefreshKind::Delta);
+        let patch = trace.patch.expect("a delta refresh patches the index");
+        assert!(trace.dirty_rows > 0);
+        assert_eq!(patch.dirty, trace.dirty_rows);
+        assert_eq!(patch.certified + patch.reassigned, trace.dirty_rows, "{trace}");
+        let nlist = service.snapshot().index().nlist();
+        assert_eq!(patch.lists_rebuilt + patch.lists_shared, nlist, "{trace}");
+        assert!(trace.to_string().starts_with("Delta "), "{trace}");
+
+        service.refresh_full().unwrap();
+        let trace = service.last_trace().unwrap();
+        assert_eq!((trace.kind, trace.dirty_rows, trace.patch), (RefreshKind::Full, 0, None));
     }
 
     #[test]

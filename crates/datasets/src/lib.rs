@@ -26,12 +26,10 @@
 pub mod gplay;
 pub mod names;
 pub mod preset;
-pub mod scholar;
 pub mod tmdb;
 pub mod toy;
 
 pub use gplay::{GooglePlayConfig, GooglePlayDataset};
 pub use preset::SizePreset;
-pub use scholar::{Mention, ScholarConfig, ScholarDataset};
 pub use tmdb::{TmdbConfig, TmdbDataset};
 pub use toy::{toy_problem, ToyExample};

@@ -1,14 +1,11 @@
-//! The four §5 downstream tasks, plus the entity-linking serving workload
-//! (mention → entity via nearest-neighbour search over a snapshot).
+//! The four §5 downstream tasks.
 
 pub mod binary;
-pub mod entity_linking;
 pub mod imputation;
 pub mod link;
 pub mod regression;
 
 pub use binary::run_binary_classification;
-pub use entity_linking::{run_entity_linking, LinkingReport};
 pub use imputation::run_imputation;
 pub use link::run_link_prediction;
 pub use regression::run_regression;

@@ -32,17 +32,23 @@
 //!   `NaN`/`±inf`-poisoned rows are assigned to list 0 and score exactly
 //!   `0.0` through the shared sanitize, the same convention as the exact
 //!   path.
-//! * **Refreshes patch, full rebuilds retrain.** [`IvfIndex::refreshed`]
-//!   re-assigns only the dirty rows against the *frozen* centroids — `O(Δ ·
-//!   nlist · dim)`, matching the delta-refresh cost model — and is pinned
-//!   structurally identical to [`IvfIndex::with_centroids`] over the same
-//!   rows. Centroids only retrain on a full build, where the solve already
-//!   dominates.
+//! * **Refreshes patch what changed, full rebuilds retrain.**
+//!   [`IvfIndex::patched`] keeps the *frozen* centroids and visits only the
+//!   dirty rows. A dirty row that moved by less than its stored assignment
+//!   margin allows skips the `nlist`-centroid scan (`O(dim)` instead of
+//!   `O(nlist · dim)`); the rest are re-assigned. Inverted lists sit behind
+//!   `Arc`s: a list with no dirty member and no arrival is shared with the
+//!   previous index, and each touched list is rebuilt in one ascending
+//!   pass. The result is pinned structurally identical to
+//!   [`IvfIndex::with_centroids`] over the same rows. Centroids only
+//!   retrain on a full build, where the solve already dominates.
 //! * **Restarts copy, they don't retrain.** [`IvfIndex::from_parts`]
 //!   rebuilds a persisted index from its config, centroids and per-row
 //!   assignments over the recovered matrix — checked, then packed in one
 //!   pass with the same helper [`IvfIndex::with_centroids`] uses — so a
 //!   restarted service serves the index it saved.
+
+use std::sync::Arc;
 
 use retro_embed::nn::top_k_cosine_blocks;
 use retro_linalg::{vector, Matrix};
@@ -209,12 +215,62 @@ pub struct IvfIndex {
     centroids: Matrix,
     /// Row id → owning list.
     assignments: Vec<u32>,
-    /// Per list: member row ids, ascending.
-    lists: Vec<Vec<u32>>,
-    /// Per list: the members' vectors, packed back to back in list order.
-    packed: Vec<Vec<f32>>,
-    /// Per list: the members' L2 norms, in list order.
-    packed_norms: Vec<Vec<f32>>,
+    /// Row id → assignment margin, `NaN` where unknown. A known margin `m`
+    /// of a row `x` in list `a` bounds the exact dot products:
+    /// `c_a·x − c_l·x ≥ m − 2γ·max‖c‖·‖x‖ − 2·dim·2⁻¹⁵⁰` for every other
+    /// list `l`, where `γ ≈ dim·2⁻²⁴` bounds the relative error of one
+    /// `f32` dot. The assignment pass stores the computed lead over the
+    /// runner-up centroid, which satisfies this; [`IvfIndex::patched`]
+    /// keeps it true for rows it certifies (see [`patch_bound`]).
+    margins: Vec<f32>,
+    /// The inverted lists, shared between an index and the patched
+    /// indexes that did not touch them.
+    lists: Vec<Arc<InvertedList>>,
+}
+
+/// One inverted list: its member row ids, ascending, with their vectors
+/// packed back to back and their L2 norms, both in member order.
+#[derive(Clone, Debug, Default)]
+struct InvertedList {
+    ids: Vec<u32>,
+    rows: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl InvertedList {
+    fn with_capacity(members: usize, dim: usize) -> Self {
+        Self {
+            ids: Vec::with_capacity(members),
+            rows: Vec::with_capacity(members * dim),
+            norms: Vec::with_capacity(members),
+        }
+    }
+
+    fn push(&mut self, id: u32, row: &[f32], norm: f32) {
+        self.ids.push(id);
+        self.rows.extend_from_slice(row);
+        self.norms.push(norm);
+    }
+}
+
+/// What one [`IvfIndex::patched`] call did. Every dirty row is either
+/// certified or reassigned, and every list is either rebuilt or shared.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PatchStats {
+    /// Distinct dirty rows, appended rows included.
+    pub dirty: usize,
+    /// Dirty rows whose margin proved their list unchanged, so no
+    /// centroid was scanned for them.
+    pub certified: usize,
+    /// Dirty rows assigned by a full nearest-centroid scan: appended rows,
+    /// rows of unknown margin and rows that moved too far to certify.
+    pub reassigned: usize,
+    /// Previously indexed rows that now sit in a different list.
+    pub moved: usize,
+    /// Lists rebuilt because a member was dirty or a row arrived.
+    pub lists_rebuilt: usize,
+    /// Lists shared untouched with the previous index.
+    pub lists_shared: usize,
 }
 
 impl IvfIndex {
@@ -243,11 +299,11 @@ impl IvfIndex {
         assert_eq!(centroids.cols(), matrix.cols(), "IvfIndex: centroid dimension mismatch");
         assert!(centroids.rows() > 0, "IvfIndex: need at least one centroid");
         let rows = matrix.rows();
-        let mut assignments = vec![0u32; rows];
+        let mut assigned = vec![(0u32, f32::NAN); rows];
         let threads = threads.clamp(1, rows.max(1));
         let chunk = rows.div_ceil(threads).max(1);
         std::thread::scope(|s| {
-            for (t, out) in assignments.chunks_mut(chunk).enumerate() {
+            for (t, out) in assigned.chunks_mut(chunk).enumerate() {
                 let start = t * chunk;
                 let centroids = &centroids;
                 s.spawn(move || {
@@ -257,7 +313,8 @@ impl IvfIndex {
                 });
             }
         });
-        Self::packed(matrix, norms, config, centroids, assignments)
+        let (assignments, margins) = assigned.into_iter().unzip();
+        Self::grouped(matrix, norms, config, centroids, assignments, margins)
     }
 
     /// Rebuild an index from the parts a persisted one was saved as — its
@@ -273,6 +330,9 @@ impl IvfIndex {
     /// every assignment must name a list, and every degenerate row (zero,
     /// `NaN` or `±inf` norm) must sit in list 0, where the assignment rule
     /// puts it.
+    ///
+    /// The parts carry no assignment margins, so the first patch after a
+    /// restart re-assigns each of its dirty rows in full.
     pub fn from_parts(
         matrix: &Matrix,
         norms: &[f32],
@@ -305,7 +365,8 @@ impl IvfIndex {
                 return Err(IndexPartsError::DegenerateRowListed { row, list });
             }
         }
-        Ok(Self::packed(matrix, norms, config, centroids, assignments))
+        let margins = vec![f32::NAN; rows];
+        Ok(Self::grouped(matrix, norms, config, centroids, assignments, margins))
     }
 
     /// Group the rows by their (valid) assignments and pack each list's
@@ -313,93 +374,194 @@ impl IvfIndex {
     /// docs): one counting pass sizes every list exactly, one pass over
     /// the rows in ascending order fills them, so lists come out
     /// ascending.
-    fn packed(
+    fn grouped(
         matrix: &Matrix,
         norms: &[f32],
         config: IvfConfig,
         centroids: Matrix,
         assignments: Vec<u32>,
+        margins: Vec<f32>,
     ) -> Self {
         let dim = matrix.cols();
         let mut sizes = vec![0usize; centroids.rows()];
         for &list in &assignments {
             sizes[list as usize] += 1;
         }
-        let mut lists: Vec<Vec<u32>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-        let mut packed: Vec<Vec<f32>> =
-            sizes.iter().map(|&n| Vec::with_capacity(n * dim)).collect();
-        let mut packed_norms: Vec<Vec<f32>> =
-            sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut lists: Vec<InvertedList> =
+            sizes.iter().map(|&n| InvertedList::with_capacity(n, dim)).collect();
         for (id, &list) in assignments.iter().enumerate() {
-            let l = list as usize;
-            lists[l].push(id as u32);
-            packed[l].extend_from_slice(matrix.row(id));
-            packed_norms[l].push(norms[id]);
+            lists[list as usize].push(id as u32, matrix.row(id), norms[id]);
         }
-        Self { config, dim, centroids, assignments, lists, packed, packed_norms }
+        let lists = lists.into_iter().map(Arc::new).collect();
+        Self { config, dim, centroids, assignments, margins, lists }
     }
 
-    /// The index after a delta refresh: rows in `dirty` (moved, re-solved,
-    /// or freshly appended — the serving layer's `RefreshPlan::dirty_rows`)
-    /// are re-assigned against the **frozen** centroids and their packed
-    /// copies rewritten from the new matrix; every other row keeps its list
-    /// and bytes. The patch itself is `O(|dirty| · nlist · dim)` (plus the
-    /// `O(n · dim)` clone of the packed storage every published generation
-    /// needs anyway — same follow-up as the snapshot's own buffer
-    /// materializations, see ROADMAP).
+    /// [`IvfIndex::patched`] on one thread, without its counts.
+    pub fn refreshed(&self, matrix: &Matrix, norms: &[f32], dirty: &[u32]) -> Self {
+        self.patched(matrix, norms, dirty, 1).0
+    }
+
+    /// The index after a delta refresh, and what the patch did. Rows in
+    /// `dirty` (moved, re-solved, or freshly appended — the serving
+    /// layer's `RefreshPlan::dirty_rows`) are placed against the **frozen**
+    /// centroids and their packed copies rewritten from the new matrix;
+    /// every other row keeps its list and bytes.
+    ///
+    /// A dirty row whose old and new bits differ by less than its stored
+    /// margin allows (`patch_bound`) keeps its list without a centroid
+    /// scan; every other dirty row — appended, of unknown margin (after
+    /// [`IvfIndex::from_parts`], degenerate before or after, or under a
+    /// non-finite centroid), or moved too far — takes the full
+    /// nearest-centroid scan, split over `threads`. Lists with no dirty
+    /// member and no arrival are shared with `self`; each other list is
+    /// rebuilt in one ascending merge of its kept members and its
+    /// arrivals. The cost is `O(|dirty| · dim)` for the certificates,
+    /// `O(reassigned · nlist · dim)` for the scans and one copy of the
+    /// touched lists — nothing is paid for untouched lists.
     ///
     /// Pinned by `tests/ann_serving.rs`: the patched index is structurally
-    /// identical to [`IvfIndex::with_centroids`] over the same rows, so
-    /// coherence never decays across a refresh chain. (Recall against
-    /// *retrained* centroids can — `EmbeddingService::refresh_full`
-    /// rebuilds from scratch.)
-    pub fn refreshed(&self, matrix: &Matrix, norms: &[f32], dirty: &[u32]) -> Self {
+    /// identical to [`IvfIndex::with_centroids`] over the same rows, for
+    /// every thread count, so coherence never decays across a refresh
+    /// chain. (Recall against *retrained* centroids can —
+    /// `EmbeddingService::refresh_full` rebuilds from scratch.)
+    pub fn patched(
+        &self,
+        matrix: &Matrix,
+        norms: &[f32],
+        dirty: &[u32],
+        threads: usize,
+    ) -> (Self, PatchStats) {
         assert_eq!(norms.len(), matrix.rows(), "IvfIndex: norm cache length mismatch");
         assert_eq!(matrix.cols(), self.dim, "IvfIndex::refreshed: dimension changed");
+        let (old_rows, rows, nlist) = (self.assignments.len(), matrix.rows(), self.nlist());
         assert!(
-            matrix.rows() >= self.assignments.len(),
-            "IvfIndex::refreshed: rows shrank ({} -> {}); rebuild instead",
-            self.assignments.len(),
-            matrix.rows()
+            rows >= old_rows,
+            "IvfIndex::refreshed: rows shrank ({old_rows} -> {rows}); rebuild instead"
         );
-        let dim = self.dim;
-        let mut out = self.clone();
-        out.assignments.resize(matrix.rows(), u32::MAX);
-        for &r in dirty {
-            let id = r;
-            let r = r as usize;
-            assert!(r < out.assignments.len(), "IvfIndex::refreshed: dirty row out of range");
-            let old = out.assignments[r];
-            let new = assign_row(matrix.row(r), norms[r], &out.centroids);
-            if old == new {
-                // Same list — but a dirty row's values may have changed, so
-                // its packed copy is rewritten in place.
-                let at =
-                    out.lists[old as usize].binary_search(&id).expect("assignments/lists agree");
-                out.packed[old as usize][at * dim..(at + 1) * dim].copy_from_slice(matrix.row(r));
-                out.packed_norms[old as usize][at] = norms[r];
-                continue;
+        let mut dirty = dirty.to_vec();
+        if !dirty.is_sorted_by(|a, b| a < b) {
+            dirty.sort_unstable();
+            dirty.dedup();
+        }
+        assert!(
+            dirty.last().is_none_or(|&r| (r as usize) < rows),
+            "IvfIndex::refreshed: dirty row out of range"
+        );
+
+        // Place every dirty row: a certificate where its margin allows,
+        // the full scan otherwise. Rows are independent, so the split over
+        // threads changes nothing.
+        let c_max = max_norm(&self.centroids);
+        let mut placed = vec![Placement::default(); dirty.len()];
+        let threads = threads.clamp(1, dirty.len().max(1));
+        let chunk = dirty.len().div_ceil(threads).max(1);
+        std::thread::scope(|s| {
+            for (ids, out) in dirty.chunks(chunk).zip(placed.chunks_mut(chunk)) {
+                s.spawn(move || {
+                    for (&id, slot) in ids.iter().zip(out) {
+                        *slot = self.place(id, matrix, norms, c_max);
+                    }
+                });
             }
+        });
+
+        let mut stats = PatchStats { dirty: dirty.len(), ..PatchStats::default() };
+        let mut assignments = self.assignments.clone();
+        assignments.resize(rows, u32::MAX);
+        let mut margins = self.margins.clone();
+        margins.resize(rows, f32::NAN);
+        let mut touched = vec![false; nlist];
+        let mut arrivals: Vec<Vec<u32>> = vec![Vec::new(); nlist];
+        for (&id, p) in dirty.iter().zip(&placed) {
+            let r = id as usize;
+            if p.certified {
+                stats.certified += 1;
+            } else {
+                stats.reassigned += 1;
+            }
+            let old = assignments[r];
             if old != u32::MAX {
-                let at =
-                    out.lists[old as usize].binary_search(&id).expect("assignments/lists agree");
-                out.lists[old as usize].remove(at);
-                out.packed[old as usize].drain(at * dim..(at + 1) * dim);
-                out.packed_norms[old as usize].remove(at);
+                touched[old as usize] = true;
             }
-            let at = out.lists[new as usize]
-                .binary_search(&id)
-                .expect_err("row not yet in its new list");
-            out.lists[new as usize].insert(at, id);
-            out.packed[new as usize].splice(at * dim..at * dim, matrix.row(r).iter().copied());
-            out.packed_norms[new as usize].insert(at, norms[r]);
-            out.assignments[r] = new;
+            if old != p.list {
+                stats.moved += usize::from(old != u32::MAX);
+                arrivals[p.list as usize].push(id);
+                touched[p.list as usize] = true;
+            }
+            assignments[r] = p.list;
+            margins[r] = p.margin;
         }
         debug_assert!(
-            !out.assignments.contains(&u32::MAX),
+            !assignments.contains(&u32::MAX),
             "appended rows must all be in the dirty set"
         );
-        out
+
+        let is_dirty = {
+            let mut bits = vec![false; rows];
+            dirty.iter().for_each(|&r| bits[r as usize] = true);
+            bits
+        };
+        let lists = (0..nlist)
+            .map(|l| {
+                if !touched[l] {
+                    stats.lists_shared += 1;
+                    return Arc::clone(&self.lists[l]);
+                }
+                stats.lists_rebuilt += 1;
+                let old = &self.lists[l];
+                let (kept, incoming) = (&old.ids, &arrivals[l]);
+                let size =
+                    kept.iter().filter(|&&id| assignments[id as usize] as usize == l).count();
+                let mut list = InvertedList::with_capacity(size + incoming.len(), self.dim);
+                let (mut i, mut j) = (0, 0);
+                while i < kept.len() || j < incoming.len() {
+                    if j == incoming.len() || (i < kept.len() && kept[i] < incoming[j]) {
+                        let id = kept[i];
+                        if assignments[id as usize] as usize == l {
+                            if is_dirty[id as usize] {
+                                list.push(id, matrix.row(id as usize), norms[id as usize]);
+                            } else {
+                                let bits = &old.rows[i * self.dim..(i + 1) * self.dim];
+                                list.push(id, bits, old.norms[i]);
+                            }
+                        }
+                        i += 1;
+                    } else {
+                        let id = incoming[j];
+                        list.push(id, matrix.row(id as usize), norms[id as usize]);
+                        j += 1;
+                    }
+                }
+                Arc::new(list)
+            })
+            .collect();
+        let index = Self {
+            config: self.config,
+            dim: self.dim,
+            centroids: self.centroids.clone(),
+            assignments,
+            margins,
+            lists,
+        };
+        (index, stats)
+    }
+
+    /// Where dirty row `id` goes in the patched index: kept in its list by
+    /// the margin certificate when it applies, else the full scan.
+    fn place(&self, id: u32, matrix: &Matrix, norms: &[f32], c_max: f64) -> Placement {
+        let r = id as usize;
+        let (row, norm) = (matrix.row(r), norms[r]);
+        if r < self.assignments.len() && usable(norm) {
+            let list = self.assignments[r];
+            let members = &self.lists[list as usize];
+            let at = members.ids.binary_search(&id).expect("assignments and lists agree");
+            let old = &members.rows[at * self.dim..(at + 1) * self.dim];
+            if let Some(margin) = patch_bound(self.margins[r], old, row, c_max) {
+                return Placement { list, margin, certified: true };
+            }
+        }
+        let (list, margin) = assign_row(row, norm, &self.centroids);
+        Placement { list, margin, certified: false }
     }
 
     /// Approximate cosine top-`k`: rank the inverted lists by centroid
@@ -437,7 +599,8 @@ impl IvfIndex {
             .collect();
         ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         let blocks = ranked[..probes].iter().map(|&(_, l)| {
-            (self.lists[l].as_slice(), self.packed[l].as_slice(), self.packed_norms[l].as_slice())
+            let list = &self.lists[l];
+            (list.ids.as_slice(), list.rows.as_slice(), list.norms.as_slice())
         });
         top_k_cosine_blocks(self.dim, query, k, blocks, exclude)
     }
@@ -485,7 +648,33 @@ impl IvfIndex {
 
     /// Member row ids of list `l`, ascending.
     pub fn list(&self, l: usize) -> &[u32] {
-        &self.lists[l]
+        &self.lists[l].ids
+    }
+
+    /// The packed vectors of list `l`'s members, back to back in member
+    /// order.
+    pub fn list_rows(&self, l: usize) -> &[f32] {
+        &self.lists[l].rows
+    }
+
+    /// The L2 norms of list `l`'s members, in member order.
+    pub fn list_norms(&self, l: usize) -> &[f32] {
+        &self.lists[l].norms
+    }
+}
+
+/// Where [`IvfIndex::patched`] puts one dirty row.
+#[derive(Clone, Copy, Debug)]
+struct Placement {
+    list: u32,
+    margin: f32,
+    /// True when the margin certificate kept the row's list.
+    certified: bool,
+}
+
+impl Default for Placement {
+    fn default() -> Self {
+        Self { list: 0, margin: f32::NAN, certified: false }
     }
 }
 
@@ -499,23 +688,104 @@ fn usable(norm: f32) -> bool {
 }
 
 /// Nearest-centroid assignment by raw dot product (row norms are positive
-/// scalars, so the argmax equals the cosine argmax). Ties break toward the
-/// lower centroid id; degenerate rows (zero-norm, `NaN`, `±inf`) always
-/// land in list 0.
-fn assign_row(row: &[f32], norm: f32, centroids: &Matrix) -> u32 {
+/// scalars, so the argmax equals the cosine argmax), with the row's
+/// margin. Ties break toward the lower centroid id; degenerate rows
+/// (zero-norm, `NaN`, `±inf`) always land in list 0.
+///
+/// The margin is the best dot's lead over the runner-up, rounded down
+/// (`+inf` with one centroid, `0` on a tie). It is `NaN` — unknown — for a
+/// degenerate row and whenever a dot is non-finite (a non-finite centroid
+/// or an overflow), where the `f32` error bound behind [`patch_bound`]
+/// does not hold.
+fn assign_row(row: &[f32], norm: f32, centroids: &Matrix) -> (u32, f32) {
     if !usable(norm) {
-        return 0;
+        return (0, f32::NAN);
     }
-    let mut best = f32::NEG_INFINITY;
-    let mut at = 0u32;
+    let (mut best, mut runner_up) = (f32::NEG_INFINITY, f32::NEG_INFINITY);
+    let (mut at, mut finite) = (0u32, true);
     for l in 0..centroids.rows() {
         let dot = vector::dot(centroids.row(l), row);
-        if dot.is_finite() && dot > best {
+        if !dot.is_finite() {
+            finite = false;
+        } else if dot > best {
+            runner_up = best;
             best = dot;
             at = l as u32;
+        } else if dot > runner_up {
+            runner_up = dot;
         }
     }
-    at
+    let margin = if finite && best.is_finite() {
+        round_down(f64::from(best) - f64::from(runner_up))
+    } else {
+        f32::NAN
+    };
+    (at, margin)
+}
+
+/// The largest centroid L2 norm, in `f64`; non-finite when a centroid is.
+fn max_norm(centroids: &Matrix) -> f64 {
+    (0..centroids.rows())
+        .map(|l| centroids.row(l).iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>().sqrt())
+        .fold(0.0, |max, n| if n > max || n.is_nan() { n } else { max })
+}
+
+/// The margin certificate of one dirty row: `Some(carried margin)` when
+/// the row, moving from bits `old` to bits `new` against centroids of
+/// largest norm `c_max`, provably keeps the list the full scan would give
+/// it; `None` when it must be re-assigned.
+///
+/// Write `x = old`, `x′ = new`, `d = ‖x′ − x‖` and let `a` be the row's
+/// list. Exactly, `c·x′ = c·x + c·(x′ − x)`, so every lead `c_a·x − c_l·x`
+/// shrinks by at most `2·d·max‖c‖`. Each `f32` dot of `dim` products,
+/// summed in any order, lies within `γ·‖c‖·‖x‖ + dim·2⁻¹⁵⁰` of the exact
+/// one, with `γ = dim·2⁻²⁴/(1 − dim·2⁻²⁴)` (the second term covers
+/// products that underflow). Chaining the invariant of the stored margin
+/// `m` (see `IvfIndex::margins`) through the move and through the two
+/// computed dots at `x′`, the computed `c_a·x′` strictly beats every
+/// other computed dot — so the scan would pick `a` whatever the tie rule
+/// — whenever
+///
+/// `m > 2·d·max‖c‖ + 2γ·max‖c‖·(‖x‖ + ‖x′‖) + 4·dim·2⁻¹⁵⁰`.
+///
+/// The slack used below, `4·(dim + 2)·(ε·max‖c‖·(‖x‖ + ‖x′‖) + 2⁻¹⁴⁹)` with
+/// `ε = 2⁻²³`, is more than twice that error term; the surplus absorbs
+/// the `f64` rounding of `d`, the norms and the bound itself. `d`, `‖x‖`
+/// and `‖x′‖` are computed in `f64` from the exact bits. The carried
+/// margin `m − bound`, rounded down, satisfies the invariant at `x′`, so
+/// certificates chain. A row whose dots could overflow `f32` is never
+/// certified.
+fn patch_bound(margin: f32, old: &[f32], new: &[f32], c_max: f64) -> Option<f32> {
+    let (mut moved, mut old_sq, mut new_sq) = (0.0f64, 0.0f64, 0.0f64);
+    for (&x, &y) in old.iter().zip(new) {
+        let (x, y) = (f64::from(x), f64::from(y));
+        moved += (y - x) * (y - x);
+        old_sq += x * x;
+        new_sq += y * y;
+    }
+    let (d, norm_old, norm_new) = (moved.sqrt(), old_sq.sqrt(), new_sq.sqrt());
+    // False, too, for a non-finite centroid: its `c_max` is `inf` or `NaN`.
+    let dots_fit = c_max * norm_new < f64::from(f32::MAX) / 2.0;
+    if !dots_fit {
+        return None;
+    }
+    let tiny = f64::from(f32::from_bits(1)); // 2⁻¹⁴⁹, the least subnormal
+    let slack = 4.0
+        * (old.len() + 2) as f64
+        * (f64::from(f32::EPSILON) * c_max * (norm_old + norm_new) + tiny);
+    let bound = 2.0 * d * c_max + slack;
+    let margin = f64::from(margin);
+    (margin > bound).then(|| round_down(margin - bound))
+}
+
+/// `v` rounded toward `-inf` to an `f32` (`+inf` stays `+inf`).
+fn round_down(v: f64) -> f32 {
+    let f = v as f32;
+    if f64::from(f) > v {
+        f.next_down()
+    } else {
+        f
+    }
 }
 
 /// Seeded spherical k-means over a strided sample of the usable rows.
@@ -558,7 +828,7 @@ fn train_centroids(matrix: &Matrix, norms: &[f32], config: &IvfConfig) -> Matrix
         sums.fill(0.0);
         counts.iter_mut().for_each(|c| *c = 0);
         for (i, &norm) in sample_norms.iter().enumerate() {
-            let l = assign_row(sample.row(i), norm, &centroids) as usize;
+            let l = assign_row(sample.row(i), norm, &centroids).0 as usize;
             vector::axpy(1.0, sample.row(i), sums.row_mut(l));
             counts[l] += 1;
         }
@@ -707,6 +977,42 @@ mod tests {
         );
     }
 
+    #[test]
+    fn patch_certifies_small_moves_and_shares_untouched_lists() {
+        let m = clustered(400, 8, 6);
+        let norms = m.row_norms();
+        let config = IvfConfig::auto(m.rows()).with_nlist(8);
+        let index = IvfIndex::build(&m, &norms, config, 1);
+
+        // Nudge the rows of one list, move one row far, append one.
+        let (nudged, far) = (index.list(3).to_vec(), index.list(5)[0]);
+        let mut rows: Vec<Vec<f32>> = (0..m.rows()).map(|r| m.row(r).to_vec()).collect();
+        for &id in &nudged {
+            rows[id as usize][0] += 1e-4;
+        }
+        rows[far as usize] = rows[index.list(6)[0] as usize].iter().map(|v| -v).collect();
+        rows.push(m.row(0).to_vec());
+        let next = Matrix::from_rows(&rows);
+        let norms = next.row_norms();
+        let mut dirty: Vec<u32> = nudged.clone();
+        dirty.extend([far, 400]);
+        dirty.sort_unstable();
+
+        for threads in [1, 3] {
+            let (patched, stats) = index.patched(&next, &norms, &dirty, threads);
+            assert_eq!(stats.dirty, dirty.len());
+            assert_eq!(stats.certified + stats.reassigned, stats.dirty, "{stats:?}");
+            assert_eq!(stats.lists_rebuilt + stats.lists_shared, index.nlist(), "{stats:?}");
+            assert!(stats.certified >= nudged.len() * 9 / 10, "{stats:?}");
+            let shares = |l: usize| Arc::ptr_eq(&patched.lists[l], &index.lists[l]);
+            assert_eq!((0..index.nlist()).filter(|&l| shares(l)).count(), stats.lists_shared);
+            assert!(!shares(3), "a list with dirty members is rebuilt");
+            let fresh =
+                IvfIndex::with_centroids(&next, &norms, index.centroids().clone(), config, 1);
+            assert_same_index(&patched, &fresh, &next);
+        }
+    }
+
     /// Structural equality: config, centroid bits, assignments, every
     /// list, and the packed bytes as a full-depth probe reads them.
     fn assert_same_index(a: &IvfIndex, b: &IvfIndex, m: &Matrix) {
@@ -719,8 +1025,8 @@ mod tests {
         assert_eq!(a.nlist(), b.nlist());
         for l in 0..a.nlist() {
             assert_eq!(a.list(l), b.list(l), "list {l}");
-            assert_eq!(bits(&a.packed[l]), bits(&b.packed[l]), "packed list {l}");
-            assert_eq!(bits(&a.packed_norms[l]), bits(&b.packed_norms[l]), "norms of list {l}");
+            assert_eq!(bits(a.list_rows(l)), bits(b.list_rows(l)), "packed list {l}");
+            assert_eq!(bits(a.list_norms(l)), bits(b.list_norms(l)), "norms of list {l}");
         }
         for q in [0usize, 11, m.rows() - 1] {
             assert_eq!(a.search(m.row(q), 7, 2), b.search(m.row(q), 7, 2), "query row {q}");

@@ -29,7 +29,7 @@ pub mod network;
 pub mod optimizer;
 
 pub use activation::Activation;
-pub use ann::{IndexPartsError, IvfConfig, IvfIndex, SearchMode};
+pub use ann::{IndexPartsError, IvfConfig, IvfIndex, PatchStats, SearchMode};
 pub use layer::Dense;
 pub use link::LinkNet;
 pub use loss::Loss;

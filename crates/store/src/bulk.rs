@@ -21,7 +21,11 @@
 //!    the same batch, exactly like a row-by-row insert loop) and append
 //!    directly. No staging buffers, no second pass over the data: per row
 //!    the fast path does the same constraint hash probes as
-//!    [`Database::insert`] minus all of the name resolution.
+//!    [`Database::insert`] minus all of the name resolution. A table that
+//!    a clone of the database still shares is copied on its first staged
+//!    row (see [`Table`]'s copy-on-write); a table the batch only reads
+//!    through a foreign key is never copied, and neither is one whose
+//!    rows a rollback had nothing to undo.
 //! 3. **Commit** ([`BulkLoader::commit`]) — hand the tables back. The first
 //!    constraint violation instead rolls back *every* registered table to
 //!    its pre-batch length (the same truncate-on-error semantics the CSV

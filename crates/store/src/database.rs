@@ -76,11 +76,16 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Cloning copies the in-memory state only: the clone is ephemeral
-    /// even when `self` is durable, because two databases appending to
-    /// one WAL would interleave their records. (Observers — snapshots for
-    /// equivalence tests, the refresh pipeline's working copies — clone
-    /// freely and must not write to the original's log.)
+    /// Cloning shares every table: each [`Table`] keeps its rows and
+    /// indexes behind an `Arc` and copies them on its first write, so a
+    /// clone costs one reference-count bump per table (plus the version
+    /// and change-log bookkeeping), never a row copy, and whichever side
+    /// writes a table first copies only that table. Neither side ever
+    /// sees the other's writes. The clone is ephemeral even when `self`
+    /// is durable, because two databases appending to one WAL would
+    /// interleave their records. (Observers — the serving layer's frozen
+    /// generations, equivalence tests — clone freely and must not write
+    /// to the original's log.)
     fn clone(&self) -> Self {
         Self {
             tables: self.tables.clone(),
@@ -813,6 +818,136 @@ mod tests {
         assert_eq!(ids(&mut frozen), vec![vec![Value::Int(10)]]);
         assert!(Arc::ptr_eq(&warm, &title_hash(&frozen)), "the clone keeps its hash");
         assert!(!Arc::ptr_eq(&warm, &title_hash(&d)), "the original rebuilt its own");
+    }
+
+    /// Whether `a` and `b` share the rows and indexes of table `name`.
+    fn shares(a: &Database, b: &Database, name: &str) -> bool {
+        a.table(name).unwrap().shares_rows_with(b.table(name).unwrap())
+    }
+
+    #[test]
+    fn a_clone_shares_every_table_until_a_write() {
+        let mut d = db();
+        d.insert("persons", vec![Value::Int(1), Value::from("a")]).unwrap();
+        let frozen = d.clone();
+        assert!(d.table_names().iter().all(|name| shares(&d, &frozen, name)));
+
+        // The first write copies only the table it touches, not the FK
+        // target it reads.
+        d.insert("movies", vec![Value::Int(10), Value::from("m"), Value::Int(1)]).unwrap();
+        assert!(!shares(&d, &frozen, "movies"));
+        assert!(shares(&d, &frozen, "persons"));
+
+        // Every mutating path copies on write.
+        let frozen = d.clone();
+        d.update_rows("persons", &[(0, 1, Value::from("z"))]).unwrap();
+        assert!(!shares(&d, &frozen, "persons"));
+        let frozen = d.clone();
+        d.delete_rows("movies", &[0]).unwrap();
+        assert!(!shares(&d, &frozen, "movies"));
+        let frozen = d.clone();
+        assert!(d.create_index("persons", "name").unwrap());
+        assert!(!shares(&d, &frozen, "persons"));
+        let frozen = d.clone();
+        d.insert_batch("persons", vec![vec![Value::Int(2), Value::from("b")]]).unwrap();
+        assert!(!shares(&d, &frozen, "persons"));
+        assert!(shares(&d, &frozen, "movies"));
+        let frozen = d.clone();
+        let mut loader = d.bulk();
+        let movies = loader.table("movies").unwrap();
+        loader.stage(movies, vec![Value::Int(11), Value::from("n"), Value::Int(2)]).unwrap();
+        loader.commit().unwrap();
+        assert!(!shares(&d, &frozen, "movies"));
+        assert!(shares(&d, &frozen, "persons"), "the loader only read the FK target");
+    }
+
+    #[test]
+    fn a_write_leaves_the_clones_rows_indexes_and_join_hashes() {
+        use crate::sql::run_script;
+        let mut d = db();
+        run_script(
+            &mut d,
+            "INSERT INTO persons VALUES (1, 'Luc Besson'), (2, 'Nikita');
+             INSERT INTO movies VALUES (10, 'Nikita', 1), (11, 'Leon', 1);",
+        )
+        .unwrap();
+        let join = "SELECT m.id FROM persons p JOIN movies m ON m.title = p.name";
+        run_script(&mut d, join).unwrap();
+        let frozen = d.clone();
+        let movies = |db: &Database| db.table("movies").unwrap().rows().to_vec();
+        let (rows, hash_bytes) = (movies(&frozen), frozen.join_cache_bytes());
+        assert!(hash_bytes > 0);
+
+        run_script(
+            &mut d,
+            "INSERT INTO movies VALUES (12, 'Nikita', 2);
+             UPDATE movies SET title = 'Luc Besson' WHERE id = 11;
+             DELETE FROM movies WHERE id = 10;",
+        )
+        .unwrap();
+        assert_ne!(movies(&d), rows);
+        assert_eq!(movies(&frozen), rows);
+        assert_eq!(frozen.join_cache_bytes(), hash_bytes);
+        let t = frozen.table("movies").unwrap();
+        let fk = t.schema().column_index("director_id").unwrap();
+        assert_eq!(t.index_probe_int(fk, 1), Some(&[0u32, 1][..]));
+        assert_eq!(t.index_probe_int(fk, 2), Some(&[][..]));
+        assert_eq!(t.row_by_pk(10).unwrap()[1], Value::from("Nikita"));
+        let mut frozen = frozen;
+        assert_eq!(run_script(&mut frozen, join).unwrap().rows, vec![vec![Value::Int(10)]]);
+        assert_eq!(
+            run_script(&mut d, join).unwrap().rows,
+            vec![vec![Value::Int(11)], vec![Value::Int(12)]]
+        );
+    }
+
+    #[test]
+    fn a_rolled_back_batch_on_a_shared_table_leaves_both_sides() {
+        let mut d = db();
+        d.insert("persons", vec![Value::Int(1), Value::from("a")]).unwrap();
+        let frozen = d.clone();
+        let rows = vec![
+            vec![Value::Int(2), Value::from("b")],
+            vec![Value::Int(1), Value::from("dup")], // duplicate key → rollback
+        ];
+        assert!(d.insert_batch("persons", rows).is_err());
+        for side in [&d, &frozen] {
+            let persons = side.table("persons").unwrap();
+            assert_eq!(persons.rows(), &[vec![Value::Int(1), Value::from("a")]]);
+            assert!(!persons.contains_pk(2));
+        }
+        assert_eq!(d.write_version(), frozen.write_version());
+
+        // A loader dropped after staging rolls back the same way, and
+        // never copies the FK target it only read.
+        let frozen = d.clone();
+        let mut loader = d.bulk();
+        let movies = loader.table("movies").unwrap();
+        loader.stage(movies, vec![Value::Int(10), Value::from("m"), Value::Int(1)]).unwrap();
+        drop(loader);
+        assert!(d.table("movies").unwrap().is_empty());
+        assert!(frozen.table("movies").unwrap().is_empty());
+        assert!(shares(&d, &frozen, "persons"));
+    }
+
+    #[test]
+    fn a_durable_databases_clone_stays_ephemeral() {
+        let dir = std::env::temp_dir().join(format!("retro_db_cow_clone_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut d = Database::open(&dir).unwrap();
+        d.create_table(TableSchema::builder("t").pk("id").build()).unwrap();
+        d.insert("t", vec![Value::Int(1)]).unwrap();
+        let mut frozen = d.clone();
+        assert!(d.is_durable());
+        assert!(!frozen.is_durable());
+        let logged = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        frozen.insert("t", vec![Value::Int(2)]).unwrap();
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), logged, "the clone logged");
+        assert!(frozen.checkpoint().is_err());
+        assert_eq!(d.table("t").unwrap().len(), 1);
+        drop(d);
+        assert_eq!(Database::recover(&dir).unwrap().table("t").unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

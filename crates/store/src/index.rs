@@ -27,8 +27,8 @@
 //!   one explicitly (WAL-logged and recorded in snapshots, so recovery
 //!   rebuilds it bit-identically).
 //!
-//! The join-key semantics every join path shares ([`join_eq`],
-//! [`join_hash`]) live here too, with [`JoinHash`], the sorted build side
+//! The join-key semantics every join path shares (`join_eq`,
+//! `join_hash`) live here too, with `JoinHash`, the sorted build side
 //! of a hash join. Unlike the indexes above it is not maintained: a
 //! [`Table`](crate::Table) builds one per column on the first planned
 //! hash join into it and drops them all on any write.

@@ -2,13 +2,10 @@
 //!
 //! RETRO's extraction phase is read-only over the whole database, and the
 //! evaluation harness likes to score several embedding variants in
-//! parallel. [`SharedDatabase`] wraps a [`Database`] in a `parking_lot`
-//! read-write lock: many concurrent readers, exclusive writers, no lock
-//! poisoning to handle.
+//! parallel. [`SharedDatabase`] wraps a [`Database`] in a read-write lock:
+//! many concurrent readers, exclusive writers, no lock poisoning to handle.
 
-use std::sync::Arc;
-
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::Database;
 
@@ -25,23 +22,28 @@ impl SharedDatabase {
     }
 
     /// Acquire a shared read guard.
+    ///
+    /// A writer that panicked does not poison the handle: every mutating
+    /// store path validates before it touches memory, so the state a
+    /// panicking writer leaves is one a later reader may see.
     pub fn read(&self) -> RwLockReadGuard<'_, Database> {
-        self.inner.read()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Acquire an exclusive write guard.
+    /// Acquire an exclusive write guard (poison is recovered, as in
+    /// [`SharedDatabase::read`]).
     pub fn write(&self) -> RwLockWriteGuard<'_, Database> {
-        self.inner.write()
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run a closure with read access (convenience for short scopes).
     pub fn with_read<T>(&self, f: impl FnOnce(&Database) -> T) -> T {
-        f(&self.inner.read())
+        f(&self.read())
     }
 
     /// Run a closure with write access.
     pub fn with_write<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
-        f(&mut self.inner.write())
+        f(&mut self.write())
     }
 
     /// The wrapped database's monotonic [`Database::write_version`].
@@ -51,7 +53,7 @@ impl SharedDatabase {
     /// polls this to detect that a published embedding snapshot has gone
     /// stale.
     pub fn write_version(&self) -> u64 {
-        self.inner.read().write_version()
+        self.read().write_version()
     }
 }
 
@@ -98,6 +100,23 @@ mod tests {
             db.insert("t", vec![Value::Int(3), Value::from("c")]).unwrap();
         });
         assert_eq!(shared.with_read(|db| db.table("t").unwrap().len()), 3);
+    }
+
+    #[test]
+    fn a_panicked_writer_does_not_poison_the_handle() {
+        let shared = seeded();
+        let s = shared.clone();
+        let panicked = std::thread::spawn(move || {
+            s.with_write(|db| {
+                db.insert("t", vec![Value::Int(3), Value::from("c")]).unwrap();
+                panic!("writer dies holding the lock");
+            })
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert_eq!(shared.with_read(|db| db.table("t").unwrap().len()), 3);
+        shared.with_write(|db| db.insert("t", vec![Value::Int(4), Value::from("d")]).unwrap());
+        assert_eq!(shared.with_read(|db| db.table("t").unwrap().len()), 4);
     }
 
     #[test]

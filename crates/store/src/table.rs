@@ -17,82 +17,109 @@ use crate::Result;
 /// of row positions. Full-column scans — RETRO's bulk access pattern —
 /// are served by [`Table::column_values`] / [`Table::rows`].
 ///
-/// Planned hash joins into the table probe a per-column [`JoinHash`],
+/// Planned hash joins into the table probe a per-column `JoinHash`,
 /// built on first use and dropped by every write. A clone shares the built
 /// ones: its rows equal the original's, so they are valid for both until
 /// either side writes.
+///
+/// Clones are copy-on-write: the schema, rows and indexes sit behind one
+/// `Arc`, so cloning a table costs a reference-count bump (plus one per
+/// built join hash), and the first write to either side copies them.
+/// Join hashes built after the clone stay with the side that built them.
 #[derive(Clone, Debug)]
 pub struct Table {
+    data: Arc<TableData>,
+    /// One slot per column, allocated with the first join hash; reset as
+    /// a whole by [`Self::data_mut`].
+    join_hashes: OnceLock<Box<[OnceLock<Arc<JoinHash>>]>>,
+}
+
+/// The part of a [`Table`] its clones share until one of them writes.
+#[derive(Clone, Debug)]
+struct TableData {
     schema: TableSchema,
     rows: Vec<Vec<Value>>,
     indexes: IndexSet,
-    /// One slot per column, allocated with the first join hash; reset as
-    /// a whole by [`Self::invalidate_join_hashes`].
-    join_hashes: OnceLock<Box<[OnceLock<Arc<JoinHash>>]>>,
 }
 
 impl Table {
     /// Create an empty table for `schema`.
     pub fn new(schema: TableSchema) -> Self {
         let indexes = IndexSet::new(schema.primary_key);
-        Self { schema, rows: Vec::new(), indexes, join_hashes: OnceLock::new() }
+        let data = Arc::new(TableData { schema, rows: Vec::new(), indexes });
+        Self { data, join_hashes: OnceLock::new() }
+    }
+
+    /// Write access to the rows and indexes: drops the join hashes (the
+    /// rows are about to change) and copies the shared part first when a
+    /// clone still holds it. Every row mutation goes through here.
+    fn data_mut(&mut self) -> &mut TableData {
+        self.join_hashes.take();
+        Arc::make_mut(&mut self.data)
+    }
+
+    /// True when `self` and `other` share their rows and indexes: neither
+    /// has written since one was cloned from the other.
+    #[cfg(test)]
+    pub(crate) fn shares_rows_with(&self, other: &Table) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// The table's schema.
     pub fn schema(&self) -> &TableSchema {
-        &self.schema
+        &self.data.schema
     }
 
     /// The table's name.
     pub fn name(&self) -> &str {
-        &self.schema.name
+        &self.data.schema.name
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.data.rows.len()
     }
 
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.data.rows.is_empty()
     }
 
     /// All rows, in insertion order.
     pub fn rows(&self) -> &[Vec<Value>] {
-        &self.rows
+        &self.data.rows
     }
 
     /// One row by position.
     pub fn row(&self, idx: usize) -> Option<&[Value]> {
-        self.rows.get(idx).map(Vec::as_slice)
+        self.data.rows.get(idx).map(Vec::as_slice)
     }
 
     /// Find a row by primary-key value.
     pub fn row_by_pk(&self, key: i64) -> Option<&[Value]> {
-        self.indexes.pk_lookup(key).map(|i| self.rows[i].as_slice())
+        self.data.indexes.pk_lookup(key).map(|i| self.data.rows[i].as_slice())
     }
 
     /// Find a row's *position* by primary-key value — for callers that
     /// cache per-position data alongside the table (extraction builds
     /// row-parallel value-id caches this way).
     pub fn row_position_by_pk(&self, key: i64) -> Option<usize> {
-        self.indexes.pk_lookup(key)
+        self.data.indexes.pk_lookup(key)
     }
 
     /// True when a row with this primary key exists.
     pub fn contains_pk(&self, key: i64) -> bool {
-        self.indexes.contains_pk(key)
+        self.data.indexes.contains_pk(key)
     }
 
     /// True when `col` carries a secondary equality index.
     pub fn has_secondary_index(&self, col: usize) -> bool {
-        self.indexes.has_secondary(col)
+        self.data.indexes.has_secondary(col)
     }
 
     /// Columns carrying a secondary index, in column order.
     pub fn secondary_index_columns(&self) -> Vec<usize> {
-        self.indexes.secondary_columns().collect()
+        self.data.indexes.secondary_columns().collect()
     }
 
     /// Row positions (sorted ascending) whose `col` equals `key`, or
@@ -100,37 +127,37 @@ impl Table {
     /// the index exists and proves no row matches. `NULL` keys match
     /// nothing (SQL equality semantics).
     pub fn index_probe<'a>(&'a self, col: usize, key: &Value) -> Option<&'a [u32]> {
-        self.indexes.probe(col, key)
+        self.data.indexes.probe(col, key)
     }
 
     /// [`Self::index_probe`] with a raw integer key.
     pub fn index_probe_int(&self, col: usize, key: i64) -> Option<&[u32]> {
-        self.indexes.probe_int(col, key)
+        self.data.indexes.probe_int(col, key)
     }
 
     /// [`Self::index_probe`] with a borrowed string key — the extraction
     /// hot path; no per-probe allocation.
     pub fn index_probe_text<'a>(&'a self, col: usize, key: &str) -> Option<&'a [u32]> {
-        self.indexes.probe_text(col, key)
+        self.data.indexes.probe_text(col, key)
     }
 
     /// Exact distinct (non-NULL) value count of an indexed column, or
     /// `None` when `col` is not indexed. Planner selectivity input.
     pub fn index_distinct(&self, col: usize) -> Option<usize> {
-        self.indexes.distinct(col)
+        self.data.indexes.distinct(col)
     }
 
     /// Whether column `col` can carry an equality index, and with which
     /// key type (`true` = integer-keyed). Errors on FLOAT columns —
     /// equality on floats is a footgun and nothing in the engine needs it.
     pub(crate) fn indexable_key_type(&self, col: usize) -> Result<bool> {
-        let def = &self.schema.columns[col];
+        let def = &self.data.schema.columns[col];
         match def.ty {
             DataType::Int => Ok(true),
             DataType::Text => Ok(false),
             DataType::Float => Err(StoreError::Sql(format!(
                 "cannot index FLOAT column `{}.{}`: equality indexes cover INTEGER and TEXT",
-                self.schema.name, def.name
+                self.data.schema.name, def.name
             ))),
         }
     }
@@ -142,7 +169,12 @@ impl Table {
     /// for recovery.
     pub(crate) fn create_secondary_index(&mut self, col: usize) -> Result<bool> {
         let int_keyed = self.indexable_key_type(col)?;
-        Ok(self.indexes.create_secondary(col, int_keyed, &self.rows))
+        if self.has_secondary_index(col) {
+            return Ok(false);
+        }
+        // An index changes no row, so the join hashes stay.
+        let data = Arc::make_mut(&mut self.data);
+        Ok(data.indexes.create_secondary(col, int_keyed, &data.rows))
     }
 
     /// The join hash of column `col`, built on the first call and shared
@@ -151,8 +183,8 @@ impl Table {
     pub(crate) fn join_hash(&self, col: usize) -> &Arc<JoinHash> {
         let slots = self
             .join_hashes
-            .get_or_init(|| (0..self.schema.columns.len()).map(|_| OnceLock::new()).collect());
-        slots[col].get_or_init(|| Arc::new(JoinHash::build(&self.rows, col)))
+            .get_or_init(|| (0..self.data.schema.columns.len()).map(|_| OnceLock::new()).collect());
+        slots[col].get_or_init(|| Arc::new(JoinHash::build(&self.data.rows, col)))
     }
 
     /// Heap bytes held by the built join hashes.
@@ -162,15 +194,9 @@ impl Table {
         })
     }
 
-    /// Drop every join hash: the rows are about to change. One check when
-    /// none is built, so an append does no per-column work.
-    fn invalidate_join_hashes(&mut self) {
-        self.join_hashes.take();
-    }
-
     /// Iterator over the values of one column (by index).
     pub fn column_values(&self, col: usize) -> impl Iterator<Item = &Value> {
-        self.rows.iter().map(move |r| &r[col])
+        self.data.rows.iter().map(move |r| &r[col])
     }
 
     /// Iterator over the values of one column (by name).
@@ -178,8 +204,8 @@ impl Table {
         &'a self,
         name: &str,
     ) -> Result<impl Iterator<Item = &'a Value>> {
-        let col = self.schema.column_index(name).ok_or_else(|| StoreError::UnknownColumn {
-            table: self.schema.name.clone(),
+        let col = self.data.schema.column_index(name).ok_or_else(|| StoreError::UnknownColumn {
+            table: self.data.schema.name.clone(),
             column: name.to_owned(),
         })?;
         Ok(self.column_values(col))
@@ -195,8 +221,8 @@ impl Table {
     /// report identical first errors.
     pub fn validate_row(&self, row: &[Value]) -> Result<()> {
         match self.check_row(row)? {
-            Some(k) if self.indexes.contains_pk(k) => Err(StoreError::DuplicateKey {
-                table: self.schema.name.clone(),
+            Some(k) if self.data.indexes.contains_pk(k) => Err(StoreError::DuplicateKey {
+                table: self.data.schema.name.clone(),
                 key: k.to_string(),
             }),
             _ => Ok(()),
@@ -207,33 +233,33 @@ impl Table {
     /// and primary-key presence. Returns the row's primary key, if the
     /// schema declares one.
     fn check_row(&self, row: &[Value]) -> Result<Option<i64>> {
-        if row.len() != self.schema.columns.len() {
+        if row.len() != self.data.schema.columns.len() {
             return Err(StoreError::ArityMismatch {
-                table: self.schema.name.clone(),
-                expected: self.schema.columns.len(),
+                table: self.data.schema.name.clone(),
+                expected: self.data.schema.columns.len(),
                 got: row.len(),
             });
         }
-        for (val, col) in row.iter().zip(&self.schema.columns) {
+        for (val, col) in row.iter().zip(&self.data.schema.columns) {
             if !val.fits(col.ty) {
                 return Err(StoreError::TypeMismatch {
-                    table: self.schema.name.clone(),
+                    table: self.data.schema.name.clone(),
                     column: col.name.clone(),
                     expected: col.ty.to_string(),
                     got: val.data_type().map_or_else(|| "NULL".to_owned(), |t| t.to_string()),
                 });
             }
         }
-        let Some(pk) = self.schema.primary_key else { return Ok(None) };
+        let Some(pk) = self.data.schema.primary_key else { return Ok(None) };
         match &row[pk] {
             Value::Int(k) => Ok(Some(*k)),
             Value::Null => Err(StoreError::NullKey {
-                table: self.schema.name.clone(),
-                column: self.schema.columns[pk].name.clone(),
+                table: self.data.schema.name.clone(),
+                column: self.data.schema.columns[pk].name.clone(),
             }),
             other => Err(StoreError::TypeMismatch {
-                table: self.schema.name.clone(),
-                column: self.schema.columns[pk].name.clone(),
+                table: self.data.schema.name.clone(),
+                column: self.data.schema.columns[pk].name.clone(),
                 expected: "INTEGER".to_owned(),
                 got: other.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
             }),
@@ -244,18 +270,22 @@ impl Table {
     /// go through [`crate::Database::insert`]) first; this method only keeps
     /// the indexes coherent.
     pub(crate) fn push_unchecked(&mut self, row: Vec<Value>) -> usize {
-        self.invalidate_join_hashes();
-        let pos = self.rows.len();
-        self.indexes.note_append(&row, pos);
-        self.rows.push(row);
+        let data = self.data_mut();
+        let pos = data.rows.len();
+        data.indexes.note_append(&row, pos);
+        data.rows.push(row);
         pos
     }
 
     /// Pre-size the row store and primary-key index for `additional` more
     /// rows, so a bulk load appends without reallocation.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.rows.reserve(additional);
-        self.indexes.reserve_pk(additional);
+        if additional == 0 {
+            return;
+        }
+        let data = Arc::make_mut(&mut self.data);
+        data.rows.reserve(additional);
+        data.indexes.reserve_pk(additional);
     }
 
     /// Drop every row at position `len` and beyond, pruning the removed
@@ -264,28 +294,28 @@ impl Table {
     /// undone in O(dropped), each posting-list tail pruned with one binary
     /// search.
     pub(crate) fn truncate(&mut self, len: usize) {
-        if len >= self.rows.len() {
+        if len >= self.data.rows.len() {
             return;
         }
-        self.invalidate_join_hashes();
-        self.indexes.note_truncate(&self.rows[len..], len);
-        self.rows.truncate(len);
+        let data = self.data_mut();
+        data.indexes.note_truncate(&data.rows[len..], len);
+        data.rows.truncate(len);
     }
 
     /// Remove the rows at the given (sorted, deduplicated) positions and
     /// rebuild the indexes (survivors renumber, so incremental repair
     /// would cost as much as rebuilding).
     pub(crate) fn remove_rows(&mut self, sorted_indices: &[usize]) {
-        self.invalidate_join_hashes();
-        let mut keep = vec![true; self.rows.len()];
+        let data = self.data_mut();
+        let mut keep = vec![true; data.rows.len()];
         for &i in sorted_indices {
             if i < keep.len() {
                 keep[i] = false;
             }
         }
         let mut iter = keep.iter();
-        self.rows.retain(|_| *iter.next().expect("keep mask aligned"));
-        self.indexes.rebuild(&self.rows);
+        data.rows.retain(|_| *iter.next().expect("keep mask aligned"));
+        data.indexes.rebuild(&data.rows);
     }
 
     /// Replace the table's entire row set and rebuild the indexes, refusing
@@ -297,53 +327,54 @@ impl Table {
         for row in &rows {
             self.check_row(row)?;
         }
-        self.invalidate_join_hashes();
-        self.rows = rows;
-        self.indexes.rebuild(&self.rows);
+        let data = self.data_mut();
+        data.rows = rows;
+        data.indexes.rebuild(&data.rows);
         // Every row carries an integer key by now, and a repeated key
         // overwrites its earlier index entry: fewer entries than rows
         // means a duplicate, found at the first row its key does not map
         // back to.
-        let Some(pk) = self.schema.primary_key else { return Ok(()) };
-        if self.indexes.pk_len() == self.rows.len() {
+        let Some(pk) = self.data.schema.primary_key else { return Ok(()) };
+        if self.data.indexes.pk_len() == self.data.rows.len() {
             return Ok(());
         }
         let key = self
+            .data
             .rows
             .iter()
             .enumerate()
             .find_map(|(pos, row)| {
                 let k = row[pk].as_int()?;
-                (self.indexes.pk_lookup(k) != Some(pos)).then_some(k)
+                (self.data.indexes.pk_lookup(k) != Some(pos)).then_some(k)
             })
             .expect("a repeated key leaves an earlier row unindexed");
-        Err(StoreError::DuplicateKey { table: self.schema.name.clone(), key: key.to_string() })
+        Err(StoreError::DuplicateKey { table: self.data.schema.name.clone(), key: key.to_string() })
     }
 
     /// Update one cell in place; [`crate::Database::update_rows`] is the
     /// public path. The primary key column cannot be updated.
     pub(crate) fn update_cell(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
-        if row >= self.rows.len() || col >= self.schema.columns.len() {
+        if row >= self.data.rows.len() || col >= self.data.schema.columns.len() {
             return Err(StoreError::UnknownColumn {
-                table: self.schema.name.clone(),
+                table: self.data.schema.name.clone(),
                 column: format!("index {col}"),
             });
         }
-        if Some(col) == self.schema.primary_key {
+        if Some(col) == self.data.schema.primary_key {
             return Err(StoreError::Sql("cannot update a primary key column".into()));
         }
-        let def = &self.schema.columns[col];
+        let def = &self.data.schema.columns[col];
         if !value.fits(def.ty) {
             return Err(StoreError::TypeMismatch {
-                table: self.schema.name.clone(),
+                table: self.data.schema.name.clone(),
                 column: def.name.clone(),
                 expected: def.ty.to_string(),
                 got: value.data_type().map_or_else(|| "NULL".into(), |t| t.to_string()),
             });
         }
-        self.invalidate_join_hashes();
-        let old = std::mem::replace(&mut self.rows[row][col], value);
-        self.indexes.note_cell_update(col, &old, &self.rows[row][col], row);
+        let data = self.data_mut();
+        let old = std::mem::replace(&mut data.rows[row][col], value);
+        data.indexes.note_cell_update(col, &old, &data.rows[row][col], row);
         Ok(())
     }
 }

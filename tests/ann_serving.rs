@@ -29,6 +29,7 @@ use retro::core::serve::{EmbeddingService, SearchMode, Snapshot};
 use retro::core::{RefreshKind, RetroConfig, Solver};
 use retro::embed::nn::top_k_cosine;
 use retro::embed::EmbeddingSet;
+use retro::linalg::Matrix;
 use retro::nn::ann::IvfIndex;
 use retro::store::{sql, Database, SharedDatabase, Value};
 
@@ -305,4 +306,191 @@ fn concurrent_ann_readers_observe_only_coherent_indexes() {
     }
     assert_eq!(service.generation(), rounds as u64 + 1);
     assert_index_coherent(&service.snapshot(), "after the stress loop");
+}
+
+/// A splitmix64 stream for the chained-patch property's row choices.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Uniform in `[-1, 1)`.
+    fn unit(&mut self) -> f32 {
+        (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    }
+}
+
+const DIM: usize = 8;
+
+/// Four unit centroids: `e0` and `e1`, so a row `(t, t, …)` ties them
+/// exactly in `f32`, and two generic ones that score such rows lower.
+fn chain_centroids(mix: &mut Mix) -> Matrix {
+    let mut rows = vec![vec![0.0f32; DIM]; 4];
+    rows[0][0] = 1.0;
+    rows[1][1] = 1.0;
+    for row in &mut rows[2..] {
+        row[0] = -0.3 - 0.2 * mix.unit().abs();
+        row[1] = -0.3 - 0.2 * mix.unit().abs();
+        for v in &mut row[2..] {
+            *v = mix.unit();
+        }
+        let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
+        row.iter_mut().for_each(|v| *v /= norm);
+    }
+    Matrix::from_rows(&rows)
+}
+
+/// One row of a kind: 0 near a centroid, 1 on the exact tie of lists 0
+/// and 1, 2 on the bisector of lists 2 and 3 with large cancelling
+/// components (its `f32` dots carry the most rounding), 3 degenerate.
+fn chain_row(mix: &mut Mix, centroids: &Matrix, kind: usize) -> Vec<f32> {
+    match kind {
+        0 => {
+            let c = centroids.row(mix.below(4));
+            c.iter().map(|&v| v * (1.0 + mix.unit().abs()) + 0.2 * mix.unit()).collect()
+        }
+        1 => {
+            let t = 0.5 + mix.unit().abs();
+            let mut row: Vec<f32> = (0..DIM).map(|_| 0.05 * t * mix.unit()).collect();
+            (row[0], row[1]) = (t, t);
+            row
+        }
+        2 => {
+            // Project a large random point onto the bisector in f64, then
+            // pull it towards lists 2 and 3 so they lead the others.
+            let (a, b) = (centroids.row(2), centroids.row(3));
+            let p: Vec<f64> = (0..DIM)
+                .map(|i| 60.0 * f64::from(mix.unit()) + 40.0 * f64::from(a[i] + b[i]))
+                .collect();
+            let diff: Vec<f64> =
+                a.iter().zip(b).map(|(&x, &y)| f64::from(x) - f64::from(y)).collect();
+            let along = p.iter().zip(&diff).map(|(x, d)| x * d).sum::<f64>()
+                / diff.iter().map(|d| d * d).sum::<f64>();
+            p.iter().zip(&diff).map(|(x, d)| (x - along * d) as f32).collect()
+        }
+        _ => {
+            if mix.below(2) == 0 {
+                vec![0.0; DIM]
+            } else {
+                let mut row = chain_row(mix, centroids, 0);
+                row[mix.below(DIM)] = f32::NAN;
+                row
+            }
+        }
+    }
+}
+
+/// Move `row` by a few ulps in one or two components: a displacement far
+/// below any margin that is not a rounding artefact.
+fn nudge(mix: &mut Mix, row: &mut [f32]) {
+    for _ in 0..1 + mix.below(2) {
+        let v = &mut row[mix.below(DIM)];
+        for _ in 0..1 + mix.below(4) {
+            *v = if mix.below(2) == 0 { v.next_up() } else { v.next_down() };
+        }
+    }
+}
+
+/// Every structural part of a patched index equals a fresh assignment of
+/// the same rows: config, centroid bits, assignments, list members, and
+/// the packed vectors and norms bit for bit.
+fn assert_patched_equals_fresh(patched: &IvfIndex, m: &Matrix, context: &str) {
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+    let norms = m.row_norms();
+    let fresh =
+        IvfIndex::with_centroids(m, &norms, patched.centroids().clone(), *patched.config(), 1);
+    assert_eq!(patched.config(), fresh.config(), "{context}");
+    assert_eq!(
+        bits(patched.centroids().as_slice()),
+        bits(fresh.centroids().as_slice()),
+        "{context}"
+    );
+    assert_eq!(patched.assignments(), fresh.assignments(), "assignments {context}");
+    for l in 0..fresh.nlist() {
+        assert_eq!(patched.list(l), fresh.list(l), "list {l} {context}");
+        assert_eq!(bits(patched.list_rows(l)), bits(fresh.list_rows(l)), "rows {l} {context}");
+        assert_eq!(bits(patched.list_norms(l)), bits(fresh.list_norms(l)), "norms {l} {context}");
+    }
+}
+
+/// One chain: build over generated rows, then `steps` patches, each
+/// checked against a fresh assignment. Step 1 restarts the index through
+/// `from_parts`, so the next patch runs on unknown margins. Returns the
+/// certified and reassigned totals.
+fn run_chain(seed: u64, steps: usize, threads: usize) -> (usize, usize) {
+    let mut mix = Mix(seed);
+    let centroids = chain_centroids(&mut mix);
+    let mut rows: Vec<Vec<f32>> =
+        (0..160).map(|i| chain_row(&mut mix, &centroids, [0, 0, 1, 2, 2, 2, 3][i % 7])).collect();
+    let mut m = Matrix::from_rows(&rows);
+    let config = retro::nn::ann::IvfConfig::auto(m.rows()).with_nlist(4);
+    let mut index = IvfIndex::with_centroids(&m, &m.row_norms(), centroids.clone(), config, 1);
+    let (mut certified, mut reassigned) = (0, 0);
+    for step in 0..steps {
+        if step == 1 {
+            let norms = m.row_norms();
+            let parts = (centroids.clone(), index.assignments().to_vec());
+            index = IvfIndex::from_parts(&m, &norms, config, parts.0, parts.1).unwrap();
+        }
+        let mut dirty = Vec::new();
+        for (r, row) in rows.iter_mut().enumerate() {
+            match mix.below(10) {
+                0..=4 => nudge(&mut mix, row),
+                5 => {
+                    let kind = mix.below(4);
+                    *row = chain_row(&mut mix, &centroids, kind);
+                }
+                6 => {} // listed dirty, bits unchanged
+                _ => continue,
+            }
+            dirty.push(r as u32);
+        }
+        for _ in 0..mix.below(4) {
+            dirty.push(rows.len() as u32);
+            let kind = mix.below(4);
+            rows.push(chain_row(&mut mix, &centroids, kind));
+        }
+        m = Matrix::from_rows(&rows);
+        let (patched, stats) = index.patched(&m, &m.row_norms(), &dirty, threads);
+        let context = format!("(seed {seed}, step {step}, {threads} threads, {stats:?})");
+        assert_eq!(stats.certified + stats.reassigned, dirty.len(), "{context}");
+        assert_eq!(stats.lists_rebuilt + stats.lists_shared, patched.nlist(), "{context}");
+        if step == 1 {
+            assert_eq!(stats.certified, 0, "a restarted index has no margins {context}");
+        }
+        assert_patched_equals_fresh(&patched, &m, &context);
+        (certified, reassigned) = (certified + stats.certified, reassigned + stats.reassigned);
+        index = patched;
+    }
+    (certified, reassigned)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Chained patches — ulp-sized nudges (the certified path), rows on an
+    /// exact tie of two centroids and on the bisector of two others, rows
+    /// turning degenerate and usable again, appends, and a `from_parts`
+    /// restart — stay structurally identical to a fresh assignment after
+    /// every step, at 1 and 3 threads.
+    #[test]
+    fn chained_patches_equal_a_fresh_assignment(seed in 0u64..u64::MAX, steps in 3usize..7) {
+        for threads in [1, 3] {
+            let (certified, reassigned) = run_chain(seed, steps, threads);
+            prop_assert!(certified > 0, "no row took the certified path");
+            prop_assert!(reassigned > 0, "no row took the full scan");
+        }
+    }
 }
