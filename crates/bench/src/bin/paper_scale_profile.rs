@@ -8,9 +8,11 @@
 //! path — the two produce identical state, asserted here, so the speedup
 //! column is pure wall-time; see `docs/INGESTION.md`), text-value catalog
 //! extraction (§3.3), relation extraction (§3.2), problem assembly (§3.1
-//! tokenization + Eq. 5 centroids), RO solve (sequential and parallel), RN
-//! solve (sequential and parallel). Parallel solves are bit-identical to
-//! the sequential ones — the speedup column is pure wall-time.
+//! tokenization + Eq. 5 centroids), RO solve (sequential and parallel), the
+//! RO objective Ψ at the parallel solve's output (its four components and
+//! the evaluation's wall time), RN solve (sequential and parallel).
+//! Parallel solves are bit-identical to the sequential ones — the speedup
+//! column is pure wall-time.
 //!
 //! ```text
 //! cargo run --release -p retro-bench --bin paper_scale_profile \
@@ -26,6 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use retro_bench::{
     arg_num, arg_value, materialize_rows, schema_only_clone, time, write_report, ReportRow,
 };
+use retro_core::loss::evaluate_loss;
 use retro_core::relations::extract_relations;
 use retro_core::serve::{EmbeddingService, SearchMode};
 use retro_core::solver::{solve, Solver};
@@ -242,6 +245,17 @@ fn profile_pipeline(
         "parallel RO diverged from sequential — determinism invariant broken"
     );
     drop(w_seq);
+    let (loss, secs) = time(|| evaluate_loss(&problem, &ro, &w_par));
+    println!(
+        "  {label}: RO loss Ψ                {secs:>9.3}s  (anchor {:.6e}, categorial {:.6e}, \
+         attraction {:.6e}, repulsion {:.6e}, total {:.6e})",
+        loss.anchor,
+        loss.categorial,
+        loss.attraction,
+        loss.repulsion,
+        loss.total()
+    );
+    phases.push(Phase { name: "ro_loss_eval", secs });
     drop(w_par);
 
     let rn = Hyperparameters::paper_rn();

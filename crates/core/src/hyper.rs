@@ -70,24 +70,10 @@ impl Hyperparameters {
     }
 }
 
-/// Per-group derived quantities shared by both solvers.
-#[derive(Clone, Debug)]
-pub struct GroupWeights {
-    /// `γ^r_i` for each source id `i` (indexed densely over all values;
-    /// zero for non-sources).
-    pub gamma_i: Vec<f32>,
-    /// `δ^r_i` for each source id.
-    pub delta_i: Vec<f32>,
-    /// `mr(r)` of Eq. 13.
-    pub mr: usize,
-    /// `mc(r)` of Eq. 13.
-    pub mc: usize,
-}
-
 /// The Eq. 12 per-source weight `γ/(od·(|Ri|+1))` (also the Eq. 14 RN δ
 /// with `delta` in place of `gamma`). The single source of the formula:
-/// [`derive_weights_from_degrees`] and the solver kernels' direct
-/// constructions all call this, so they cannot drift.
+/// the solver kernels and [`crate::loss::evaluate_loss`] all call this, so
+/// they cannot drift.
 #[inline]
 pub(crate) fn per_source_weight(coefficient: f32, out_degree: u32, relation_count: u32) -> f32 {
     coefficient / (out_degree as f32 * (relation_count as f32 + 1.0))
@@ -98,36 +84,6 @@ pub(crate) fn per_source_weight(coefficient: f32, out_degree: u32, relation_coun
 #[inline]
 pub(crate) fn delta_hat_weight(delta: f32, mc: usize, mr: usize) -> f32 {
     delta / (mc as f32 * mr as f32)
-}
-
-/// Derive the per-source weights of one *directed* group from its
-/// per-source out-degrees and its Eq. 13 `mc`/`mr` (all from one
-/// [`crate::solver::Degrees`] pass).
-///
-/// `ro_delta` selects the Eq. 13 (true, optimization solver) or Eq. 14
-/// (false, series solver) δ normalization.
-pub(crate) fn derive_weights_from_degrees(
-    out_deg: &[u32],
-    relation_counts: &[u32],
-    params: &Hyperparameters,
-    mc_v: usize,
-    mr_v: usize,
-    ro_delta: bool,
-) -> GroupWeights {
-    let n_values = out_deg.len();
-    let mut gamma_i = vec![0.0f32; n_values];
-    let mut delta_i = vec![0.0f32; n_values];
-    for i in 0..n_values {
-        if out_deg[i] > 0 {
-            gamma_i[i] = per_source_weight(params.gamma, out_deg[i], relation_counts[i]);
-            delta_i[i] = if ro_delta {
-                delta_hat_weight(params.delta, mc_v, mr_v)
-            } else {
-                per_source_weight(params.delta, out_deg[i], relation_counts[i])
-            };
-        }
-    }
-    GroupWeights { gamma_i, delta_i, mr: mr_v, mc: mc_v }
 }
 
 /// Per-node β of Eq. 12.
@@ -223,15 +179,24 @@ mod tests {
         assert_eq!(b, vec![2.0, 1.0, 0.5]);
     }
 
+    /// One degree pass over the problem's only group.
+    fn degrees(p: &RetrofitProblem) -> Degrees {
+        let mut deg = Degrees::new(p.len());
+        deg.count(&p.groups[0].edges);
+        deg
+    }
+
     #[test]
     fn gamma_matches_eq12_hand_computation() {
         // Node 0 has out-degree 2 in this group and |R0| = 1 (only source
         // here). γ^r_0 = γ / (2 · (1+1)) = γ/4.
         let p = problem(3, vec![(0, 1), (0, 2)]);
         assert_eq!(p.relation_counts, vec![1, 1, 1]);
-        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 2.0, 1.0), false)[0].own;
-        assert!((w.gamma_i[0] - 0.5).abs() < 1e-6);
-        assert_eq!(w.gamma_i[1], 0.0); // not a source
+        let params = Hyperparameters::new(1.0, 0.0, 2.0, 1.0);
+        let deg = degrees(&p);
+        let gamma_0 = per_source_weight(params.gamma, deg.fwd[0], p.relation_counts[0]);
+        assert!((gamma_0 - 0.5).abs() < 1e-6);
+        assert_eq!(deg.fwd[1], 0); // not a source
     }
 
     #[test]
@@ -239,21 +204,25 @@ mod tests {
         // edges (0,1),(0,2),(3,1): sources {0,3}, targets {1,2} → mc=2.
         // counts: all participants have 1 group → mr = 2.
         let p = problem(4, vec![(0, 1), (0, 2), (3, 1)]);
-        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 1.0, 8.0), true)[0].own;
-        assert_eq!(w.mc, 2);
-        assert_eq!(w.mr, 2);
-        assert!((w.delta_i[0] - 2.0).abs() < 1e-6); // 8/(2·2)
-        assert!((w.delta_i[3] - 2.0).abs() < 1e-6);
-        assert_eq!(w.delta_i[1], 0.0);
+        let params = Hyperparameters::new(1.0, 0.0, 1.0, 8.0);
+        let deg = degrees(&p);
+        assert_eq!(deg.mc(), 2);
+        assert_eq!(deg.mr(&p.relation_counts), 2);
+        // One δ̂ = 8/(2·2) for every source (0 and 3); 1 is no source.
+        let delta_hat = delta_hat_weight(params.delta, deg.mc(), deg.mr(&p.relation_counts));
+        assert!((delta_hat - 2.0).abs() < 1e-6);
+        assert_eq!(deg.sources, vec![0, 3]);
     }
 
     #[test]
     fn rn_delta_uses_outdegree() {
         let p = problem(4, vec![(0, 1), (0, 2), (3, 1)]);
-        let w = &p.directed_groups(&Hyperparameters::new(1.0, 0.0, 1.0, 8.0), false)[0].own;
+        let params = Hyperparameters::new(1.0, 0.0, 1.0, 8.0);
+        let deg = degrees(&p);
+        let delta_i = |i: usize| per_source_weight(params.delta, deg.fwd[i], p.relation_counts[i]);
         // Node 0: od 2, |R0|+1 = 2 → 8/(2·2) = 2. Node 3: od 1 → 8/2 = 4.
-        assert!((w.delta_i[0] - 2.0).abs() < 1e-6);
-        assert!((w.delta_i[3] - 4.0).abs() < 1e-6);
+        assert!((delta_i(0) - 2.0).abs() < 1e-6);
+        assert!((delta_i(3) - 4.0).abs() < 1e-6);
     }
 
     #[test]

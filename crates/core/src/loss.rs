@@ -1,13 +1,30 @@
 //! Evaluation of the retrofitting objective Ψ (Eq. 4–6) under the RO
 //! parameterization — used for convergence diagnostics and the property
 //! tests that validate the convexity theory.
+//!
+//! The weights come from one `solver::Degrees` pass per forward group, as
+//! in the solver kernels. Each edge `(i, j)` is attracted with
+//! `γ^r_i + γ^r̄_j` (both directions). Under Eq. 13, `δ̂r` is one value
+//! for the whole group, and the related pairs summed over every source of
+//! a direction are exactly the group's edges. So a direction with sources
+//! `S` and targets `T` repels with
+//!
+//! ```text
+//! δ̂r · (Σ_{s∈S} Σ_{k∈T} ‖v_s − v_k‖²  −  Σ_{(i,j)∈Er} ‖vᵢ − vⱼ‖²)
+//! ```
+//!
+//! where the first sum per source is `|T|·‖v_s‖² − 2·v_s·t + Σ_k‖v_k‖²`
+//! with `t = Σ_{k∈T} v_k`, and the edge distances are the ones the
+//! attraction term already computes. Ψ costs `O(E·D)` time per group plus
+//! `O((|S|+|T|)·D)` for its endpoints, and `O(n + E)` memory.
 
 use retro_linalg::{vector, Matrix};
 
-use crate::hyper::Hyperparameters;
+use crate::hyper::{delta_hat_weight, per_source_weight, Hyperparameters};
 use crate::problem::RetrofitProblem;
+use crate::solver::Degrees;
 
-/// The three components of Ψ(W).
+/// The four components of Ψ(W).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LossBreakdown {
     /// `Σ αᵢ‖vᵢ − v'ᵢ‖²` — anchor term.
@@ -28,12 +45,9 @@ impl LossBreakdown {
     }
 }
 
-/// Evaluate Ψ(W) for an embedding matrix under the RO weight derivation.
-///
-/// The repulsion term over `Ẽr(i)` (all targets of `r` not related to `i`)
-/// is computed with the same algebra as the Eq. 15 solver optimization:
-/// `Σ_{k∈targets} ‖vᵢ−vₖ‖² = |T|·‖vᵢ‖² − 2·vᵢ·t_r + Σ_k‖vₖ‖²`, minus the
-/// explicitly-enumerated related pairs.
+/// Evaluate Ψ(W) for an embedding matrix under the RO weight derivation,
+/// in one pass over each group's edges, sources and targets (see the
+/// module docs for the algebra).
 pub fn evaluate_loss(
     problem: &RetrofitProblem,
     params: &Hyperparameters,
@@ -52,37 +66,42 @@ pub fn evaluate_loss(
         }
     }
 
+    let counts = &problem.relation_counts;
     let mut attraction = 0.0f64;
     let mut repulsion = 0.0f64;
-    for dg in problem.directed_groups(params, true) {
-        for &(i, j) in &dg.group.edges {
-            let g = dg.own.gamma_i[i as usize] as f64;
-            attraction += g * vector::dist_sq(w.row(i as usize), w.row(j as usize)) as f64;
+    let mut deg = Degrees::new(n);
+    let mut t_sum = vec![0.0f32; w.cols()];
+    for group in &problem.groups {
+        deg.count(&group.edges);
+        let mut related = 0.0f64;
+        for &(i, j) in &group.edges {
+            let (i, j) = (i as usize, j as usize);
+            let d = vector::dist_sq(w.row(i), w.row(j)) as f64;
+            let g_fwd = per_source_weight(params.gamma, deg.fwd[i], counts[i]) as f64;
+            let g_inv = per_source_weight(params.gamma, deg.inv[j], counts[j]) as f64;
+            attraction += (g_fwd + g_inv) * d;
+            related += d;
         }
-        let dh = dg.delta_hat() as f64;
-        if dh == 0.0 || dg.targets.is_empty() {
+        let dh = delta_hat_weight(params.delta, deg.mc(), deg.mr(counts)) as f64;
+        if dh == 0.0 {
             continue;
         }
-        // Precompute t_r and Σ‖vₖ‖² over targets.
-        let dim = w.cols();
-        let mut t_sum = vec![0.0f32; dim];
-        let mut sq_sum = 0.0f64;
-        for &k in &dg.targets {
-            vector::axpy(1.0, w.row(k as usize), &mut t_sum);
-            sq_sum += vector::norm_sq(w.row(k as usize)) as f64;
-        }
-        let t_count = dg.targets.len() as f64;
-        for &s in &dg.sources {
-            let vi = w.row(s as usize);
-            let all = t_count * vector::norm_sq(vi) as f64 - 2.0 * vector::dot(vi, &t_sum) as f64
-                + sq_sum;
-            // Subtract the related pairs (they belong to Er, not Ẽr).
-            let mut related = 0.0f64;
-            for &(i, k) in &dg.group.edges {
-                if i == s {
-                    related += vector::dist_sq(vi, w.row(k as usize)) as f64;
-                }
+        for (sources, targets) in [(&deg.sources, &deg.targets), (&deg.targets, &deg.sources)] {
+            // Σ_s Σ_{k∈T} ‖v_s − v_k‖² from t = Σ_k v_k and Σ_k ‖v_k‖².
+            vector::zero(&mut t_sum);
+            let mut sq_sum = 0.0f64;
+            for &k in targets {
+                vector::axpy(1.0, w.row(k as usize), &mut t_sum);
+                sq_sum += vector::norm_sq(w.row(k as usize)) as f64;
             }
+            let t_count = targets.len() as f64;
+            let mut all = 0.0f64;
+            for &s in sources {
+                let vs = w.row(s as usize);
+                all += t_count * vector::norm_sq(vs) as f64 - 2.0 * vector::dot(vs, &t_sum) as f64
+                    + sq_sum;
+            }
+            // The related pairs belong to Er, not Ẽr.
             repulsion += dh * (all - related);
         }
     }

@@ -1,5 +1,5 @@
-//! Assembly of the retrofitting problem: `W0`, category centroids, relation
-//! groups in both directions, and per-node weight derivations.
+//! Assembly of the retrofitting problem: `W0`, category centroids, the
+//! forward relation groups and their `|Ri|` counts.
 
 use std::sync::Arc;
 
@@ -8,16 +8,14 @@ use retro_linalg::{vector, Matrix};
 use retro_store::Database;
 
 use crate::catalog::TextValueCatalog;
-use crate::hyper::{beta_i, derive_weights_from_degrees, Hyperparameters};
+use crate::hyper::{beta_i, Hyperparameters};
 use crate::relations::{extract_relations, relation_type_counts, RelationGroup};
-use crate::solver::Degrees;
 
 /// A fully-assembled retrofitting problem instance.
 ///
 /// `groups` holds the *forward* relation groups as extracted. The solver
-/// kernels derive both directions' weights from them with one degree pass
-/// per group; [`RetrofitProblem::directed_groups`] materializes both
-/// directions for the enumerated RO path, the loss and the tests.
+/// kernels, the loss and the convexity check derive both directions'
+/// weights from them with one `solver::Degrees` pass per group.
 ///
 /// The catalog is held behind an `Arc`: it is immutable once assembled, and
 /// sharing it lets [`crate::RetroOutput`] (and every published serving
@@ -149,79 +147,17 @@ impl RetrofitProblem {
         self.category_centroids.row(self.catalog.category_of(i) as usize)
     }
 
-    /// Materialize both directions of every relation group together with
-    /// their derived weights: one `solver::Degrees` pass per group gives both
-    /// directions' out-degrees, distinct ids and the Eq. 13 `mc`/`mr`.
-    pub fn directed_groups(&self, params: &Hyperparameters, ro_delta: bool) -> Vec<DirectedGroup> {
-        let counts = &self.relation_counts;
-        let mut out = Vec::with_capacity(self.groups.len() * 2);
-        let mut deg = Degrees::new(self.len());
-        for group in &self.groups {
-            deg.count(&group.edges);
-            let (mc, mr) = (deg.mc(), deg.mr(counts));
-            let w_fwd = derive_weights_from_degrees(&deg.fwd, counts, params, mc, mr, ro_delta);
-            let w_inv = derive_weights_from_degrees(&deg.inv, counts, params, mc, mr, ro_delta);
-            let src_deg = deg.sources.iter().map(|&i| deg.fwd[i as usize]).collect();
-            let tgt_deg = deg.targets.iter().map(|&j| deg.inv[j as usize]).collect();
-            out.push(DirectedGroup {
-                group: group.clone(),
-                own: w_fwd.clone(),
-                rev: w_inv.clone(),
-                sources: deg.sources.clone(),
-                targets: deg.targets.clone(),
-                source_out_degree: src_deg,
-            });
-            out.push(DirectedGroup {
-                group: group.inverted(),
-                own: w_inv,
-                rev: w_fwd,
-                sources: deg.targets.clone(),
-                targets: deg.sources.clone(),
-                source_out_degree: tgt_deg,
-            });
-        }
-        out
-    }
-
     /// Per-node β of Eq. 12.
     pub fn beta_weights(&self, params: &Hyperparameters) -> Vec<f32> {
         beta_i(&self.relation_counts, params.beta)
     }
 }
 
-/// One *directed* relation group with the weights of its own direction
-/// (`own`) and of its reverse (`rev`, used by the RO solver's symmetric
-/// `γ^r_i + γ^r̄_j` coefficients).
-#[derive(Clone, Debug)]
-pub struct DirectedGroup {
-    /// The group (edges run source → target).
-    pub group: RelationGroup,
-    /// Weights for this direction (`γ^r_i`, `δ^r_i` per source id).
-    pub own: crate::hyper::GroupWeights,
-    /// Weights of the reverse direction (`γ^r̄_j`, `δ^r̄_j` per *target* id
-    /// of this direction).
-    pub rev: crate::hyper::GroupWeights,
-    /// Distinct source ids.
-    pub sources: Vec<u32>,
-    /// Distinct target ids.
-    pub targets: Vec<u32>,
-    /// Out-degree per source (aligned with `sources`).
-    pub source_out_degree: Vec<u32>,
-}
-
-impl DirectedGroup {
-    /// The shared RO repulsion weight `δ̂r = δ/(mc·mr)` (identical for every
-    /// participant under Eq. 13; `own` and `rev` agree because `mc`/`mr` are
-    /// direction-symmetric).
-    pub fn delta_hat(&self) -> f32 {
-        // Any source's delta is the uniform value; zero if no sources.
-        self.sources.first().map(|&s| self.own.delta_i[s as usize]).unwrap_or(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hyper::delta_hat_weight;
+    use crate::solver::Degrees;
     use retro_store::sql;
 
     fn setup() -> (Database, EmbeddingSet) {
@@ -279,16 +215,12 @@ mod tests {
         assert!((c[1] - 0.45).abs() < 1e-6);
     }
 
-    #[test]
-    fn directed_groups_double_forward_groups() {
-        let (db, base) = setup();
-        let p = RetrofitProblem::build(&db, &base, &[], &[]);
+    /// One degree pass over the problem's only group.
+    fn degrees(p: &RetrofitProblem) -> Degrees {
         assert_eq!(p.groups.len(), 1); // movies.title~countries.name
-        let dg = p.directed_groups(&Hyperparameters::default(), true);
-        assert_eq!(dg.len(), 2);
-        assert_eq!(dg[0].sources.len(), 4);
-        assert_eq!(dg[0].targets.len(), 2);
-        assert_eq!(dg[1].sources.len(), 2); // inverted: countries are sources
+        let mut deg = Degrees::new(p.len());
+        deg.count(&p.groups[0].edges);
+        deg
     }
 
     #[test]
@@ -296,22 +228,24 @@ mod tests {
         let (db, base) = setup();
         let p = RetrofitProblem::build(&db, &base, &[], &[]);
         let params = Hyperparameters::new(1.0, 0.0, 1.0, 4.0);
-        let dg = p.directed_groups(&params, true);
+        let deg = degrees(&p);
         // mc = max(4 titles, 2 countries) = 4; mr = 2 (one group each
-        // direction → counts 1, +1). δ̂ = 4/(4·2) = 0.5.
-        assert!((dg[0].delta_hat() - 0.5).abs() < 1e-6);
-        assert!((dg[1].delta_hat() - 0.5).abs() < 1e-6);
+        // direction → counts 1, +1). δ̂ = 4/(4·2) = 0.5, one value for
+        // every source of both directions.
+        assert_eq!(deg.mc(), 4);
+        assert_eq!(deg.mr(&p.relation_counts), 2);
+        let delta_hat = delta_hat_weight(params.delta, deg.mc(), deg.mr(&p.relation_counts));
+        assert!((delta_hat - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn out_degrees_align_with_sources() {
         let (db, base) = setup();
         let p = RetrofitProblem::build(&db, &base, &[], &[]);
-        let dg = p.directed_groups(&Hyperparameters::default(), false);
-        // Inverted group: usa has 3 movies, france 1.
-        let inv = &dg[1];
+        let deg = degrees(&p);
+        // Inverted direction: usa has 3 movies, france 1.
         let usa = p.catalog.lookup("countries", "name", "usa").unwrap() as u32;
-        let pos = inv.sources.binary_search(&usa).unwrap();
-        assert_eq!(inv.source_out_degree[pos], 3);
+        assert!(deg.targets.binary_search(&usa).is_ok());
+        assert_eq!(deg.inv[usa as usize], 3);
     }
 }

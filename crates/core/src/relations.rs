@@ -72,17 +72,6 @@ impl RelationGroup {
     pub fn is_empty(&self) -> bool {
         self.edges.is_empty()
     }
-
-    /// The inverted group `Er̄`.
-    pub fn inverted(&self) -> RelationGroup {
-        RelationGroup::new(
-            format!("{}~inv", self.name),
-            self.target_category,
-            self.source_category,
-            self.kind,
-            self.edges.iter().map(|&(i, j)| (j, i)).collect(),
-        )
-    }
 }
 
 /// Extract all relation groups of a database against a catalog.
@@ -629,18 +618,6 @@ mod tests {
                 "movies.title~persons.name (writer_id)",
             ]
         );
-    }
-
-    #[test]
-    fn inverted_group_swaps_edges() {
-        let (_, _, groups) = setup();
-        let g = &groups[0];
-        let inv = g.inverted();
-        assert_eq!(inv.len(), g.len());
-        for &(i, j) in &g.edges {
-            assert!(inv.edges.contains(&(j, i)));
-        }
-        assert_eq!(inv.source_category, g.target_category);
     }
 
     #[test]

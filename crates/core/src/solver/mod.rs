@@ -228,7 +228,7 @@ impl Rows {
 /// edges gives both directions' out-degrees plus the distinct sources and
 /// targets in ascending order — `O(E)` per group, never `O(n)`. The
 /// kernels, `|Ri|` ([`crate::relations::relation_type_counts`]), the
-/// convexity check and [`RetrofitProblem::directed_groups`] all count
+/// convexity check and the loss ([`crate::loss::evaluate_loss`]) all count
 /// through it, and derive the Eq. 13 `mc`/`mr` from it.
 pub(crate) struct Degrees {
     /// Forward out-degree per row (edges `(i, _)` per `i`).
@@ -735,9 +735,8 @@ mod parallel {
             // Guard the helper itself: the cross-links must produce uneven
             // fan-in (some target related to several sources, some to one).
             let p = problem(20);
-            let dg = p.directed_groups(&Hyperparameters::paper_rn(), false);
             let mut fan_in = std::collections::HashMap::new();
-            for &(_, j) in &dg[0].group.edges {
+            for &(_, j) in &p.groups[0].edges {
                 *fan_in.entry(j).or_insert(0u32) += 1;
             }
             let max = fan_in.values().max().copied().unwrap_or(0);

@@ -86,11 +86,9 @@ impl<'p> RnKernel<'p> {
     /// Construction works directly from the forward relation groups with
     /// one [`Degrees`] pass per group — the per-edge `γ^r_i` and
     /// per-source `δ^r_i` of Eq. 12/14 are computed on the fly from the
-    /// out-degrees and `|Ri|` counts (the same expressions
-    /// [`RetrofitProblem::directed_groups`] evaluates, so the same bits)
-    /// without materializing [`crate::problem::DirectedGroup`]s. Only the
-    /// kernel's rows get operator entries and negative plans, and only the
-    /// groups they read get target lists.
+    /// out-degrees and `|Ri|` counts. Only the kernel's rows get operator
+    /// entries and negative plans, and only the groups they read get
+    /// target lists.
     fn build(problem: &'p RetrofitProblem, params: &Hyperparameters, rows: Rows) -> Self {
         let n = problem.len();
         let beta = problem.beta_weights(params);
@@ -98,7 +96,8 @@ impl<'p> RnKernel<'p> {
         let n_groups = problem.groups.len() * 2;
 
         // Directed groups are ordered (forward, inverted) per forward
-        // group, exactly like `RetrofitProblem::directed_groups`.
+        // group: forward group `g` is directed group `2g`, its inversion
+        // `2g + 1`, as in the RO kernel.
         let mut coo = CooMatrix::new(rows.len(), n);
         let mut tgt_ptr = Vec::with_capacity(n_groups + 1);
         tgt_ptr.push(0u32);

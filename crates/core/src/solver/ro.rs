@@ -116,11 +116,9 @@ impl<'p> RoKernel<'p> {
     /// Blanket mode (the hot path) constructs directly from the forward
     /// relation groups with one [`Degrees`] pass per group — the per-edge
     /// `γ` weights and the shared `δ̂ = δ/(mc·mr)` of Eq. 13 are computed
-    /// on the fly from out-degrees and `|Ri|` counts (the same expressions
-    /// [`RetrofitProblem::directed_groups`] evaluates, so the same bits)
-    /// without materializing [`crate::problem::DirectedGroup`]s. Only the
-    /// kernel's rows get operator entries, diagonals and negative plans,
-    /// and only the groups they read get target lists.
+    /// on the fly from out-degrees and `|Ri|` counts. Only the kernel's
+    /// rows get operator entries, diagonals and negative plans, and only
+    /// the groups they read get target lists.
     fn new_blanket(problem: &'p RetrofitProblem, params: &Hyperparameters, rows: Rows) -> Self {
         let n = problem.len();
         let beta = problem.beta_weights(params);
@@ -229,55 +227,74 @@ impl<'p> RoKernel<'p> {
         }
     }
 
+    /// Enumerated mode (the reference the Eq. 15 tests compare against)
+    /// walks the forward groups with the same [`Degrees`] pass as
+    /// [`Self::new_blanket`], but puts only the `γ^r_i + γ^r̄_j` weights on
+    /// the edges and skips the related pairs in an explicit `Ẽr` sweep.
+    /// Per row, operator entries and the diagonal accumulate in the order
+    /// forward edges, forward sources, inverted edges, inverted sources.
     fn new_enumerated(problem: &'p RetrofitProblem, params: &Hyperparameters) -> Self {
         let n = problem.len();
-        let groups = problem.directed_groups(params, true);
         let beta = problem.beta_weights(params);
+        let counts = &problem.relation_counts;
 
-        // Positive operator P (γ weights only; related pairs are skipped
-        // exactly in the pair sweep, not re-added via the +2δ̂ trick) and
-        // the constant denominator D.
         let mut coo = CooMatrix::new(n, n);
-        let mut denom = vec![0.0f32; n];
-        for (i, d) in denom.iter_mut().enumerate() {
-            *d = params.alpha + beta[i];
-        }
-        for dg in &groups {
-            let dh = dg.delta_hat();
-            for &(i, j) in &dg.group.edges {
-                let w = dg.own.gamma_i[i as usize] + dg.rev.gamma_i[j as usize];
+        let mut denom: Vec<f32> = (0..n).map(|i| params.alpha + beta[i]).collect();
+        // Target lists per directed group (forward `2g`, inverted `2g+1`),
+        // and per node the explicit Ẽr plans: `(directed group, 2δ̂r,
+        // related targets to skip)`.
+        let mut tgt_ptr = Vec::with_capacity(problem.groups.len() * 2 + 1);
+        tgt_ptr.push(0u32);
+        let mut tgt_ids: Vec<u32> = Vec::new();
+        let mut node_pairs: Vec<Vec<(u32, f32, Vec<u32>)>> = vec![Vec::new(); n];
+        let mut deg = Degrees::new(n);
+        let mut edge_w: Vec<f32> = Vec::new();
+        for (gi, group) in problem.groups.iter().enumerate() {
+            deg.count(&group.edges);
+            let dh = delta_hat_weight(params.delta, deg.mc(), deg.mr(counts));
+            edge_w.clear();
+            for &(i, j) in &group.edges {
+                let w = per_source_weight(params.gamma, deg.fwd[i as usize], counts[i as usize])
+                    + per_source_weight(params.gamma, deg.inv[j as usize], counts[j as usize]);
+                edge_w.push(w);
                 coo.push(i as usize, j as usize, w);
                 denom[i as usize] += w;
             }
-            let t_count = dg.targets.len() as f32;
-            for (&s, &od) in dg.sources.iter().zip(&dg.source_out_degree) {
-                denom[s as usize] -= 2.0 * dh * (t_count - od as f32);
+            let t_count = deg.targets.len() as f32;
+            for &i in &deg.sources {
+                denom[i as usize] -= 2.0 * dh * (t_count - deg.fwd[i as usize] as f32);
+            }
+            for (&(i, j), &w) in group.edges.iter().zip(&edge_w) {
+                coo.push(j as usize, i as usize, w);
+                denom[j as usize] += w;
+            }
+            let s_count = deg.sources.len() as f32;
+            for &j in &deg.targets {
+                denom[j as usize] -= 2.0 * dh * (s_count - deg.inv[j as usize] as f32);
+            }
+
+            let (g_fwd, g_inv) = (2 * gi as u32, 2 * gi as u32 + 1);
+            for targets in [&deg.targets, &deg.sources] {
+                tgt_ids.extend_from_slice(targets);
+                tgt_ptr.push(tgt_ids.len() as u32);
+            }
+            if dh == 0.0 {
+                continue;
+            }
+            for (g, sources) in [(g_fwd, &deg.sources), (g_inv, &deg.targets)] {
+                for &s in sources {
+                    node_pairs[s as usize].push((g, 2.0 * dh, Vec::new()));
+                }
+            }
+            for &(i, j) in &group.edges {
+                for (s, g, k) in [(i, g_fwd, j), (j, g_inv, i)] {
+                    let plan = node_pairs[s as usize].iter_mut().rev().find(|p| p.0 == g);
+                    plan.expect("every endpoint has a plan").2.push(k);
+                }
             }
         }
         let pos = coo.to_csr();
 
-        // Flatten the group target lists into offset+data arrays.
-        let mut tgt_ptr = Vec::with_capacity(groups.len() + 1);
-        tgt_ptr.push(0u32);
-        let mut tgt_ids = Vec::with_capacity(groups.iter().map(|dg| dg.targets.len()).sum());
-        for dg in &groups {
-            tgt_ids.extend_from_slice(&dg.targets);
-            tgt_ptr.push(tgt_ids.len() as u32);
-        }
-
-        // Explicit Ẽr plans: per node, the related targets to skip.
-        let mut node_pairs: Vec<Vec<(u32, f32, Vec<u32>)>> = vec![Vec::new(); n];
-        for (g, dg) in groups.iter().enumerate() {
-            let dh = dg.delta_hat();
-            if dh == 0.0 || dg.targets.is_empty() {
-                continue;
-            }
-            for &s in &dg.sources {
-                let related: Vec<u32> =
-                    dg.group.edges.iter().filter(|&&(i, _)| i == s).map(|&(_, j)| j).collect();
-                node_pairs[s as usize].push((g as u32, 2.0 * dh, related));
-            }
-        }
         // No group phase: the pair sweep reads targets straight from `W`.
         let sched = Schedule::new(Rows::All(n), Vec::new(), &[0], &[], problem.dim());
 

@@ -9,7 +9,7 @@ use retro::core::relations::{RelationGroup, RelationKind};
 use retro::core::solver::{solve, solve_ro_enumerated, Solver};
 use retro::core::{Hyperparameters, RetrofitProblem};
 use retro::embed::EmbeddingSet;
-use retro::linalg::vector;
+use retro::linalg::{vector, Matrix};
 
 /// Build a random bipartite problem from proptest-chosen edges/vectors.
 fn build_problem(
@@ -79,6 +79,90 @@ fn build_multi_group_problem(n: usize, groups: Vec<Vec<(usize, usize)>>) -> Retr
     RetrofitProblem::from_parts(catalog, groups, &base)
 }
 
+/// One direction of a relation group, listed from its raw edges: the
+/// edges run source → target, and the sources and targets are distinct
+/// and ascending.
+struct Direction {
+    edges: Vec<(u32, u32)>,
+    sources: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+/// Both directions of every group of `p`, forward then inverted per group,
+/// as the RO objective reads them.
+fn directions(p: &RetrofitProblem) -> Vec<Direction> {
+    let mut out = Vec::new();
+    for group in &p.groups {
+        let inverted = group.edges.iter().map(|&(i, j)| (j, i)).collect();
+        for edges in [group.edges.clone(), inverted] {
+            let distinct = |end: fn(&(u32, u32)) -> u32| {
+                let mut ids: Vec<u32> = edges.iter().map(end).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            };
+            let (sources, targets) = (distinct(|e| e.0), distinct(|e| e.1));
+            out.push(Direction { edges, sources, targets });
+        }
+    }
+    out
+}
+
+/// Eq. 13 as written: `δ̂r = δ / (mc(r) · mr(r))`, with `mc` the larger of
+/// the distinct source and target counts and `mr` the largest `|Ri| + 1`
+/// over the group's endpoints.
+fn eq13_delta_hat(delta: f32, d: &Direction, relation_counts: &[u32]) -> f32 {
+    let mc = d.sources.len().max(d.targets.len()).max(1);
+    let endpoints = d.sources.iter().chain(&d.targets);
+    let mr = endpoints.map(|&i| relation_counts[i as usize] as usize + 1).max().unwrap_or(1);
+    delta / (mc as f32 * mr as f32)
+}
+
+fn dist_sq_f64(a: &[f32], b: &[f32]) -> f64 {
+    a.iter().zip(b).map(|(&x, &y)| (x as f64 - y as f64).powi(2)).sum()
+}
+
+/// Ψ's four components (anchor, categorial, attraction, repulsion) summed
+/// pair by pair in `f64` from the definitions: every `Ẽr` pair of both
+/// directions is enumerated, out-degrees and `|Ri|` are counted by hand,
+/// and γ, β and δ̂ are applied as Eq. 12–13 write them.
+fn pairwise_loss(p: &RetrofitProblem, params: &Hyperparameters, w: &Matrix) -> [f64; 4] {
+    let dirs = directions(p);
+    // |Ri|: the directed groups in which `i` has an outgoing edge.
+    let mut relation_counts = vec![0u32; p.len()];
+    for d in &dirs {
+        for &s in &d.sources {
+            relation_counts[s as usize] += 1;
+        }
+    }
+    let mut anchor = 0.0;
+    let mut categorial = 0.0;
+    for (i, &count) in relation_counts.iter().enumerate() {
+        let beta_i = params.beta as f64 / (count as f64 + 1.0);
+        anchor += params.alpha as f64 * dist_sq_f64(w.row(i), p.w0.row(i));
+        categorial += beta_i * dist_sq_f64(w.row(i), p.centroid_of(i));
+    }
+    let mut attraction = 0.0;
+    let mut repulsion = 0.0;
+    for d in &dirs {
+        for &(i, j) in &d.edges {
+            let out_degree = d.edges.iter().filter(|e| e.0 == i).count() as f64;
+            let gamma_i =
+                params.gamma as f64 / (out_degree * (relation_counts[i as usize] as f64 + 1.0));
+            attraction += gamma_i * dist_sq_f64(w.row(i as usize), w.row(j as usize));
+        }
+        let delta_hat = eq13_delta_hat(params.delta, d, &relation_counts) as f64;
+        for &i in &d.sources {
+            for &k in &d.targets {
+                if !d.edges.contains(&(i, k)) {
+                    repulsion += delta_hat * dist_sq_f64(w.row(i as usize), w.row(k as usize));
+                }
+            }
+        }
+    }
+    [anchor, categorial, attraction, repulsion]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -94,11 +178,11 @@ proptest! {
         let p = build_multi_group_problem(9, groups);
         let params = Hyperparameters::new(1.0, 0.0, 1.0, delta);
         let mut mass = vec![0.0f32; p.len()];
-        for dg in p.directed_groups(&params, true) {
-            for &i in &dg.sources {
-                let negatives =
-                    dg.targets.iter().filter(|&&k| !dg.group.edges.contains(&(i, k))).count();
-                mass[i as usize] += dg.delta_hat() * negatives as f32;
+        for d in directions(&p) {
+            let delta_hat = eq13_delta_hat(params.delta, &d, &p.relation_counts);
+            for &i in &d.sources {
+                let negatives = d.targets.iter().filter(|&&k| !d.edges.contains(&(i, k))).count();
+                mass[i as usize] += delta_hat * negatives as f32;
             }
         }
         let worst = mass.iter().copied().fold(0.0f32, f32::max);
@@ -106,6 +190,34 @@ proptest! {
         let check = check_convexity(&p.groups, &p.relation_counts, &params, p.len());
         prop_assert_eq!(check.worst_delta_mass, 4.0 * worst);
         prop_assert_eq!(check.worst_node, worst_node);
+    }
+
+    #[test]
+    fn loss_matches_the_pairwise_definition(
+        groups in prop::collection::vec(prop::collection::vec((0usize..9, 0usize..9), 0..12), 1..4),
+        coords in prop::collection::vec(-1.0f32..1.0, 18),
+        alpha in 0.0f32..4.0,
+        beta in 0.0f32..2.0,
+        gamma in 0.0f32..4.0,
+        delta in 0.1f32..4.0,
+    ) {
+        // Groups share nodes and may hold self-loops, so |Ri|, out-degrees
+        // and δ̂ vary between values and groups.
+        let p = build_multi_group_problem(9, groups);
+        let params = Hyperparameters::new(alpha, beta, gamma, delta);
+        let w = Matrix::from_vec(p.len(), p.dim(), coords);
+        for w in [&p.w0, &w] {
+            let l = evaluate_loss(&p, &params, w);
+            let reference = pairwise_loss(&p, &params, w);
+            let names = ["anchor", "categorial", "attraction", "repulsion"];
+            let got = [l.anchor, l.categorial, l.attraction, l.repulsion];
+            for ((name, got), want) in names.iter().zip(got).zip(reference) {
+                prop_assert!(
+                    (got - want).abs() <= 1e-5 * (1.0 + want.abs()),
+                    "{name}: evaluate_loss {got} vs pairwise {want}"
+                );
+            }
+        }
     }
 
     #[test]
