@@ -127,6 +127,18 @@ pub struct RetroOutput {
 }
 
 impl RetroOutput {
+    /// The output of a solve of `problem` that converged to `embeddings`,
+    /// with the Eq. 7/24 convexity diagnosis for `params` on its graph.
+    pub(crate) fn new(
+        problem: RetrofitProblem,
+        embeddings: Matrix,
+        params: &Hyperparameters,
+    ) -> Self {
+        let convexity =
+            check_convexity(&problem.groups, &problem.relation_counts, params, problem.len());
+        Self { catalog: problem.catalog.clone(), problem, embeddings, convexity }
+    }
+
     /// The learned vector for `table.column = text`, if the value exists.
     pub fn vector(&self, table: &str, column: &str, text: &str) -> Option<&[f32]> {
         self.catalog.lookup(table, column, text).map(|id| self.embeddings.row(id))
@@ -204,9 +216,7 @@ impl Retro {
     ) -> RetroOutput {
         let params = &self.config.params;
         let embeddings = solver::solve(&problem, self.config.solver, params, iterations, seed);
-        let convexity =
-            check_convexity(&problem.groups, &problem.relation_counts, params, problem.len());
-        RetroOutput { catalog: problem.catalog.clone(), problem, embeddings, convexity }
+        RetroOutput::new(problem, embeddings, params)
     }
 }
 

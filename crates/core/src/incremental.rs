@@ -29,7 +29,6 @@ use retro_store::Database;
 
 use crate::api::{Retro, RetroConfig, RetroError, RetroOutput};
 use crate::delta::{classify_changes, extract_delta, ChangeSummary, DeltaExtraction};
-use crate::hyper::check_convexity;
 use crate::problem::RetrofitProblem;
 use crate::solver::{self, Solver};
 
@@ -175,6 +174,11 @@ impl IncrementalRetro {
         self.state = Some(output);
         self.state_version = Some(db_version);
         self.last_refresh = None;
+    }
+
+    /// The session's run configuration.
+    pub(crate) fn config(&self) -> &RetroConfig {
+        &self.engine.config
     }
 
     /// The current output, if any run has completed.
@@ -393,20 +397,9 @@ impl IncrementalRetro {
                 );
                 // Appends can grow a node's repulsion mass (a new target
                 // is one more negative pair for every source of its
-                // group), so the verdict is re-checked on the extended
-                // graph, never carried over.
-                let convexity = check_convexity(
-                    &problem.groups,
-                    &problem.relation_counts,
-                    &config.params,
-                    problem.len(),
-                );
-                let out = RetroOutput {
-                    catalog: problem.catalog.clone(),
-                    problem,
-                    embeddings,
-                    convexity,
-                };
+                // group), so the convexity verdict is re-checked on the
+                // extended graph, never carried over.
+                let out = RetroOutput::new(problem, embeddings, &config.params);
                 self.install(Arc::new(out), db_version, RefreshKind::Delta)
             }
             PlanKind::Full { problem, warm } => {

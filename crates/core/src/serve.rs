@@ -79,14 +79,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// A snapshot of `output` with a freshly trained index.
-    fn new(generation: u64, write_version: u64, threads: usize, output: Arc<RetroOutput>) -> Self {
-        let norms = output.embeddings.row_norms();
-        let config = IvfConfig::auto(output.embeddings.rows());
-        let index = IvfIndex::build(&output.embeddings, &norms, config, threads);
-        Self::with_index(generation, write_version, threads, norms, index, output)
-    }
-
     /// A snapshot of `output` served by a ready `index` over its rows,
     /// whose cached row norms are `norms`.
     fn with_index(
@@ -100,50 +92,55 @@ impl Snapshot {
         Self { generation, write_version, threads, norms, index: Arc::new(index), output }
     }
 
-    /// The next generation after `self`, serving `output`. `dirty` is the
-    /// delta plan's dirty row set when the session's previous state was
-    /// `self.output` (the service holds both under its session lock).
+    /// The generation after `prev` (generation 1 without one), serving the
+    /// `output` the session completed on a plan of kind `trace.kind`, whose
+    /// dirty rows are `dirty`. `prev.output` was the session's state before
+    /// that plan: the service publishes each output under its session lock.
     /// Records the norm and index phases in `trace`.
     fn successor(
-        &self,
+        prev: Option<&Self>,
+        threads: usize,
         write_version: u64,
         output: Arc<RetroOutput>,
-        dirty: Option<Vec<u32>>,
+        dirty: &[u32],
         trace: &mut RefreshTrace,
     ) -> Self {
-        let (generation, threads) = (self.generation + 1, self.threads);
+        let generation = prev.map_or(1, |prev| prev.generation + 1);
         let rows = output.embeddings.rows();
         let started = Instant::now();
-        if Arc::ptr_eq(&output, &self.output) {
-            // No-change refresh: the session kept its output allocation, so
-            // reuse the published norms and the ANN index too — the
-            // republish is O(n), not O(n·D).
-            let (norms, index) = (self.norms.clone(), Arc::clone(&self.index));
-            Self { generation, write_version, threads, norms, index, output }
-        } else if let Some(dirty) = dirty.filter(|_| self.norms.len() <= rows) {
-            // Delta refresh: only the dirty rows moved and new rows were
-            // appended. Patch the cached norms instead of renormalizing the
-            // whole matrix, and patch the ANN index against its frozen
-            // centroids instead of retraining. Centroids retrain on the
-            // next full refresh (tests/ann_serving.rs pins the patched
-            // index structurally identical to a fresh assignment).
-            let mut norms = Vec::with_capacity(rows);
-            norms.extend_from_slice(&self.norms);
-            norms.resize(rows, 0.0);
-            for &r in &dirty {
-                norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
+        let (norms, index) = match (trace.kind, prev) {
+            // The session republished `prev.output`: reuse its norms and
+            // ANN index too, so the republish is O(n), not O(n·D).
+            (RefreshKind::NoChange, Some(prev)) => (prev.norms.clone(), Arc::clone(&prev.index)),
+            // Only the dirty rows moved and new rows were appended. Patch
+            // the cached norms instead of renormalizing the whole matrix,
+            // and patch the ANN index against its frozen centroids instead
+            // of retraining. Centroids retrain on the next full refresh
+            // (tests/ann_serving.rs pins the patched index structurally
+            // identical to a fresh assignment).
+            (RefreshKind::Delta, Some(prev)) => {
+                let mut norms = Vec::with_capacity(rows);
+                norms.extend_from_slice(&prev.norms);
+                norms.resize(rows, 0.0);
+                for &r in dirty {
+                    norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
+                }
+                let normed = Instant::now();
+                let (index, patch) = prev.index.patched(&output.embeddings, &norms, dirty, threads);
+                (trace.norms, trace.index) = (normed - started, normed.elapsed());
+                trace.patch = Some(patch);
+                (norms, Arc::new(index))
             }
-            let normed = Instant::now();
-            let (index, patch) = self.index.patched(&output.embeddings, &norms, &dirty, threads);
-            (trace.norms, trace.index) = (normed - started, normed.elapsed());
-            trace.patch = Some(patch);
-            let index = Arc::new(index);
-            Self { generation, write_version, threads, norms, index, output }
-        } else {
-            let snapshot = Self::new(generation, write_version, threads, output);
-            trace.index = started.elapsed();
-            snapshot
-        }
+            // A full refresh, and generation 1, train a fresh index.
+            _ => {
+                let norms = output.embeddings.row_norms();
+                let config = IvfConfig::auto(rows);
+                let index = IvfIndex::build(&output.embeddings, &norms, config, threads);
+                trace.index = started.elapsed();
+                (norms, Arc::new(index))
+            }
+        };
+        Self { generation, write_version, threads, norms, index, output }
     }
 
     /// The snapshot's generation number (1 for the initial full run,
@@ -324,8 +321,9 @@ impl std::fmt::Display for RefreshTrace {
 #[derive(Debug)]
 pub struct PinnedGeneration {
     snapshot: Arc<Snapshot>,
-    store: Arc<Database>,
-    /// The refresh that made this generation, if one did.
+    store: Database,
+    /// The refresh that made this generation; `None` for a recovered
+    /// generation that no refresh in this process made.
     trace: Option<RefreshTrace>,
 }
 
@@ -359,8 +357,8 @@ impl PinnedGeneration {
 pub struct EmbeddingService {
     db: SharedDatabase,
     base: EmbeddingSet,
-    /// The incremental session. Refreshes take the write side; nothing
-    /// else touches it — readers are served from `generations`.
+    /// The incremental session. Refreshes and tuning take the write side;
+    /// nothing else touches it — readers are served from `generations`.
     session: RwLock<IncrementalRetro>,
     /// The published generations, oldest first, never empty. Held for
     /// pointer-sized critical sections only: an `Arc` clone on read, a
@@ -390,10 +388,11 @@ impl std::fmt::Debug for EmbeddingService {
 
 type Prepare = fn(&IncrementalRetro, &Database, &EmbeddingSet) -> Result<RefreshPlan, RetroError>;
 
-/// One refresh of `session` past the generation `old`: extract under a
-/// database read guard, freezing a clone of the store under the same
-/// guard, then solve with the database unlocked. The clone and the
-/// snapshot's stamp therefore describe exactly the extracted state: no
+/// The one way a generation is made: one refresh of `session` past the
+/// generation `prev`, or its first run as generation 1 without one. Plan
+/// under a database read guard, freezing a clone of the store under the
+/// same guard, then solve with the database unlocked. The clone and the
+/// snapshot's stamp therefore describe exactly the planned state: no
 /// write can slip between them. The clone shares every table, so the
 /// freeze costs O(tables); the live database copies a table on its first
 /// write after it.
@@ -401,7 +400,7 @@ fn advance(
     session: &mut IncrementalRetro,
     db: &SharedDatabase,
     base: &EmbeddingSet,
-    old: &Snapshot,
+    prev: Option<&Snapshot>,
     prepare: Prepare,
 ) -> Result<PinnedGeneration, RetroError> {
     let started = Instant::now();
@@ -411,28 +410,29 @@ fn advance(
         (plan, Instant::now(), Database::clone(&guard))
     };
     let frozen = Instant::now();
-    let dirty = plan.dirty_rows().map(<[u32]>::to_vec);
-    let mut trace = RefreshTrace::new(plan.kind(), dirty.as_ref().map_or(0, Vec::len));
+    let dirty = plan.dirty_rows().unwrap_or_default().to_vec();
+    let mut trace = RefreshTrace::new(plan.kind(), dirty.len());
     session.complete_refresh(plan);
     let solved = Instant::now();
     (trace.prepare, trace.freeze, trace.solve) =
         (prepared - started, frozen - prepared, solved - frozen);
     let output = session.current_shared().expect("just completed");
-    let snapshot = old.successor(store.write_version(), output, dirty, &mut trace);
-    Ok(PinnedGeneration {
-        snapshot: Arc::new(snapshot),
-        store: Arc::new(store),
-        trace: Some(trace),
-    })
+    let threads = session.config().params.threads;
+    let version = store.write_version();
+    let snapshot = Snapshot::successor(prev, threads, version, output, &dirty, &mut trace);
+    Ok(PinnedGeneration { snapshot: Arc::new(snapshot), store, trace: Some(trace) })
 }
 
 impl EmbeddingService {
     /// Run the initial full retrofit and start serving it as generation 1.
     ///
-    /// Extraction holds a database read guard; the solve itself runs with
-    /// the database unlocked. `config.params.threads` doubles as the
-    /// snapshot query-scan width. Writes that land during the solve are
-    /// folded in by one catch-up refresh before this returns.
+    /// Generation 1 is made like any refresh: extraction and the store
+    /// freeze hold one database read guard, the solve runs with the
+    /// database unlocked, a fresh ANN index is trained, and the run's
+    /// [`RefreshTrace`] (kind [`RefreshKind::Full`]) is published with it.
+    /// `config.params.threads` doubles as the snapshot query-scan width.
+    /// Writes that land during the solve are folded in by one catch-up
+    /// refresh before this returns.
     pub fn start(
         db: SharedDatabase,
         base: EmbeddingSet,
@@ -448,39 +448,30 @@ impl EmbeddingService {
         config: RetroConfig,
         cache: usize,
     ) -> Result<Arc<Self>, RetroError> {
-        let threads = config.params.threads;
         let mut session = IncrementalRetro::new(config);
-        let (plan, write_version) = {
-            let guard = db.read();
-            (session.prepare_refresh(&guard, &base)?, guard.write_version())
-        };
-        session.complete_refresh(plan);
-        let output = session.current_shared().expect("just completed");
-        let first = Snapshot::new(1, write_version, threads, output);
+        let first = advance(&mut session, &db, &base, None, IncrementalRetro::prepare_refresh)?;
         Self::launch(db, base, session, first, cache)
     }
 
-    /// Publish the session's converged state `first` as the service's
-    /// first generation. When the database has not moved since `first` was
-    /// extracted, its store is frozen as is; otherwise one catch-up
-    /// refresh publishes the current state instead, so the service is
-    /// coherent before it serves anyone.
+    /// Serve `first`, whose snapshot is the session's converged state, as
+    /// the service's first generation. When its store is not at the
+    /// snapshot's write version, or the database has moved since (writes
+    /// during the initial solve, or since a recovered snapshot was saved),
+    /// one catch-up refresh publishes the current state instead, so the
+    /// service is coherent before it serves anyone.
     fn launch(
         db: SharedDatabase,
         base: EmbeddingSet,
         mut session: IncrementalRetro,
-        first: Snapshot,
+        first: PinnedGeneration,
         cache: usize,
     ) -> Result<Arc<Self>, RetroError> {
-        let store = {
-            let guard = db.read();
-            (guard.write_version() == first.write_version()).then(|| Database::clone(&guard))
-        };
-        let pinned = match store {
-            Some(store) => {
-                PinnedGeneration { snapshot: Arc::new(first), store: Arc::new(store), trace: None }
-            }
-            None => advance(&mut session, &db, &base, &first, IncrementalRetro::prepare_refresh)?,
+        let version = first.snapshot.write_version();
+        let pinned = if first.store.write_version() == version && db.write_version() == version {
+            first
+        } else {
+            let prepare = IncrementalRetro::prepare_refresh;
+            advance(&mut session, &db, &base, Some(&first.snapshot), prepare)?
         };
         let cache = cache.max(1);
         let mut generations = VecDeque::with_capacity(cache + 1);
@@ -584,13 +575,17 @@ impl EmbeddingService {
     /// Adjust the inner session's tuning knobs (refresh iteration count,
     /// delta dirty-set budget) under the session lock. Takes effect on the
     /// next refresh; concurrent refreshes are serialized against it.
+    ///
+    /// `tune` must leave the session's converged state alone (no
+    /// `refresh`, `full_run` or `restore`): the next generation derives
+    /// its norms and index from the newest one's, which serves that state.
     pub fn tune_session(&self, tune: impl FnOnce(&mut IncrementalRetro)) {
         tune(&mut lock_write(&self.session));
     }
 
     fn refresh_with(&self, prepare: Prepare) -> Result<u64, RetroError> {
         let mut session = lock_write(&self.session);
-        let next = advance(&mut session, &self.db, &self.base, &self.snapshot(), prepare)?;
+        let next = advance(&mut session, &self.db, &self.base, Some(&self.snapshot()), prepare)?;
         let generation = next.snapshot.generation();
         // Publish under the session lock: publish order equals solve
         // order, which is what makes generations monotone for every
@@ -715,18 +710,7 @@ impl EmbeddingService {
                 problem.len()
             )));
         }
-        let convexity = crate::hyper::check_convexity(
-            &problem.groups,
-            &problem.relation_counts,
-            &config.params,
-            problem.len(),
-        );
-        let output = Arc::new(RetroOutput {
-            catalog: problem.catalog.clone(),
-            problem,
-            embeddings: persisted.embeddings,
-            convexity,
-        });
+        let output = Arc::new(RetroOutput::new(problem, persisted.embeddings, &config.params));
 
         // A version 2 image carries the served index: regroup the
         // checksummed rows by its assignments instead of retraining, so
@@ -734,39 +718,53 @@ impl EmbeddingService {
         // image trains one afresh.
         let threads = config.params.threads;
         let (generation, write_version) = (persisted.generation, persisted.write_version);
-        let first = match persisted.index {
-            Some(parts) => {
-                let norms = output.embeddings.row_norms();
-                let index = IvfIndex::from_parts(
-                    &output.embeddings,
-                    &norms,
-                    parts.config,
-                    parts.centroids,
-                    parts.assignments,
-                )
-                .map_err(|err| RetroError::Persist(format!("snapshot index: {err}")))?;
-                let output = Arc::clone(&output);
-                Snapshot::with_index(generation, write_version, threads, norms, index, output)
+        let norms = output.embeddings.row_norms();
+        let index = match persisted.index {
+            Some(parts) => IvfIndex::from_parts(
+                &output.embeddings,
+                &norms,
+                parts.config,
+                parts.centroids,
+                parts.assignments,
+            )
+            .map_err(|err| RetroError::Persist(format!("snapshot index: {err}")))?,
+            None => {
+                let config = IvfConfig::auto(output.embeddings.rows());
+                IvfIndex::build(&output.embeddings, &norms, config, threads)
             }
-            None => Snapshot::new(generation, write_version, threads, Arc::clone(&output)),
         };
+        let snapshot = Arc::new(Snapshot::with_index(
+            generation,
+            write_version,
+            threads,
+            norms,
+            index,
+            Arc::clone(&output),
+        ));
         let mut session = IncrementalRetro::new(config);
         session.restore(output, write_version);
-        Self::launch(db, base, session, first, cache)
+        let store = Database::clone(&db.read());
+        Self::launch(db, base, session, PinnedGeneration { snapshot, store, trace: None }, cache)
     }
 
-    /// The trace of the refresh that published the current generation;
-    /// `None` when no refresh made it (a start, or a recovery with nothing
-    /// to catch up on).
+    /// The trace of the refresh that published the current generation:
+    /// generation 1's full run right after [`EmbeddingService::start`];
+    /// `None` after a recovery with nothing to catch up on.
+    ///
+    /// Read from the newest generation, so it never waits on a refresh in
+    /// flight.
     pub fn last_trace(&self) -> Option<RefreshTrace> {
         self.latest().trace.clone()
     }
 
-    /// Which path the most recent solve took — [`RefreshKind::Full`] right
-    /// after start (the initial run is a full run), then whatever the last
-    /// refresh dispatched to.
+    /// Which path the refresh that published the current generation took
+    /// — [`RefreshKind::Full`] right after start (the initial run is a full
+    /// run), then whatever the last refresh dispatched to; `None` after a
+    /// recovery with nothing to catch up on. The kind of
+    /// [`EmbeddingService::last_trace`], read without waiting on a refresh
+    /// in flight.
     pub fn last_refresh(&self) -> Option<RefreshKind> {
-        lock_read(&self.session).last_refresh()
+        self.latest().trace.as_ref().map(|trace| trace.kind)
     }
 
     /// Number of refreshes published since start (the first generation
@@ -983,7 +981,8 @@ mod tests {
     #[test]
     fn each_refresh_publishes_its_trace() {
         let service = EmbeddingService::start(shared(), base(), RetroConfig::default()).unwrap();
-        assert_eq!(service.last_trace(), None, "no refresh made generation 1");
+        let trace = service.last_trace().expect("generation 1 carries its trace");
+        assert_eq!((trace.kind, trace.dirty_rows, trace.patch), (RefreshKind::Full, 0, None));
         service.tune_session(|s| s.delta_max_dirty_fraction = 1.0);
         insert_prometheus(service.database());
         service.refresh().unwrap();
@@ -1084,7 +1083,36 @@ mod tests {
             Arc::ptr_eq(&after.output, &settled.output),
             "no-change republish must reuse the output allocation"
         );
+        assert!(
+            Arc::ptr_eq(&after.index, &settled.index),
+            "no-change republish must reuse the index allocation"
+        );
+        assert_eq!(after.norms(), settled.norms());
         drop(before);
+    }
+
+    #[test]
+    fn refresh_reports_do_not_wait_on_the_session_lock() {
+        let service = EmbeddingService::start(shared(), base(), RetroConfig::default()).unwrap();
+        let (locked, wait_locked) = std::sync::mpsc::channel();
+        let (release, wait_release) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn({
+            let service = Arc::clone(&service);
+            move || {
+                let mut released = false;
+                service.tune_session(|_| {
+                    locked.send(()).unwrap();
+                    released = wait_release.recv_timeout(Duration::from_secs(10)).is_ok();
+                });
+                released
+            }
+        });
+        wait_locked.recv().unwrap();
+        // The holder keeps the session lock, as a refresh in flight does.
+        assert_eq!(service.last_refresh(), Some(RefreshKind::Full));
+        assert_eq!(service.last_trace().map(|trace| trace.kind), Some(RefreshKind::Full));
+        let _ = release.send(());
+        assert!(holder.join().unwrap(), "the reports waited for the session lock");
     }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {

@@ -75,6 +75,7 @@
 use std::collections::HashMap;
 
 use crate::changelog::TableChange;
+use crate::database::check_foreign_key;
 use crate::error::StoreError;
 use crate::schema::TableSchema;
 use crate::table::Table;
@@ -181,31 +182,8 @@ impl<'db> BulkLoader<'db> {
             let own = &self.tables[handle.0];
             own.table.validate_row(&row)?;
             for fk in &own.fks {
-                match &row[fk.col] {
-                    Value::Null => {}
-                    Value::Int(k) => {
-                        if !self.tables[fk.ref_slot].table.contains_pk(*k) {
-                            return Err(StoreError::ForeignKeyViolation {
-                                table: own.table.name().to_owned(),
-                                column: fk.column_name.clone(),
-                                value: k.to_string(),
-                            });
-                        }
-                    }
-                    other => {
-                        // Unreachable after the type check (foreign-key
-                        // columns are INTEGER by construction); kept to
-                        // mirror the row-by-row error payload exactly.
-                        return Err(StoreError::TypeMismatch {
-                            table: own.table.name().to_owned(),
-                            column: fk.column_name.clone(),
-                            expected: "INTEGER".to_owned(),
-                            got: other
-                                .data_type()
-                                .map_or_else(|| "NULL".into(), |ty| ty.to_string()),
-                        });
-                    }
-                }
+                let target = &self.tables[fk.ref_slot].table;
+                check_foreign_key(own.table.name(), &fk.column_name, &row[fk.col], target)?;
             }
             Ok(())
         })();
@@ -273,7 +251,7 @@ impl<'db> BulkLoader<'db> {
         // order. Logged before the tables are handed back — a failed
         // append rolls the batch back, exactly like a constraint
         // violation, so nothing unlogged ever commits.
-        if self.db.durability_active() {
+        if self.db.is_durable() {
             let batch: Vec<(&str, &[Vec<Value>])> = self
                 .tables
                 .iter()

@@ -194,12 +194,6 @@ impl Database {
         Ok(())
     }
 
-    /// Crate-internal alias of [`Database::is_durable`] for callers
-    /// (the bulk loader) that cannot see the private field.
-    pub(crate) fn durability_active(&self) -> bool {
-        self.durability.is_some()
-    }
-
     /// Compact the log: write a checksummed snapshot of the full current
     /// state (atomically, via temp file + rename), then truncate the WAL.
     /// Recovery afterwards loads the snapshot and replays only records
@@ -468,31 +462,11 @@ impl Database {
         let t = self.tables.get(table).ok_or_else(|| StoreError::UnknownTable(table.to_owned()))?;
         t.validate_row(&row)?;
         // Foreign keys need read access to other tables, so check them
-        // before taking the mutable borrow. NULL FK values are allowed (the
-        // relation is simply absent), matching SQL semantics.
+        // before taking the mutable borrow.
         for fk in &t.schema().foreign_keys {
             let idx = t.schema().column_index(&fk.column).expect("validated at create");
-            match &row[idx] {
-                Value::Null => {}
-                Value::Int(k) => {
-                    let target = self.tables.get(&fk.ref_table).expect("validated at create");
-                    if !target.contains_pk(*k) {
-                        return Err(StoreError::ForeignKeyViolation {
-                            table: table.to_owned(),
-                            column: fk.column.clone(),
-                            value: k.to_string(),
-                        });
-                    }
-                }
-                other => {
-                    return Err(StoreError::TypeMismatch {
-                        table: table.to_owned(),
-                        column: fk.column.clone(),
-                        expected: "INTEGER".to_owned(),
-                        got: other.data_type().map_or_else(|| "NULL".into(), |ty| ty.to_string()),
-                    })
-                }
-            }
+            let target = self.tables.get(&fk.ref_table).expect("validated at create");
+            check_foreign_key(table, &fk.column, &row[idx], target)?;
         }
         self.log_op(WalOp::Insert { table, row: &row })?;
         let t = self.tables.get_mut(table).expect("checked above");
@@ -592,21 +566,8 @@ impl Database {
             if let Some(fk) =
                 schema.foreign_keys.iter().find(|fk| schema.column_index(&fk.column) == Some(col))
             {
-                match value {
-                    Value::Null => {}
-                    Value::Int(k) => {
-                        let target =
-                            self.tables.get(&fk.ref_table).expect("fk validated at create");
-                        if !target.contains_pk(*k) {
-                            return Err(StoreError::ForeignKeyViolation {
-                                table: table.to_owned(),
-                                column: fk.column.clone(),
-                                value: k.to_string(),
-                            });
-                        }
-                    }
-                    _ => unreachable!("fk columns are INTEGER; fits() checked above"),
-                }
+                let target = self.tables.get(&fk.ref_table).expect("fk validated at create");
+                check_foreign_key(table, &fk.column, value, target)?;
                 relational = true;
             }
             if def.ty == DataType::Text {
@@ -745,6 +706,34 @@ impl Database {
             }
         }
         seen.len()
+    }
+}
+
+/// The foreign-key probe every write path runs: `value`, bound for the
+/// foreign-key `column` of `table`, must be NULL (the relation is simply
+/// absent, as in SQL) or a primary key of the referenced table `target`.
+pub(crate) fn check_foreign_key(
+    table: &str,
+    column: &str,
+    value: &Value,
+    target: &Table,
+) -> Result<()> {
+    match value {
+        Value::Null => Ok(()),
+        Value::Int(k) if target.contains_pk(*k) => Ok(()),
+        Value::Int(k) => Err(StoreError::ForeignKeyViolation {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            value: k.to_string(),
+        }),
+        // Unreachable after the callers' type checks (foreign-key columns
+        // are INTEGER by construction); typed all the same.
+        other => Err(StoreError::TypeMismatch {
+            table: table.to_owned(),
+            column: column.to_owned(),
+            expected: "INTEGER".to_owned(),
+            got: other.data_type().map_or_else(|| "NULL".into(), |ty| ty.to_string()),
+        }),
     }
 }
 
