@@ -304,6 +304,13 @@ fn profile_serving(
 
     let snapshot = service.snapshot();
     let n = snapshot.len();
+    // The memory ledger's index slice: the index holds codes, not rows.
+    let mb = |bytes: usize| bytes as f64 / 1e6;
+    println!(
+        "  {label}: ann index memory          {:>8.1}MB  (the f32 rows it serves: {:.1}MB)",
+        mb(snapshot.index().bytes()),
+        mb(size_of_val(snapshot.output().embeddings.as_slice()))
+    );
     let queries: Vec<Vec<f32>> =
         (0..64).map(|i| snapshot.output().embeddings.row(i * 97 % n).to_vec()).collect();
     let run_query = |i: usize| {

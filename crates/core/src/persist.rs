@@ -15,11 +15,10 @@
 //! [`TextValueCatalog::intern`] reproduces the exact dense id assignment),
 //! the relation groups, the converged matrix as raw f32 bits, and (from
 //! version 2) the served IVF index: its [`IvfConfig`], its centroids as
-//! raw f32 bits and one u32 list assignment per row. A restart regroups
-//! the checksummed matrix rows by those assignments
-//! ([`IvfIndex::from_parts`]) instead of retraining, so it serves the
-//! very index that was saved; the packed lists themselves are never
-//! stored. A version 1 image (no index section) still decodes, and its
+//! raw f32 bits and one u32 list assignment per row. A restart codes the
+//! checksummed matrix rows into those lists ([`IvfIndex::from_parts`])
+//! instead of retraining, so it serves the very index that was saved;
+//! the list codes themselves are never stored. A version 1 image (no index section) still decodes, and its
 //! restart trains an index afresh. The derived parts of the problem
 //! (`W0`, centroids, weights) are *not* stored — they are recomputed from
 //! the base embedding at recovery, which is both smaller and
@@ -69,7 +68,7 @@ pub(crate) struct PersistedGeneration {
 }
 
 /// The parts [`IvfIndex::from_parts`] rebuilds a served index from; the
-/// packed lists are regrouped from the checksummed matrix, never stored.
+/// list codes are rebuilt from the checksummed matrix, never stored.
 #[derive(Debug)]
 pub(crate) struct PersistedIndex {
     pub config: IvfConfig,

@@ -50,7 +50,7 @@ pub(crate) fn lock_write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// One immutable, generation-numbered converged output.
 ///
 /// A snapshot owns everything a query needs — catalog, embeddings,
-/// precomputed row L2 norms, and an IVF-flat ANN index — so
+/// precomputed row L2 norms, and an IVF ANN index over 8-bit codes — so
 /// [`Snapshot::nearest`] touches no lock at all: readers holding an
 /// `Arc<Snapshot>` are isolated from refreshes, writers, and each other.
 /// Snapshots are created complete and never mutated, which is what makes
@@ -126,7 +126,13 @@ impl Snapshot {
                     norms[r as usize] = vector::norm(output.embeddings.row(r as usize));
                 }
                 let normed = Instant::now();
-                let (index, patch) = prev.index.patched(&output.embeddings, &norms, dirty, threads);
+                let (index, patch) = prev.index.patched(
+                    &prev.output.embeddings,
+                    &output.embeddings,
+                    &norms,
+                    dirty,
+                    threads,
+                );
                 (trace.norms, trace.index) = (normed - started, normed.elapsed());
                 trace.patch = Some(patch);
                 (norms, Arc::new(index))
@@ -181,7 +187,7 @@ impl Snapshot {
         self.output.vector(table, column, text)
     }
 
-    /// The snapshot's ANN index (IVF-flat over the embedding rows).
+    /// The snapshot's ANN index (IVF over the embedding rows' 8-bit codes).
     pub fn index(&self) -> &IvfIndex {
         &self.index
     }
@@ -198,10 +204,11 @@ impl Snapshot {
     /// (row-partitioned across the configured thread count) against the
     /// precomputed norms, then the shared bounded-heap selection:
     /// deterministic, `NaN`-free, and bit-identical for every thread count.
-    /// [`SearchMode::Approx`] probes the snapshot's [`IvfIndex`] instead —
-    /// the candidate scoring is the *same* kernel and the same sanitize
-    /// rules, so probing every list reproduces the exact ranking bit for
-    /// bit, and lower probe counts trade recall for speed only through the
+    /// [`SearchMode::Approx`] probes the snapshot's [`IvfIndex`] instead:
+    /// its 8-bit codes prune the candidates, and the survivors are scored
+    /// from this snapshot's rows by the *same* kernel and sanitize rules,
+    /// so probing every list reproduces the exact ranking bit for bit, and
+    /// lower probe counts trade recall for speed only through the
     /// candidate set.
     pub fn nearest(&self, query: &[f32], k: usize, mode: SearchMode) -> Vec<(usize, f32)> {
         match mode {
@@ -213,7 +220,9 @@ impl Snapshot {
                 self.threads,
                 |_| false,
             ),
-            SearchMode::Approx { probes } => self.index.search(query, k, probes),
+            SearchMode::Approx { probes } => {
+                self.index.search(&self.output.embeddings, query, k, probes)
+            }
         }
     }
 
@@ -241,7 +250,8 @@ impl Snapshot {
                 |i| i == id,
             ),
             SearchMode::Approx { probes } => {
-                self.index.search_filtered(query, k, probes, |i| i == id)
+                let rows = &self.output.embeddings;
+                self.index.search_filtered(rows, query, k, probes, |i| i == id)
             }
         })
     }
@@ -686,53 +696,51 @@ impl EmbeddingService {
             )));
         }
 
-        // Replay the catalog through the public construction path in id
-        // order — `add_category`/`intern` assign dense ids sequentially,
-        // so the recovered ids are exactly the persisted ones.
-        let mut catalog = crate::TextValueCatalog::default();
-        for (table, column) in &persisted.categories {
-            catalog.add_category(table, column);
-        }
-        for (id, (category, text)) in persisted.values.iter().enumerate() {
-            let got = catalog.intern(*category, text);
-            if got as usize != id {
-                return Err(RetroError::Persist(format!(
-                    "duplicate text value '{text}' (id {id} resolved to {got})"
-                )));
-            }
-        }
-
-        let problem = crate::RetrofitProblem::from_parts(catalog, persisted.groups, &base);
-        if problem.len() != persisted.embeddings.rows() {
+        let crate::persist::PersistedGeneration {
+            generation,
+            write_version,
+            categories,
+            values,
+            groups,
+            embeddings,
+            index: saved,
+        } = persisted;
+        let threads = config.params.threads;
+        // A version 2 image carries the served index: code the checksummed
+        // rows into its saved lists instead of retraining, so the restart
+        // serves the very index that was saved. A version 1 image trains
+        // one afresh. The index needs only the rows, so it is built beside
+        // the catalog replay and the problem assembly.
+        let rows = &embeddings;
+        let (problem, indexed) = std::thread::scope(|s| {
+            let indexer = s.spawn(move || {
+                let norms = rows.row_norms();
+                let index = match saved {
+                    Some(parts) => IvfIndex::from_parts(
+                        rows,
+                        &norms,
+                        parts.config,
+                        parts.centroids,
+                        parts.assignments,
+                    )
+                    .map_err(|err| RetroError::Persist(format!("snapshot index: {err}")))?,
+                    None => IvfIndex::build(rows, &norms, IvfConfig::auto(rows.rows()), threads),
+                };
+                Ok((norms, index))
+            });
+            let problem = recovered_problem(categories, values, groups, &base);
+            (problem, indexer.join().expect("the index worker does not panic"))
+        });
+        let problem = problem?;
+        if problem.len() != embeddings.rows() {
             return Err(RetroError::Persist(format!(
                 "snapshot holds {} embedding rows for {} values",
-                persisted.embeddings.rows(),
+                embeddings.rows(),
                 problem.len()
             )));
         }
-        let output = Arc::new(RetroOutput::new(problem, persisted.embeddings, &config.params));
-
-        // A version 2 image carries the served index: regroup the
-        // checksummed rows by its assignments instead of retraining, so
-        // the restart serves the very index that was saved. A version 1
-        // image trains one afresh.
-        let threads = config.params.threads;
-        let (generation, write_version) = (persisted.generation, persisted.write_version);
-        let norms = output.embeddings.row_norms();
-        let index = match persisted.index {
-            Some(parts) => IvfIndex::from_parts(
-                &output.embeddings,
-                &norms,
-                parts.config,
-                parts.centroids,
-                parts.assignments,
-            )
-            .map_err(|err| RetroError::Persist(format!("snapshot index: {err}")))?,
-            None => {
-                let config = IvfConfig::auto(output.embeddings.rows());
-                IvfIndex::build(&output.embeddings, &norms, config, threads)
-            }
-        };
+        let (norms, index) = indexed?;
+        let output = Arc::new(RetroOutput::new(problem, embeddings, &config.params));
         let snapshot = Arc::new(Snapshot::with_index(
             generation,
             write_version,
@@ -836,6 +844,31 @@ impl Drop for RefreshWorker {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// The problem a recovered image was solved on: the catalog replayed
+/// through the public construction path in id order (`add_category` and
+/// `intern` assign dense ids sequentially, so the recovered ids are
+/// exactly the persisted ones), then assembled against `base`.
+fn recovered_problem(
+    categories: Vec<(String, String)>,
+    values: Vec<(u32, String)>,
+    groups: Vec<crate::RelationGroup>,
+    base: &EmbeddingSet,
+) -> Result<crate::RetrofitProblem, RetroError> {
+    let mut catalog = crate::TextValueCatalog::default();
+    for (table, column) in &categories {
+        catalog.add_category(table, column);
+    }
+    for (id, (category, text)) in values.iter().enumerate() {
+        let got = catalog.intern(*category, text);
+        if got as usize != id {
+            return Err(RetroError::Persist(format!(
+                "duplicate text value '{text}' (id {id} resolved to {got})"
+            )));
+        }
+    }
+    Ok(crate::RetrofitProblem::from_parts(catalog, groups, base))
 }
 
 #[cfg(test)]

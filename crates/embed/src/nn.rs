@@ -115,71 +115,59 @@ pub fn top_k_cosine(
     let query_norm = vector::norm(query);
     let dots = matrix.dot_scan(query, threads);
     select_top_k(
-        dots.iter().enumerate().filter(|&(id, _)| !exclude(id)).map(|(id, &dot)| (id, dot)),
+        dots.iter()
+            .enumerate()
+            .filter(|&(id, _)| !exclude(id))
+            .map(|(id, &dot)| (id, dot, norms[id])),
         query_norm,
-        norms,
         k,
         matrix.rows(),
     )
 }
 
-/// [`top_k_cosine`] restricted to *packed* candidate blocks — the scoring
-/// phase of an ANN probe (`retro_nn::ann`). Each block is
-/// `(ids, rows, norms)` where `rows` holds `ids.len()` vectors of `dim`
-/// floats back to back and `norms[j]` is the L2 norm of row `ids[j]`;
-/// blocks are scanned sequentially, so an inverted list stored
-/// contiguously costs streaming reads instead of an `O(candidates)` gather
-/// across the full matrix.
+/// [`top_k_cosine`] restricted to a candidate subset of `matrix`'s rows —
+/// the re-rank phase of an ANN probe (`retro_nn::ann`), which passes the
+/// few candidates its integer scan could not rule out. Each candidate is
+/// `(row id, the row's cached L2 norm)`; its row is read from `matrix`.
 ///
 /// This is why the approximate path can never disagree with the exact one
 /// on a shared candidate: scores are bit-equal to [`top_k_cosine`] with
-/// every other row excluded, as long as the packed bytes equal the matrix
-/// rows — same chunked [`retro_linalg::vector::dot`] kernel
-/// [`Matrix::dot_scan`] applies per row, same sanitize, same total order.
-/// The result depends only on the candidate *set*, so blocks and ids may
-/// come in any order. Rows for which `exclude` returns `true` are skipped
-/// (their dot product is never computed). Duplicate ids must not appear
-/// across blocks.
-pub fn top_k_cosine_blocks<'a>(
-    dim: usize,
+/// every other row excluded — same chunked [`retro_linalg::vector::dot`]
+/// kernel [`Matrix::dot_scan`] applies per row, same sanitize, same
+/// selection. The result depends only on the candidate *set*, so
+/// candidates may come in any order; ids must not repeat.
+///
+/// # Panics
+/// Panics if `query`'s length differs from `matrix`'s width (unless `k` is
+/// 0), or a candidate id is out of range.
+pub fn top_k_cosine_among(
+    matrix: &Matrix,
     query: &[f32],
     k: usize,
-    blocks: impl IntoIterator<Item = (&'a [u32], &'a [f32], &'a [f32])>,
-    mut exclude: impl FnMut(usize) -> bool,
+    candidates: impl IntoIterator<Item = (usize, f32)>,
 ) -> Vec<(usize, f32)> {
     if k == 0 {
         return Vec::new();
     }
+    assert_eq!(query.len(), matrix.cols(), "top_k_cosine_among: dimension mismatch");
     let query_norm = vector::norm(query);
-    let blocks: Vec<_> = blocks.into_iter().collect();
-    let mut top = TopK::new(k, blocks.iter().map(|(ids, _, _)| ids.len()).sum());
-    for (ids, rows, norms) in blocks {
-        debug_assert_eq!(rows.len(), ids.len() * dim, "top_k_cosine_blocks: ragged block");
-        debug_assert_eq!(norms.len(), ids.len(), "top_k_cosine_blocks: norm block mismatch");
-        for (j, &id) in ids.iter().enumerate() {
-            let id = id as usize;
-            if exclude(id) {
-                continue;
-            }
-            let dot = vector::dot(&rows[j * dim..(j + 1) * dim], query);
-            top.offer(id, sanitize(dot, query_norm, norms[j]));
-        }
-    }
-    top.finish()
+    let candidates = candidates.into_iter();
+    let count = candidates.size_hint().0;
+    let scored = candidates.map(|(id, norm)| (id, vector::dot(matrix.row(id), query), norm));
+    select_top_k(scored, query_norm, k, count)
 }
 
 /// The shared bounded-heap selection over at most `candidates`
-/// `(id, raw dot)` pairs.
+/// `(id, raw dot, row norm)` triples.
 fn select_top_k(
-    scored: impl Iterator<Item = (usize, f32)>,
+    scored: impl Iterator<Item = (usize, f32, f32)>,
     query_norm: f32,
-    norms: &[f32],
     k: usize,
     candidates: usize,
 ) -> Vec<(usize, f32)> {
     let mut top = TopK::new(k, candidates);
-    for (id, dot) in scored {
-        top.offer(id, sanitize(dot, query_norm, norms[id]));
+    for (id, dot, norm) in scored {
+        top.offer(id, sanitize(dot, query_norm, norm));
     }
     top.finish()
 }
@@ -285,9 +273,8 @@ mod tests {
         let all = top_k_cosine(&m, &norms, &q, m.rows(), 1, |_| false);
         assert_eq!(all.len(), m.rows());
         assert_eq!(top_k_cosine(&m, &norms, &q, usize::MAX, 2, |_| false), all);
-        let ids: Vec<u32> = (0..m.rows() as u32).collect();
-        let block = (ids.as_slice(), m.as_slice(), norms.as_slice());
-        assert_eq!(top_k_cosine_blocks(m.cols(), &q, usize::MAX, [block], |_| false), all);
+        let every = norms.iter().copied().enumerate();
+        assert_eq!(top_k_cosine_among(&m, &q, usize::MAX, every), all);
     }
 
     #[test]
@@ -307,15 +294,9 @@ mod tests {
         }
     }
 
-    /// One packed block of the rows `ids` of `m`, as an ANN list stores it.
-    fn pack(m: &Matrix, norms: &[f32], ids: &[u32]) -> (Vec<u32>, Vec<f32>, Vec<f32>) {
-        let mut rows = Vec::new();
-        let mut block_norms = Vec::new();
-        for &id in ids {
-            rows.extend_from_slice(m.row(id as usize));
-            block_norms.push(norms[id as usize]);
-        }
-        (ids.to_vec(), rows, block_norms)
+    /// The candidates `ids` of `m`, as an ANN probe passes its survivors.
+    fn among(norms: &[f32], ids: impl IntoIterator<Item = usize>) -> Vec<(usize, f32)> {
+        ids.into_iter().map(|id| (id, norms[id])).collect()
     }
 
     #[test]
@@ -324,19 +305,15 @@ mod tests {
         let norms = m.row_norms();
         let query: Vec<f32> = (0..6).map(|i| (i as f32 * 0.31).cos()).collect();
         let full = top_k_cosine(&m, &norms, &query, 8, 1, |_| false);
-        let scan = |ids: Vec<u32>| {
-            let (ids, rows, block_norms) = pack(&m, &norms, &ids);
-            let block = (ids.as_slice(), rows.as_slice(), block_norms.as_slice());
-            top_k_cosine_blocks(6, &query, 8, [block], |_| false)
-        };
+        let scan = |ids: Vec<usize>| top_k_cosine_among(&m, &query, 8, among(&norms, ids));
         assert_eq!(scan((0..57).collect()), full);
-        // Reversed streaming order: same set in, same ranking out.
+        // Reversed order: same set in, same ranking out.
         assert_eq!(scan((0..57).rev().collect()), full);
         // A strict subset only ever loses candidates, never reorders the
         // survivors.
-        let among = scan((0..57).filter(|i| i % 2 == 0).collect());
+        let subset = scan((0..57).filter(|i| i % 2 == 0).collect());
         let expected: Vec<_> = full.iter().copied().filter(|&(id, _)| id % 2 == 0).collect();
-        assert_eq!(&among[..expected.len().min(among.len())], &expected[..]);
+        assert_eq!(&subset[..expected.len().min(subset.len())], &expected[..]);
     }
 
     #[test]
@@ -344,23 +321,15 @@ mod tests {
         let m = Matrix::from_fn(90, 5, |r, c| ((r * 7 + c * 11) as f32 * 0.19).sin());
         let norms = m.row_norms();
         let query: Vec<f32> = (0..5).map(|i| (i as f32 * 0.53).cos()).collect();
-        // Two blocks (evens, odds below 60); the odds from 60 up are not
+        // Evens, then odds below 60; the odds from 60 up are not
         // candidates.
         let candidate = |id: usize| id.is_multiple_of(2) || id < 60;
-        let blocks: Vec<_> = (0..2u32)
-            .map(|parity| {
-                let ids: Vec<u32> =
-                    (0..90u32).filter(|&i| i % 2 == parity && candidate(i as usize)).collect();
-                pack(&m, &norms, &ids)
-            })
-            .collect();
-        let view = || blocks.iter().map(|(i, r, n)| (i.as_slice(), r.as_slice(), n.as_slice()));
-        let packed = top_k_cosine_blocks(5, &query, 8, view(), |_| false);
-        assert_eq!(packed, top_k_cosine(&m, &norms, &query, 8, 1, |id| !candidate(id)));
-        // Exclusion skips rows entirely; k = 0 short-circuits.
-        let tail = top_k_cosine_blocks(5, &query, 8, view(), |id| id < 40);
-        assert!(!tail.is_empty() && tail.iter().all(|&(id, _)| id >= 40));
-        assert!(top_k_cosine_blocks(5, &query, 0, view(), |_| false).is_empty());
+        let ids = || (0..2).flat_map(move |parity| (0..90).filter(move |&i| i % 2 == parity));
+        let subset = among(&norms, ids().filter(|&i| candidate(i)));
+        let ranked = top_k_cosine_among(&m, &query, 8, subset.clone());
+        assert_eq!(ranked, top_k_cosine(&m, &norms, &query, 8, 1, |id| !candidate(id)));
+        // k = 0 short-circuits.
+        assert!(top_k_cosine_among(&m, &query, 0, subset).is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Approximate nearest-neighbour serving: a deterministic IVF-flat index.
+//! Approximate nearest-neighbour serving: a deterministic IVF index over
+//! 8-bit (SQ8) list codes, re-ranked exactly.
 //!
 //! `Snapshot` kNN queries used to run the exact `O(n)` `top_k_cosine` scan
 //! per query — fine at 493k rows, fatal for millions of users. [`IvfIndex`]
@@ -16,18 +17,24 @@
 //!   centroid id, and list membership is kept in ascending row order. Two
 //!   builds from the same rows and [`IvfConfig`] are structurally
 //!   identical.
-//! * **The exact scan is the recall oracle.** Candidate scoring runs
-//!   [`retro_embed::nn::top_k_cosine_blocks`] — the same sanitize rules and
-//!   the same chunked dot kernel as the exact path — so probing *every*
-//!   list returns bit-for-bit the exact `top_k_cosine` ranking, and any
-//!   recall loss at lower `probes` is purely from unprobed lists, never
-//!   from scoring drift.
-//! * **Probes stream, they don't gather.** Each inverted list stores a
-//!   contiguous *packed copy* of its member vectors (and their norms), so
-//!   scanning a probed list is sequential reads at full memory bandwidth —
-//!   a gather of the same candidates through the 493k-row matrix is
-//!   4–5× slower per candidate from cache misses alone, which is the
-//!   difference between a 2× and a 10×+ speedup over the exact scan.
+//! * **The exact scan is the recall oracle.** A probe ranks its survivors
+//!   with [`retro_embed::nn::top_k_cosine_among`] — the same dot kernel,
+//!   sanitize rules and selection as the exact path, over the rows the
+//!   caller passes (the snapshot's own matrix) — so probing *every* list
+//!   returns bit-for-bit the exact `top_k_cosine` ranking, and any recall
+//!   loss at lower `probes` is purely from unprobed lists, never from
+//!   scoring drift.
+//! * **Codes stream, only survivors gather.** Each inverted list stores
+//!   its members' SQ8 codes back to back — one byte per dimension, plus a
+//!   row's `lo`/`scale` and a rounded-up bound on its reconstruction error
+//!   (see `sq8`) — so scanning a probed list is sequential reads of a
+//!   quarter of the `f32` bytes, scored by an integer kernel. Each
+//!   candidate gets a rigorous interval around the score the exact path
+//!   computes; every candidate whose upper end falls below the `k`-th
+//!   largest lower end is dropped, and only the few survivors (about 50 of
+//!   84k at TMDB @ Paper) are gathered from the matrix and re-ranked in
+//!   `f32`. The result is the ranking an `f32` scan of the same lists gives,
+//!   ids, score bits and tie order.
 //! * **Degenerate rows never surface.** Zero-norm (OOV) and
 //!   `NaN`/`±inf`-poisoned rows are assigned to list 0 and score exactly
 //!   `0.0` through the shared sanitize, the same convention as the exact
@@ -35,23 +42,31 @@
 //! * **Refreshes patch what changed, full rebuilds retrain.**
 //!   [`IvfIndex::patched`] keeps the *frozen* centroids and visits only the
 //!   dirty rows. A dirty row that moved by less than its stored assignment
-//!   margin allows skips the `nlist`-centroid scan (`O(dim)` instead of
+//!   margin allows (read against the exact old rows, which the caller
+//!   passes) skips the `nlist`-centroid scan (`O(dim)` instead of
 //!   `O(nlist · dim)`); the rest are re-assigned. Inverted lists sit behind
 //!   `Arc`s: a list with no dirty member and no arrival is shared with the
 //!   previous index, and each touched list is rebuilt in one ascending
 //!   pass. The result is pinned structurally identical to
 //!   [`IvfIndex::with_centroids`] over the same rows. Centroids only
 //!   retrain on a full build, where the solve already dominates.
-//! * **Restarts copy, they don't retrain.** [`IvfIndex::from_parts`]
+//! * **Restarts encode, they don't retrain.** [`IvfIndex::from_parts`]
 //!   rebuilds a persisted index from its config, centroids and per-row
-//!   assignments over the recovered matrix — checked, then packed in one
-//!   pass with the same helper [`IvfIndex::with_centroids`] uses — so a
-//!   restarted service serves the index it saved.
+//!   assignments over the recovered matrix — checked, then coded with the
+//!   same helper [`IvfIndex::with_centroids`] uses — so a restarted
+//!   service serves the index it saved.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use retro_embed::nn::top_k_cosine_blocks;
+use retro_embed::nn::top_k_cosine_among;
 use retro_linalg::{vector, Matrix};
+
+mod sq8;
+
+use sq8::QueryImage;
+pub use sq8::Sq8;
 
 /// How a snapshot kNN query scans: the exact oracle or the IVF index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,14 +199,15 @@ impl IvfConfig {
     }
 }
 
-/// A deterministic IVF-flat index over one matrix of row vectors.
+/// A deterministic IVF index over one matrix of row vectors.
 ///
-/// The index is self-contained: each inverted list keeps a packed,
-/// contiguous copy of its member vectors and norms (bit-equal to the
-/// matrix rows it was built or refreshed from), so a probe is a streaming
-/// scan over `≈ probes/nlist` of the data — never a cache-hostile gather
-/// through the full matrix. The price is one extra `O(n · dim)` copy of
-/// the indexed rows, the classic IVF memory/speed trade.
+/// Each inverted list keeps its members' SQ8 codes back to back (one byte
+/// per dimension, [`Sq8`] parameters per row) and their norms, so a probe
+/// streams `≈ probes/nlist` of the codes — `dim + 20` bytes a row, against
+/// `4·dim` for the rows themselves — and gathers from the matrix only the
+/// few candidates its score bounds cannot rule out. The matrix is not
+/// copied: searches and patches take it from the caller, who must pass the
+/// rows the index was built or last patched over.
 ///
 /// ```
 /// use retro_linalg::Matrix;
@@ -203,7 +219,7 @@ impl IvfConfig {
 ///
 /// // Probing every list IS the exact scan, bit for bit.
 /// let exact = retro_embed::nn::top_k_cosine(&m, &norms, m.row(7), 5, 1, |_| false);
-/// assert_eq!(index.search(m.row(7), 5, index.nlist()), exact);
+/// assert_eq!(index.search(&m, m.row(7), 5, index.nlist()), exact);
 /// ```
 #[derive(Clone, Debug)]
 pub struct IvfIndex {
@@ -228,12 +244,14 @@ pub struct IvfIndex {
     lists: Vec<Arc<InvertedList>>,
 }
 
-/// One inverted list: its member row ids, ascending, with their vectors
-/// packed back to back and their L2 norms, both in member order.
+/// One inverted list: its member row ids, ascending, with their SQ8 codes
+/// back to back, their code parameters and their L2 norms, all in member
+/// order.
 #[derive(Clone, Debug, Default)]
 struct InvertedList {
     ids: Vec<u32>,
-    rows: Vec<f32>,
+    codes: Vec<u8>,
+    params: Vec<Sq8>,
     norms: Vec<f32>,
 }
 
@@ -241,15 +259,33 @@ impl InvertedList {
     fn with_capacity(members: usize, dim: usize) -> Self {
         Self {
             ids: Vec::with_capacity(members),
-            rows: Vec::with_capacity(members * dim),
+            codes: Vec::with_capacity(members * dim),
+            params: Vec::with_capacity(members),
             norms: Vec::with_capacity(members),
         }
     }
 
-    fn push(&mut self, id: u32, row: &[f32], norm: f32) {
+    /// Append row `id`, coding its bits.
+    fn encode(&mut self, id: u32, row: &[f32], norm: f32) {
         self.ids.push(id);
-        self.rows.extend_from_slice(row);
+        self.params.push(sq8::encode(row, &mut self.codes));
         self.norms.push(norm);
+    }
+
+    /// Append member `j` of `from`, coded as it is there.
+    fn copy(&mut self, from: &Self, j: usize, dim: usize) {
+        self.ids.push(from.ids[j]);
+        self.codes.extend_from_slice(&from.codes[j * dim..(j + 1) * dim]);
+        self.params.push(from.params[j]);
+        self.norms.push(from.norms[j]);
+    }
+
+    /// Heap bytes of the list's contents.
+    fn bytes(&self) -> usize {
+        self.ids.len() * size_of::<u32>()
+            + self.codes.len()
+            + self.params.len() * size_of::<Sq8>()
+            + self.norms.len() * size_of::<f32>()
     }
 }
 
@@ -275,10 +311,10 @@ pub struct PatchStats {
 
 impl IvfIndex {
     /// Train centroids on `matrix`'s rows (seeded spherical k-means over a
-    /// strided sample) and assign every row. `norms` must be the matrix's
-    /// cached row L2 norms; `threads` partitions the assignment pass
-    /// (bit-identical for every thread count — each row's assignment is
-    /// independent).
+    /// strided sample), assign every row and code it. `norms` must be the
+    /// matrix's cached row L2 norms ([`Matrix::row_norms`]); `threads`
+    /// partitions the assignment and coding passes (bit-identical for every
+    /// thread count — each row's assignment and code are independent).
     pub fn build(matrix: &Matrix, norms: &[f32], config: IvfConfig, threads: usize) -> Self {
         let centroids = train_centroids(matrix, norms, &config);
         Self::with_centroids(matrix, norms, centroids, config, threads)
@@ -286,7 +322,7 @@ impl IvfIndex {
 
     /// Assign every row of `matrix` to its nearest of the given `centroids`
     /// — the second half of [`IvfIndex::build`], split out so tests can pin
-    /// [`IvfIndex::refreshed`] equivalent to a fresh assignment of the same
+    /// [`IvfIndex::patched`] equivalent to a fresh assignment of the same
     /// rows against the same centroids.
     pub fn with_centroids(
         matrix: &Matrix,
@@ -314,12 +350,12 @@ impl IvfIndex {
             }
         });
         let (assignments, margins) = assigned.into_iter().unzip();
-        Self::grouped(matrix, norms, config, centroids, assignments, margins)
+        Self::grouped(matrix, norms, config, centroids, assignments, margins, threads)
     }
 
     /// Rebuild an index from the parts a persisted one was saved as — its
     /// config, centroids and per-row list assignments — over `matrix`,
-    /// whose rows the lists pack. No k-means and no assignment pass run:
+    /// whose rows the lists code. No k-means and no assignment pass run:
     /// the result is structurally identical to the saved index when
     /// `matrix` holds the rows it was saved over.
     ///
@@ -366,14 +402,15 @@ impl IvfIndex {
             }
         }
         let margins = vec![f32::NAN; rows];
-        Ok(Self::grouped(matrix, norms, config, centroids, assignments, margins))
+        Ok(Self::grouped(matrix, norms, config, centroids, assignments, margins, 1))
     }
 
-    /// Group the rows by their (valid) assignments and pack each list's
-    /// vectors and norms contiguously (probes stream, see the module
-    /// docs): one counting pass sizes every list exactly, one pass over
-    /// the rows in ascending order fills them, so lists come out
-    /// ascending.
+    /// Group the rows by their (valid) assignments and code each list's
+    /// members contiguously (codes stream, see the module docs). One
+    /// counting pass sizes every list exactly, and the lists are allocated
+    /// here, on the calling thread. Then each of `threads` workers codes
+    /// the lists `l ≡ t (mod threads)`, in one ascending pass over the
+    /// rows, so lists come out ascending.
     fn grouped(
         matrix: &Matrix,
         norms: &[f32],
@@ -381,6 +418,7 @@ impl IvfIndex {
         centroids: Matrix,
         assignments: Vec<u32>,
         margins: Vec<f32>,
+        threads: usize,
     ) -> Self {
         let dim = matrix.cols();
         let mut sizes = vec![0usize; centroids.rows()];
@@ -389,35 +427,54 @@ impl IvfIndex {
         }
         let mut lists: Vec<InvertedList> =
             sizes.iter().map(|&n| InvertedList::with_capacity(n, dim)).collect();
-        for (id, &list) in assignments.iter().enumerate() {
-            lists[list as usize].push(id as u32, matrix.row(id), norms[id]);
+        let threads = threads.clamp(1, lists.len());
+        let mut shares: Vec<Vec<&mut InvertedList>> = (0..threads).map(|_| Vec::new()).collect();
+        for (l, list) in lists.iter_mut().enumerate() {
+            shares[l % threads].push(list);
         }
+        let code = |t: usize, mut share: Vec<&mut InvertedList>| {
+            for (id, &list) in assignments.iter().enumerate() {
+                if list as usize % threads == t {
+                    let list = &mut share[list as usize / threads];
+                    list.encode(id as u32, matrix.row(id), norms[id]);
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            let mut shares = shares.into_iter().enumerate();
+            let first = shares.next();
+            for (t, share) in shares {
+                s.spawn(move || code(t, share));
+            }
+            // The calling thread codes the first share itself.
+            if let Some((t, share)) = first {
+                code(t, share);
+            }
+        });
         let lists = lists.into_iter().map(Arc::new).collect();
         Self { config, dim, centroids, assignments, margins, lists }
     }
 
-    /// [`IvfIndex::patched`] on one thread, without its counts.
-    pub fn refreshed(&self, matrix: &Matrix, norms: &[f32], dirty: &[u32]) -> Self {
-        self.patched(matrix, norms, dirty, 1).0
-    }
-
-    /// The index after a delta refresh, and what the patch did. Rows in
-    /// `dirty` (moved, re-solved, or freshly appended — the serving
+    /// The index after a delta refresh, and what the patch did. `old` is
+    /// the matrix `self` was built or last patched over; `matrix` is the
+    /// new one, which keeps every old row's position and may append rows.
+    /// Rows in `dirty` (moved, re-solved, or freshly appended — the serving
     /// layer's `RefreshPlan::dirty_rows`) are placed against the **frozen**
-    /// centroids and their packed copies rewritten from the new matrix;
-    /// every other row keeps its list and bytes.
+    /// centroids and coded afresh from `matrix`; every other row keeps its
+    /// list and its code bytes.
     ///
     /// A dirty row whose old and new bits differ by less than its stored
-    /// margin allows (`patch_bound`) keeps its list without a centroid
-    /// scan; every other dirty row — appended, of unknown margin (after
-    /// [`IvfIndex::from_parts`], degenerate before or after, or under a
-    /// non-finite centroid), or moved too far — takes the full
-    /// nearest-centroid scan, split over `threads`. Lists with no dirty
+    /// margin allows (`patch_bound`, reading the exact bits of both
+    /// matrices) keeps its list without a centroid scan; every other dirty
+    /// row — appended, of unknown margin (after [`IvfIndex::from_parts`],
+    /// degenerate before or after, or under a non-finite centroid), or
+    /// moved too far — takes the full nearest-centroid scan, split over
+    /// `threads`. Lists with no dirty
     /// member and no arrival are shared with `self`; each other list is
     /// rebuilt in one ascending merge of its kept members and its
-    /// arrivals. The cost is `O(|dirty| · dim)` for the certificates,
-    /// `O(reassigned · nlist · dim)` for the scans and one copy of the
-    /// touched lists — nothing is paid for untouched lists.
+    /// arrivals. The cost is `O(|dirty| · dim)` for the certificates and
+    /// the codes, `O(reassigned · nlist · dim)` for the scans and one copy
+    /// of the touched lists' codes — nothing is paid for untouched lists.
     ///
     /// Pinned by `tests/ann_serving.rs`: the patched index is structurally
     /// identical to [`IvfIndex::with_centroids`] over the same rows, for
@@ -426,17 +483,23 @@ impl IvfIndex {
     /// `EmbeddingService::refresh_full` rebuilds from scratch.)
     pub fn patched(
         &self,
+        old: &Matrix,
         matrix: &Matrix,
         norms: &[f32],
         dirty: &[u32],
         threads: usize,
     ) -> (Self, PatchStats) {
         assert_eq!(norms.len(), matrix.rows(), "IvfIndex: norm cache length mismatch");
-        assert_eq!(matrix.cols(), self.dim, "IvfIndex::refreshed: dimension changed");
+        assert_eq!(matrix.cols(), self.dim, "IvfIndex::patched: dimension changed");
         let (old_rows, rows, nlist) = (self.assignments.len(), matrix.rows(), self.nlist());
+        assert_eq!(
+            (old.rows(), old.cols()),
+            (old_rows, self.dim),
+            "IvfIndex::patched: old rows are not the indexed matrix"
+        );
         assert!(
             rows >= old_rows,
-            "IvfIndex::refreshed: rows shrank ({old_rows} -> {rows}); rebuild instead"
+            "IvfIndex::patched: rows shrank ({old_rows} -> {rows}); rebuild instead"
         );
         let mut dirty = dirty.to_vec();
         if !dirty.is_sorted_by(|a, b| a < b) {
@@ -445,7 +508,7 @@ impl IvfIndex {
         }
         assert!(
             dirty.last().is_none_or(|&r| (r as usize) < rows),
-            "IvfIndex::refreshed: dirty row out of range"
+            "IvfIndex::patched: dirty row out of range"
         );
 
         // Place every dirty row: a certificate where its margin allows,
@@ -453,13 +516,12 @@ impl IvfIndex {
         // threads changes nothing.
         let c_max = max_norm(&self.centroids);
         let mut placed = vec![Placement::default(); dirty.len()];
-        let threads = threads.clamp(1, dirty.len().max(1));
-        let chunk = dirty.len().div_ceil(threads).max(1);
+        let chunk = dirty.len().div_ceil(threads.clamp(1, dirty.len().max(1))).max(1);
         std::thread::scope(|s| {
             for (ids, out) in dirty.chunks(chunk).zip(placed.chunks_mut(chunk)) {
                 s.spawn(move || {
                     for (&id, slot) in ids.iter().zip(out) {
-                        *slot = self.place(id, matrix, norms, c_max);
+                        *slot = self.place(id, old, matrix, norms, c_max);
                     }
                 });
             }
@@ -501,40 +563,50 @@ impl IvfIndex {
             dirty.iter().for_each(|&r| bits[r as usize] = true);
             bits
         };
-        let lists = (0..nlist)
-            .map(|l| {
-                if !touched[l] {
-                    stats.lists_shared += 1;
-                    return Arc::clone(&self.lists[l]);
-                }
-                stats.lists_rebuilt += 1;
-                let old = &self.lists[l];
-                let (kept, incoming) = (&old.ids, &arrivals[l]);
-                let size =
-                    kept.iter().filter(|&&id| assignments[id as usize] as usize == l).count();
-                let mut list = InvertedList::with_capacity(size + incoming.len(), self.dim);
-                let (mut i, mut j) = (0, 0);
-                while i < kept.len() || j < incoming.len() {
-                    if j == incoming.len() || (i < kept.len() && kept[i] < incoming[j]) {
-                        let id = kept[i];
-                        if assignments[id as usize] as usize == l {
-                            if is_dirty[id as usize] {
-                                list.push(id, matrix.row(id as usize), norms[id as usize]);
-                            } else {
-                                let bits = &old.rows[i * self.dim..(i + 1) * self.dim];
-                                list.push(id, bits, old.norms[i]);
-                            }
+        // Rebuild each touched list in one ascending merge of its kept
+        // members (codes copied, or coded afresh when dirty) and its
+        // arrivals. Lists are independent, so `threads` workers take every
+        // `threads`-th touched list, the calling thread the first share.
+        let rebuild = |l: usize| {
+            let prior = &self.lists[l];
+            let (kept, incoming) = (&prior.ids, &arrivals[l]);
+            let size = kept.iter().filter(|&&id| assignments[id as usize] as usize == l).count();
+            let mut list = InvertedList::with_capacity(size + incoming.len(), self.dim);
+            let (mut i, mut j) = (0, 0);
+            while i < kept.len() || j < incoming.len() {
+                if j == incoming.len() || (i < kept.len() && kept[i] < incoming[j]) {
+                    let id = kept[i];
+                    if assignments[id as usize] as usize == l {
+                        if is_dirty[id as usize] {
+                            list.encode(id, matrix.row(id as usize), norms[id as usize]);
+                        } else {
+                            list.copy(prior, i, self.dim);
                         }
-                        i += 1;
-                    } else {
-                        let id = incoming[j];
-                        list.push(id, matrix.row(id as usize), norms[id as usize]);
-                        j += 1;
                     }
+                    i += 1;
+                } else {
+                    let id = incoming[j];
+                    list.encode(id, matrix.row(id as usize), norms[id as usize]);
+                    j += 1;
                 }
-                Arc::new(list)
-            })
-            .collect();
+            }
+            (l, Arc::new(list))
+        };
+        let rebuilt: Vec<usize> = (0..nlist).filter(|&l| touched[l]).collect();
+        let workers = threads.clamp(1, rebuilt.len().max(1));
+        let share = |t: usize| rebuilt.iter().skip(t).step_by(workers).map(|&l| rebuild(l));
+        let mut lists: Vec<Arc<InvertedList>> = self.lists.clone();
+        std::thread::scope(|s| {
+            let others: Vec<_> =
+                (1..workers).map(|t| s.spawn(move || share(t).collect::<Vec<_>>())).collect();
+            let mine: Vec<_> = share(0).collect();
+            let theirs = others.into_iter().flat_map(|w| w.join().expect("a list worker panicked"));
+            for (l, list) in mine.into_iter().chain(theirs) {
+                lists[l] = list;
+            }
+        });
+        stats.lists_rebuilt = rebuilt.len();
+        stats.lists_shared = nlist - rebuilt.len();
         let index = Self {
             config: self.config,
             dim: self.dim,
@@ -548,15 +620,19 @@ impl IvfIndex {
 
     /// Where dirty row `id` goes in the patched index: kept in its list by
     /// the margin certificate when it applies, else the full scan.
-    fn place(&self, id: u32, matrix: &Matrix, norms: &[f32], c_max: f64) -> Placement {
+    fn place(
+        &self,
+        id: u32,
+        old: &Matrix,
+        matrix: &Matrix,
+        norms: &[f32],
+        c_max: f64,
+    ) -> Placement {
         let r = id as usize;
         let (row, norm) = (matrix.row(r), norms[r]);
         if r < self.assignments.len() && usable(norm) {
             let list = self.assignments[r];
-            let members = &self.lists[list as usize];
-            let at = members.ids.binary_search(&id).expect("assignments and lists agree");
-            let old = &members.rows[at * self.dim..(at + 1) * self.dim];
-            if let Some(margin) = patch_bound(self.margins[r], old, row, c_max) {
+            if let Some(margin) = patch_bound(self.margins[r], old.row(r), row, c_max) {
                 return Placement { list, margin, certified: true };
             }
         }
@@ -565,22 +641,28 @@ impl IvfIndex {
     }
 
     /// Approximate cosine top-`k`: rank the inverted lists by centroid
-    /// similarity, take the best `probes`, then stream the shared exact
-    /// scoring ([`top_k_cosine_blocks`]) over their packed members. Rows
-    /// for which `exclude` returns `true` are skipped. Deterministic: list
-    /// order breaks centroid-score ties by ascending list id, and the
-    /// result depends only on the probed candidate set. Scores are against
-    /// the rows the index was built / last refreshed from.
+    /// similarity, take the best `probes`, score their members' codes with
+    /// the integer kernel, and re-rank the candidates the score bounds
+    /// cannot rule out with the shared exact scoring
+    /// ([`top_k_cosine_among`]) over `rows`. Rows for which `exclude`
+    /// returns `true` are skipped. Deterministic: list order breaks
+    /// centroid-score ties by ascending list id, and the result is exactly
+    /// the exact ranking restricted to the probed lists' members.
+    ///
+    /// `rows` must be the matrix the index was built or last patched over
+    /// (a snapshot passes its own embeddings).
     ///
     /// # Panics
-    /// Panics if `query`'s length differs from the indexed rows' width
-    /// (unless `k` is 0 or the index is empty).
+    /// Panics if `query`'s length differs from the indexed rows' width, or
+    /// `rows` is not the indexed matrix's shape (unless `k` is 0 or the
+    /// index is empty).
     pub fn search_filtered(
         &self,
+        rows: &Matrix,
         query: &[f32],
         k: usize,
         probes: usize,
-        exclude: impl FnMut(usize) -> bool,
+        mut exclude: impl FnMut(usize) -> bool,
     ) -> Vec<(usize, f32)> {
         if k == 0 || self.is_empty() {
             return Vec::new();
@@ -589,6 +671,11 @@ impl IvfIndex {
         // `vector::dot` only debug-asserts, so a query of the wrong width
         // would otherwise be ranked on a truncated dot product.
         assert_eq!(query.len(), self.dim, "search_filtered: dimension mismatch");
+        assert_eq!(
+            (rows.rows(), rows.cols()),
+            (self.len(), self.dim),
+            "search_filtered: rows are not the indexed matrix"
+        );
         let probes = probes.clamp(1, self.nlist());
         let mut ranked: Vec<(f32, usize)> = (0..self.nlist())
             .map(|l| {
@@ -598,16 +685,78 @@ impl IvfIndex {
             })
             .collect();
         ranked.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        let blocks = ranked[..probes].iter().map(|&(_, l)| {
-            let list = &self.lists[l];
-            (list.ids.as_slice(), list.rows.as_slice(), list.norms.as_slice())
-        });
-        top_k_cosine_blocks(self.dim, query, k, blocks, exclude)
+        let probed: Vec<&InvertedList> =
+            ranked[..probes].iter().map(|&(_, l)| &*self.lists[l]).collect();
+        let candidates: usize = probed.iter().map(|list| list.ids.len()).sum();
+        let survivors = match QueryImage::new(query) {
+            Some(image) if k < candidates => self.survivors(&image, &probed, k, &mut exclude),
+            // Nothing to prune: every candidate is re-ranked.
+            _ => probed
+                .iter()
+                .flat_map(|list| {
+                    list.ids.iter().map(|&id| id as usize).zip(list.norms.iter().copied())
+                })
+                .filter(|&(id, _)| !exclude(id))
+                .collect(),
+        };
+        top_k_cosine_among(rows, query, k, survivors)
+    }
+
+    /// The candidates of the `probed` lists that may rank in the top `k`,
+    /// as `(row id, norm)`: every candidate whose score bound's upper end
+    /// reaches the `k`-th largest lower end. Any candidate below it is
+    /// beaten outright by `k` others, so the exact top `k` all survive.
+    fn survivors(
+        &self,
+        image: &QueryImage,
+        probed: &[&InvertedList],
+        k: usize,
+        exclude: &mut impl FnMut(usize) -> bool,
+    ) -> Vec<(usize, f32)> {
+        // The `k` largest lower ends so far; `floor` is the least of them
+        // once there are `k`, and only rises.
+        let mut lowers: BinaryHeap<Reverse<Bound>> = BinaryHeap::with_capacity(k + 1);
+        let mut floor = f64::NEG_INFINITY;
+        let mut kept: Vec<(usize, f32, f64)> = Vec::new();
+        let (mut dots, mut ranges) = (Vec::new(), Vec::new());
+        for list in probed {
+            dots.clear();
+            image.code_dots(&list.codes, &mut dots);
+            // A pass of its own, so the compiler vectorizes it.
+            ranges.clear();
+            let coded = dots.iter().zip(&list.params).zip(&list.norms);
+            ranges.extend(coded.map(|((&dot, &params), &norm)| image.bounds(dot, params, norm)));
+            for ((&id, &norm), &(lower, upper)) in list.ids.iter().zip(&list.norms).zip(&ranges) {
+                if upper < floor || exclude(id as usize) {
+                    continue;
+                }
+                kept.push((id as usize, norm, upper));
+                if lowers.len() < k {
+                    lowers.push(Reverse(Bound(lower)));
+                } else if lower > floor {
+                    lowers.pop();
+                    lowers.push(Reverse(Bound(lower)));
+                }
+                if lowers.len() == k {
+                    floor = lowers.peek().expect("k > 0 lower ends").0 .0;
+                }
+            }
+        }
+        kept.into_iter()
+            .filter(|&(_, _, upper)| upper >= floor)
+            .map(|(id, norm, _)| (id, norm))
+            .collect()
     }
 
     /// [`IvfIndex::search_filtered`] with no exclusions.
-    pub fn search(&self, query: &[f32], k: usize, probes: usize) -> Vec<(usize, f32)> {
-        self.search_filtered(query, k, probes, |_| false)
+    pub fn search(
+        &self,
+        rows: &Matrix,
+        query: &[f32],
+        k: usize,
+        probes: usize,
+    ) -> Vec<(usize, f32)> {
+        self.search_filtered(rows, query, k, probes, |_| false)
     }
 
     /// Number of inverted lists.
@@ -651,17 +800,55 @@ impl IvfIndex {
         &self.lists[l].ids
     }
 
-    /// The packed vectors of list `l`'s members, back to back in member
-    /// order.
-    pub fn list_rows(&self, l: usize) -> &[f32] {
-        &self.lists[l].rows
+    /// The SQ8 codes of list `l`'s members, `dim` bytes each, back to back
+    /// in member order.
+    pub fn list_codes(&self, l: usize) -> &[u8] {
+        &self.lists[l].codes
+    }
+
+    /// The code parameters of list `l`'s members, in member order.
+    pub fn list_params(&self, l: usize) -> &[Sq8] {
+        &self.lists[l].params
     }
 
     /// The L2 norms of list `l`'s members, in member order.
     pub fn list_norms(&self, l: usize) -> &[f32] {
         &self.lists[l].norms
     }
+
+    /// The index's heap bytes: every list's codes, ids, code parameters
+    /// and norms (shared lists counted in full), plus the centroids, the
+    /// assignments and the margins. `rows · (dim + 28) + 4 · nlist · dim`
+    /// in all; the rows themselves are not held.
+    pub fn bytes(&self) -> usize {
+        let lists: usize = self.lists.iter().map(|list| list.bytes()).sum();
+        lists
+            + size_of_val(self.centroids.as_slice())
+            + size_of_val(self.assignments.as_slice())
+            + size_of_val(self.margins.as_slice())
+    }
 }
+
+/// A score bound, ordered by [`f64::total_cmp`] (bounds are never `NaN`).
+#[derive(Clone, Copy, Debug)]
+struct Bound(f64);
+
+impl Ord for Bound {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+impl PartialOrd for Bound {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Bound {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Bound {}
 
 /// Where [`IvfIndex::patched`] puts one dirty row.
 #[derive(Clone, Copy, Debug)]
@@ -899,7 +1086,7 @@ mod tests {
         let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()), 1);
         for q in [0usize, 3, 57, 219] {
             let exact = top_k_cosine(&m, &norms, m.row(q), 10, 1, |_| false);
-            let approx = index.search(m.row(q), 10, index.nlist());
+            let approx = index.search(&m, m.row(q), 10, index.nlist());
             assert_eq!(approx, exact, "query row {q}");
         }
     }
@@ -912,8 +1099,8 @@ mod tests {
         let b = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()).with_seed(2), 1);
         // Both must still reproduce the oracle at full probe depth.
         let exact = top_k_cosine(&m, &norms, m.row(5), 8, 1, |_| false);
-        assert_eq!(a.search(m.row(5), 8, a.nlist()), exact);
-        assert_eq!(b.search(m.row(5), 8, b.nlist()), exact);
+        assert_eq!(a.search(&m, m.row(5), 8, a.nlist()), exact);
+        assert_eq!(b.search(&m, m.row(5), 8, b.nlist()), exact);
     }
 
     #[test]
@@ -927,7 +1114,7 @@ mod tests {
         for r in [10usize, 20, 30] {
             assert_eq!(index.assignments()[r], 0, "degenerate row {r}");
         }
-        let top = index.search(m.row(1), m.rows(), index.nlist());
+        let top = index.search(&m, m.row(1), m.rows(), index.nlist());
         assert!(top.iter().all(|&(_, s)| s.is_finite()));
         for &(id, s) in &top {
             if [10usize, 20, 30].contains(&id) {
@@ -942,10 +1129,10 @@ mod tests {
         let m = clustered(80, 6, 4);
         let norms = m.row_norms();
         let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()), 1);
-        let top = index.search_filtered(m.row(7), 5, usize::MAX, |id| id == 7);
+        let top = index.search_filtered(&m, m.row(7), 5, usize::MAX, |id| id == 7);
         assert!(top.iter().all(|&(id, _)| id != 7));
         assert_eq!(top.len(), 5);
-        assert!(index.search(m.row(7), 0, 1).is_empty());
+        assert!(index.search(&m, m.row(7), 0, 1).is_empty());
     }
 
     #[test]
@@ -960,10 +1147,10 @@ mod tests {
         rows[17] = (0..8).map(|c| ((c * 3) as f32 * 0.9).cos()).collect();
         rows[63] = (0..8).map(|c| ((c * 5 + 1) as f32 * 0.4).sin()).collect();
         rows.push((0..8).map(|c| (c as f32 * 1.3).sin()).collect());
-        m = Matrix::from_rows(&rows);
+        let old = std::mem::replace(&mut m, Matrix::from_rows(&rows));
         let norms = m.row_norms();
 
-        let patched = index.refreshed(&m, &norms, &[17, 63, 120]);
+        let patched = index.patched(&old, &m, &norms, &[17, 63, 120], 1).0;
         let fresh = IvfIndex::with_centroids(&m, &norms, index.centroids().clone(), config, 1);
         assert_eq!(patched.assignments(), fresh.assignments());
         for l in 0..patched.nlist() {
@@ -971,8 +1158,8 @@ mod tests {
         }
         let q = m.row(17);
         assert_eq!(
-            patched.search(q, 10, 3),
-            fresh.search(q, 10, 3),
+            patched.search(&m, q, 10, 3),
+            fresh.search(&m, q, 10, 3),
             "patched index answers diverged from a fresh assignment"
         );
     }
@@ -999,7 +1186,7 @@ mod tests {
         dirty.sort_unstable();
 
         for threads in [1, 3] {
-            let (patched, stats) = index.patched(&next, &norms, &dirty, threads);
+            let (patched, stats) = index.patched(&m, &next, &norms, &dirty, threads);
             assert_eq!(stats.dirty, dirty.len());
             assert_eq!(stats.certified + stats.reassigned, stats.dirty, "{stats:?}");
             assert_eq!(stats.lists_rebuilt + stats.lists_shared, index.nlist(), "{stats:?}");
@@ -1014,7 +1201,7 @@ mod tests {
     }
 
     /// Structural equality: config, centroid bits, assignments, every
-    /// list, and the packed bytes as a full-depth probe reads them.
+    /// list, and the coded bytes as a full-depth probe reads them.
     fn assert_same_index(a: &IvfIndex, b: &IvfIndex, m: &Matrix) {
         fn bits(values: &[f32]) -> Vec<u32> {
             values.iter().map(|v| v.to_bits()).collect()
@@ -1025,11 +1212,16 @@ mod tests {
         assert_eq!(a.nlist(), b.nlist());
         for l in 0..a.nlist() {
             assert_eq!(a.list(l), b.list(l), "list {l}");
-            assert_eq!(bits(a.list_rows(l)), bits(b.list_rows(l)), "packed list {l}");
+            assert_eq!(a.list_codes(l), b.list_codes(l), "codes of list {l}");
+            let params = |index: &IvfIndex| -> Vec<[u32; 3]> {
+                let p = index.list_params(l);
+                p.iter().map(|p| [p.lo, p.scale, p.err].map(f32::to_bits)).collect()
+            };
+            assert_eq!(params(a), params(b), "code parameters of list {l}");
             assert_eq!(bits(a.list_norms(l)), bits(b.list_norms(l)), "norms of list {l}");
         }
         for q in [0usize, 11, m.rows() - 1] {
-            assert_eq!(a.search(m.row(q), 7, 2), b.search(m.row(q), 7, 2), "query row {q}");
+            assert_eq!(a.search(m, m.row(q), 7, 2), b.search(m, m.row(q), 7, 2), "query row {q}");
         }
     }
 
@@ -1109,12 +1301,12 @@ mod tests {
         let empty = Matrix::zeros(0, 4);
         let index = IvfIndex::build(&empty, &[], IvfConfig::auto(0), 1);
         assert!(index.is_empty());
-        assert!(index.search(&[1.0, 0.0, 0.0, 0.0], 3, 1).is_empty());
+        assert!(index.search(&empty, &[1.0, 0.0, 0.0, 0.0], 3, 1).is_empty());
 
         let one = Matrix::from_rows(&[vec![1.0, 2.0]]);
         let norms = one.row_norms();
         let index = IvfIndex::build(&one, &norms, IvfConfig::auto(1), 1);
-        assert_eq!(index.search(&[1.0, 2.0], 2, 5), vec![(0, 1.0)]);
+        assert_eq!(index.search(&one, &[1.0, 2.0], 2, 5), vec![(0, 1.0)]);
 
         let zeros = Matrix::zeros(3, 2);
         let norms = zeros.row_norms();
@@ -1124,11 +1316,23 @@ mod tests {
     }
 
     #[test]
+    fn bytes_follow_their_formula() {
+        let m = clustered(333, 12, 5);
+        let norms = m.row_norms();
+        let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()).with_nlist(6), 2);
+        let (rows, dim, nlist) = (m.rows(), m.cols(), index.nlist());
+        // Per row: `dim` code bytes, a u32 id, three f32 code parameters,
+        // an f32 norm, a u32 assignment and an f32 margin.
+        assert_eq!(index.bytes(), rows * (dim + 28) + 4 * nlist * dim);
+        assert!(index.bytes() < 4 * rows * dim, "the codes cost less than the f32 rows");
+    }
+
+    #[test]
     #[should_panic(expected = "search_filtered: dimension mismatch")]
     fn a_query_of_the_wrong_width_panics() {
         let m = clustered(40, 8, 3);
         let norms = m.row_norms();
         let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()), 1);
-        index.search(&[1.0, 0.0, 0.0], 3, 2);
+        index.search(&m, &[1.0, 0.0, 0.0], 3, 2);
     }
 }

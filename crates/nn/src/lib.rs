@@ -16,7 +16,7 @@
 //! and free of external dependencies beyond `rand`.
 //!
 //! It also hosts the serving-side approximate nearest-neighbour index
-//! ([`ann::IvfIndex`]): a deterministic IVF-flat partition of a snapshot's
+//! ([`ann::IvfIndex`]): a deterministic IVF partition of a snapshot's
 //! embedding rows that makes kNN queries sub-linear while keeping the exact
 //! scan as a recall oracle (probing every list reproduces it bit for bit).
 
@@ -29,7 +29,7 @@ pub mod network;
 pub mod optimizer;
 
 pub use activation::Activation;
-pub use ann::{IndexPartsError, IvfConfig, IvfIndex, PatchStats, SearchMode};
+pub use ann::{IndexPartsError, IvfConfig, IvfIndex, PatchStats, SearchMode, Sq8};
 pub use layer::Dense;
 pub use link::LinkNet;
 pub use loss::Loss;

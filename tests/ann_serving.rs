@@ -165,12 +165,12 @@ fn assert_index_coherent(snap: &Snapshot, context: &str) {
     for q in [0, snap.len() / 2, snap.len() - 1] {
         let query = m.row(q);
         assert_eq!(
-            index.search(query, 10, probes),
-            fresh.search(query, 10, probes),
+            index.search(m, query, 10, probes),
+            fresh.search(m, query, 10, probes),
             "probed answers diverged {context}"
         );
         assert_eq!(
-            index.search(query, 10, index.nlist()),
+            index.search(m, query, 10, index.nlist()),
             top_k_cosine(m, norms, query, 10, 1, |_| false),
             "full-probe answers left the oracle {context}"
         );
@@ -403,7 +403,7 @@ fn nudge(mix: &mut Mix, row: &mut [f32]) {
 
 /// Every structural part of a patched index equals a fresh assignment of
 /// the same rows: config, centroid bits, assignments, list members, and
-/// the packed vectors and norms bit for bit.
+/// the codes, code parameters and norms bit for bit.
 fn assert_patched_equals_fresh(patched: &IvfIndex, m: &Matrix, context: &str) {
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()
@@ -420,7 +420,11 @@ fn assert_patched_equals_fresh(patched: &IvfIndex, m: &Matrix, context: &str) {
     assert_eq!(patched.assignments(), fresh.assignments(), "assignments {context}");
     for l in 0..fresh.nlist() {
         assert_eq!(patched.list(l), fresh.list(l), "list {l} {context}");
-        assert_eq!(bits(patched.list_rows(l)), bits(fresh.list_rows(l)), "rows {l} {context}");
+        assert_eq!(patched.list_codes(l), fresh.list_codes(l), "codes {l} {context}");
+        let params = |index: &IvfIndex| -> Vec<u32> {
+            index.list_params(l).iter().flat_map(|p| bits(&[p.lo, p.scale, p.err])).collect()
+        };
+        assert_eq!(params(patched), params(&fresh), "code parameters {l} {context}");
         assert_eq!(bits(patched.list_norms(l)), bits(fresh.list_norms(l)), "norms {l} {context}");
     }
 }
@@ -462,8 +466,8 @@ fn run_chain(seed: u64, steps: usize, threads: usize) -> (usize, usize) {
             let kind = mix.below(4);
             rows.push(chain_row(&mut mix, &centroids, kind));
         }
-        m = Matrix::from_rows(&rows);
-        let (patched, stats) = index.patched(&m, &m.row_norms(), &dirty, threads);
+        let old = std::mem::replace(&mut m, Matrix::from_rows(&rows));
+        let (patched, stats) = index.patched(&old, &m, &m.row_norms(), &dirty, threads);
         let context = format!("(seed {seed}, step {step}, {threads} threads, {stats:?})");
         assert_eq!(stats.certified + stats.reassigned, dirty.len(), "{context}");
         assert_eq!(stats.lists_rebuilt + stats.lists_shared, patched.nlist(), "{context}");
