@@ -445,6 +445,15 @@ fn profile_streaming(
     const STREAM: usize = 32;
     let query = service.snapshot().output().embeddings.row(0).to_vec();
     let stop = AtomicBool::new(false);
+    /// Stops the reader when dropped, also when an assertion of the
+    /// stream panics: the scope joins the reader before it re-raises the
+    /// panic, so a reader left running would hang the profile.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
     let ((latencies, reads), window_secs) = time(|| {
         std::thread::scope(|s| {
             let reader = s.spawn(|| {
@@ -456,6 +465,7 @@ fn profile_streaming(
                 }
                 count
             });
+            let stop_reader = StopOnDrop(&stop);
             let mut latencies = Vec::with_capacity(STREAM);
             for i in 0..STREAM {
                 // The insert pays the copy of the table it writes: the
@@ -471,7 +481,7 @@ fn profile_streaming(
                 println!("  {label}: refresh {i:>2}: insert {:.1} ms, {trace}", insert_secs * 1e3);
                 latencies.push(secs);
             }
-            stop.store(true, Ordering::Release);
+            drop(stop_reader);
             (latencies, reader.join().expect("reader"))
         })
     });

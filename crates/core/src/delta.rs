@@ -100,14 +100,13 @@ pub(crate) fn classify_changes(db: &Database, since: u64) -> ChangeSummary {
 
 /// A problem extended from a previous converged output plus the row subset
 /// that needs re-solving. Produced by [`extract_delta`], consumed by
-/// [`crate::IncrementalRetro::complete_refresh`].
+/// [`crate::IncrementalRetro::complete_refresh`], which seeds the solve
+/// with [`warm_seed`] outside the database guard.
 #[derive(Clone, Debug)]
 pub(crate) struct DeltaExtraction {
     /// The merged problem: previous ids unchanged, new values appended,
     /// fresh edges merged into the previous groups.
     pub problem: RetrofitProblem,
-    /// Warm matrix: previous embeddings verbatim, `W0` rows for new ids.
-    pub warm: Matrix,
     /// Ascending value ids whose neighbourhood changed (never empty unless
     /// the appends turned out to be pure duplicates).
     pub dirty: Vec<u32>,
@@ -226,13 +225,18 @@ pub(crate) fn extract_delta(
     // ── 4. W0, OOV, centroids and |Ri| through the one assembly path ──
     let problem = RetrofitProblem::assemble(catalog, groups, base, Some(&prev.problem));
 
-    // ── 5. Warm seed: previous embeddings verbatim, W0 for new ids ────
-    let mut warm_data = Vec::with_capacity(n * dim);
-    warm_data.extend_from_slice(prev.embeddings.as_slice());
-    warm_data.extend_from_slice(&problem.w0.as_slice()[prev_n * dim..]);
-    let warm = Matrix::from_vec(n, dim, warm_data);
+    Some(DeltaExtraction { problem, dirty })
+}
 
-    Some(DeltaExtraction { problem, warm, dirty })
+/// The seed of a delta solve of `problem`, which extends `prev`'s: `prev`'s
+/// embeddings verbatim, then the `W0` rows of the appended ids. It reads
+/// no database, so it is built after the database guard is released.
+pub(crate) fn warm_seed(prev: &RetroOutput, problem: &RetrofitProblem) -> Matrix {
+    let (prev_n, n, dim) = (prev.embeddings.rows(), problem.len(), problem.dim());
+    let mut warm = Vec::with_capacity(n * dim);
+    warm.extend_from_slice(prev.embeddings.as_slice());
+    (prev_n..n).for_each(|id| warm.extend_from_slice(problem.w0.row(id)));
+    Matrix::from_vec(n, dim, warm)
 }
 
 /// Merge two sorted, deduplicated edge lists (disjoint by construction —
@@ -341,9 +345,10 @@ mod tests {
         let d = extract_delta(&db, &base(), &prev, &appends, &[], &[], 1.0).expect("delta");
         assert_eq!(d.problem.len(), 5);
         // Old ids unchanged.
+        let warm = warm_seed(&prev, &d.problem);
         for id in 0..prev.catalog.len() {
             assert_eq!(prev.catalog.text(id), d.problem.catalog.text(id));
-            assert_eq!(d.warm.row(id), prev.embeddings.row(id));
+            assert_eq!(warm.row(id), prev.embeddings.row(id));
         }
         let prometheus = d.problem.catalog.lookup("movies", "title", "prometheus").unwrap() as u32;
         let ridley = d.problem.catalog.lookup("persons", "name", "ridley scott").unwrap() as u32;

@@ -28,7 +28,7 @@ use retro_linalg::Matrix;
 use retro_store::Database;
 
 use crate::api::{Retro, RetroConfig, RetroError, RetroOutput};
-use crate::delta::{classify_changes, extract_delta, ChangeSummary, DeltaExtraction};
+use crate::delta::{classify_changes, extract_delta, warm_seed, ChangeSummary, DeltaExtraction};
 use crate::problem::RetrofitProblem;
 use crate::solver::{self, Solver};
 
@@ -50,17 +50,22 @@ pub enum RefreshKind {
     NoChange,
 }
 
+/// What a plan needs to complete without the database. The previous
+/// output rides along so the warm seeds, `O(n·D)` copies, are built when
+/// the plan completes, not under the database guard that planning holds.
 #[derive(Clone, Debug)]
 enum PlanKind {
     Full {
         problem: RetrofitProblem,
-        /// Warm-start matrix seeded from the previous converged state;
+        /// The previous converged state the solve is warm-started from;
         /// `None` when the session has no prior state (cold full run).
-        warm: Option<Matrix>,
+        prev: Option<Arc<RetroOutput>>,
     },
-    /// The extended problem plus everything `complete` needs without
-    /// touching the database again.
-    Delta(Box<DeltaExtraction>),
+    /// The extended problem and the output it extends.
+    Delta {
+        extraction: Box<DeltaExtraction>,
+        prev: Arc<RetroOutput>,
+    },
     NoChange {
         current: Arc<RetroOutput>,
     },
@@ -87,7 +92,7 @@ impl RefreshPlan {
     pub fn kind(&self) -> RefreshKind {
         match &self.kind {
             PlanKind::Full { .. } => RefreshKind::Full,
-            PlanKind::Delta(_) => RefreshKind::Delta,
+            PlanKind::Delta { .. } => RefreshKind::Delta,
             PlanKind::NoChange { .. } => RefreshKind::NoChange,
         }
     }
@@ -96,7 +101,7 @@ impl RefreshPlan {
     /// run, a delta, or a no-change republish (false → completing it is a
     /// cold full run).
     pub fn is_warm(&self) -> bool {
-        !matches!(&self.kind, PlanKind::Full { warm: None, .. })
+        !matches!(&self.kind, PlanKind::Full { prev: None, .. })
     }
 
     /// A delta plan's dirty row ids (ascending; `None` for full and
@@ -106,7 +111,7 @@ impl RefreshPlan {
     /// instead of recomputing `O(n·D)` of it.
     pub fn dirty_rows(&self) -> Option<&[u32]> {
         match &self.kind {
-            PlanKind::Delta(extraction) => Some(&extraction.dirty),
+            PlanKind::Delta { extraction, .. } => Some(&extraction.dirty),
             _ => None,
         }
     }
@@ -115,7 +120,7 @@ impl RefreshPlan {
     pub fn len(&self) -> usize {
         match &self.kind {
             PlanKind::Full { problem, .. } => problem.len(),
-            PlanKind::Delta(extraction) => extraction.problem.len(),
+            PlanKind::Delta { extraction, .. } => extraction.problem.len(),
             PlanKind::NoChange { current } => current.problem.len(),
         }
     }
@@ -329,8 +334,9 @@ impl IncrementalRetro {
                                     db_version,
                                 });
                             }
+                            let extraction = Box::new(extraction);
                             return Ok(RefreshPlan {
-                                kind: PlanKind::Delta(Box::new(extraction)),
+                                kind: PlanKind::Delta { extraction, prev: Arc::clone(prev) },
                                 db_version,
                             });
                         }
@@ -342,8 +348,9 @@ impl IncrementalRetro {
         self.prepare_refresh_full(db, base)
     }
 
-    /// Phase 1 of a **full** refresh: re-extract the whole problem and
-    /// gather warm-start seeds, skipping the delta dispatch entirely.
+    /// Phase 1 of a **full** refresh: re-extract the whole problem,
+    /// skipping the delta dispatch entirely. The solve is warm-started from
+    /// the session's state, if it has one.
     pub fn prepare_refresh_full(
         &self,
         db: &Database,
@@ -355,19 +362,8 @@ impl IncrementalRetro {
         let db_version = db.write_version();
         let (skip_cols, skip_rels) = self.engine.config.skip_refs();
         let problem = RetrofitProblem::build(db, base, &skip_cols, &skip_rels);
-
-        // Warm start: carry over converged vectors by (category label, text).
-        let warm = self.state.as_ref().map(|prev| {
-            let mut warm = problem.w0.clone();
-            for (id, cat, text) in problem.catalog.iter() {
-                let category = &problem.catalog.categories()[cat as usize];
-                if let Some(old_id) = prev.catalog.lookup(&category.table, &category.column, text) {
-                    warm.set_row(id, prev.embeddings.row(old_id));
-                }
-            }
-            warm
-        });
-        Ok(RefreshPlan { kind: PlanKind::Full { problem, warm }, db_version })
+        let prev = self.state.clone();
+        Ok(RefreshPlan { kind: PlanKind::Full { problem, prev }, db_version })
     }
 
     /// Phase 2 of a refresh: run the solver on a prepared plan and install
@@ -382,8 +378,9 @@ impl IncrementalRetro {
                 // anchors here.
                 self.install(current, db_version, RefreshKind::NoChange)
             }
-            PlanKind::Delta(extraction) => {
-                let DeltaExtraction { problem, warm: mut embeddings, dirty } = *extraction;
+            PlanKind::Delta { extraction, prev } => {
+                let DeltaExtraction { problem, dirty } = *extraction;
+                let mut embeddings = warm_seed(&prev, &problem);
                 let config = &self.engine.config;
                 // MF never plans a delta (`prepare_refresh` skips the
                 // dispatch for it).
@@ -402,11 +399,12 @@ impl IncrementalRetro {
                 let out = RetroOutput::new(problem, embeddings, &config.params);
                 self.install(Arc::new(out), db_version, RefreshKind::Delta)
             }
-            PlanKind::Full { problem, warm } => {
-                let out = match warm {
+            PlanKind::Full { problem, prev } => {
+                let out = match prev {
                     // MF ignores the seed: a short re-run from W0 is its
                     // incremental story.
-                    Some(warm) => {
+                    Some(prev) => {
+                        let warm = carried_over(&prev, &problem);
                         self.engine.solve_seeded(problem, self.refresh_iterations, Some(&warm))
                     }
                     // No previous state: a cold full run at the engine's
@@ -419,11 +417,27 @@ impl IncrementalRetro {
     }
 }
 
+/// The seed of a warm full solve of `problem`: `prev`'s converged vector
+/// for every value `prev` also has, matched by (category label, text) —
+/// ids may differ — and `W0` for the rest.
+fn carried_over(prev: &RetroOutput, problem: &RetrofitProblem) -> Matrix {
+    let mut warm = problem.w0.to_matrix();
+    for (id, cat, text) in problem.catalog.iter() {
+        let category = &problem.catalog.categories()[cat as usize];
+        if let Some(old_id) = prev.catalog.lookup(&category.table, &category.column, text) {
+            warm.set_row(id, prev.embeddings.row(old_id));
+        }
+    }
+    warm
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::TextValueCatalog;
     use crate::hyper::Hyperparameters;
-    use retro_store::sql;
+    use retro_linalg::chunked::CHUNK_ROWS;
+    use retro_store::{sql, Value};
 
     fn base() -> EmbeddingSet {
         EmbeddingSet::new(
@@ -450,6 +464,67 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// `W0` along a chain of delta refreshes whose appends cross a chunk
+    /// boundary: every generation's equals a fresh assembly over the same
+    /// catalog and groups, bit for bit, and shares each full chunk of the
+    /// generation before it.
+    #[test]
+    fn delta_chain_w0_equals_a_fresh_assembly_and_shares_full_chunks() {
+        // Two chunks but six values: three refreshes of three new titles
+        // each carry the catalog across the boundary.
+        let persons = 2 * CHUNK_ROWS - 4;
+        let tokens = (0..persons).map(|i| format!("p{i}")).collect();
+        let vectors =
+            (0..persons).map(|i| vec![(i % 7) as f32 - 3.0, (i % 5) as f32 * 0.25, 1.0]).collect();
+        let base = EmbeddingSet::new(tokens, vectors);
+        let movie = |db: &mut Database, id: usize| {
+            let (a, b) = (id * 37 % persons, id * 101 % persons);
+            let row = vec![
+                Value::Int(id as i64),
+                Value::from(format!("p{a} p{b}")),
+                Value::Int(b as i64),
+            ];
+            db.insert("movies", row).unwrap();
+        };
+        for solver in [Solver::Rn, Solver::Ro] {
+            let mut db = Database::new();
+            sql::run_script(
+                &mut db,
+                "CREATE TABLE persons (id INTEGER PRIMARY KEY, name TEXT);
+                 CREATE TABLE movies (id INTEGER PRIMARY KEY, title TEXT,
+                                      director_id INTEGER REFERENCES persons(id));",
+            )
+            .unwrap();
+            for i in 0..persons {
+                db.insert("persons", vec![Value::Int(i as i64), Value::from(format!("p{i}"))])
+                    .unwrap();
+            }
+            (0..2).for_each(|id| movie(&mut db, id));
+            let mut inc = IncrementalRetro::new(RetroConfig::default().with_solver(solver));
+            inc.delta_max_dirty_fraction = 1.0;
+            inc.full_run(&db, &base).unwrap();
+            for step in 0..3 {
+                let prev = inc.current_shared().unwrap();
+                (2 + 3 * step..5 + 3 * step).for_each(|id| movie(&mut db, id));
+                inc.refresh(&db, &base).unwrap();
+                assert_eq!(inc.last_refresh(), Some(RefreshKind::Delta), "{solver:?} {step}");
+                let out = inc.current_shared().unwrap();
+                let (w0, old) = (&out.problem.w0, &prev.problem.w0);
+                assert_eq!(w0.rows(), old.rows() + 3);
+                let catalog = TextValueCatalog::clone(&out.catalog);
+                let fresh = RetrofitProblem::from_parts(catalog, out.problem.groups.clone(), &base);
+                for id in 0..w0.rows() {
+                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(w0.row(id)), bits(fresh.w0.row(id)), "{solver:?} row {id}");
+                }
+                // Only the chunk the appends landed in, and any past it,
+                // are the new generation's own.
+                let copied = w0.rows() - old.rows() / CHUNK_ROWS * CHUNK_ROWS;
+                assert_eq!(w0.owned_bytes(Some(old)), copied * w0.cols() * size_of::<f32>());
+            }
+        }
     }
 
     #[test]

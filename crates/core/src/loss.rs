@@ -156,7 +156,7 @@ mod tests {
     fn loss_is_zero_at_w0_with_alpha_only() {
         let p = problem();
         let params = Hyperparameters::new(1.0, 0.0, 0.0, 0.0);
-        let l = evaluate_loss(&p, &params, &p.w0);
+        let l = evaluate_loss(&p, &params, &p.w0.to_matrix());
         assert_eq!(l.anchor, 0.0);
         assert_eq!(l.total(), 0.0);
     }
@@ -165,7 +165,7 @@ mod tests {
     fn attraction_counts_both_directions() {
         let p = problem();
         let params = Hyperparameters::new(1.0, 0.0, 2.0, 0.0);
-        let l = evaluate_loss(&p, &params, &p.w0);
+        let l = evaluate_loss(&p, &params, &p.w0.to_matrix());
         // Hand value: forward γ^r_i = 2/(od·(|Ri|+1)) = 2/(1·2) = 1 for each
         // of the 3 movie sources. Inverted: usa has od 2 → γ = 2/(2·2)=0.5,
         // france od 1 → 1. Distances: a–x: 0.01+0.09=0.1; b–y: 0.04+2.25=2.29;
@@ -182,7 +182,7 @@ mod tests {
         let params = Hyperparameters::new(4.0, 0.5, 1.0, 0.1);
         let check = crate::hyper::check_convexity(&p.groups, &p.relation_counts, &params, p.len());
         assert!(check.convex, "test premise: configuration must be convex");
-        let before = evaluate_loss(&p, &params, &p.w0).total();
+        let before = evaluate_loss(&p, &params, &p.w0.to_matrix()).total();
         let w = solve(&p, Solver::Ro, &params, 20, None);
         let after = evaluate_loss(&p, &params, &w).total();
         assert!(after <= before + 1e-6, "after {after} before {before}");
@@ -210,7 +210,7 @@ mod tests {
         let collapsed = Matrix::zeros(p.len(), 2);
         let l0 = evaluate_loss(&p, &params, &collapsed);
         assert_eq!(l0.repulsion, 0.0);
-        let l1 = evaluate_loss(&p, &params, &p.w0);
+        let l1 = evaluate_loss(&p, &params, &p.w0.to_matrix());
         assert!(l1.repulsion > 0.0);
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use retro_embed::EmbeddingSet;
-use retro_linalg::{vector, Matrix};
+use retro_linalg::{vector, ChunkedRows, Matrix};
 use retro_store::Database;
 
 use crate::catalog::TextValueCatalog;
@@ -27,8 +27,13 @@ pub struct RetrofitProblem {
     pub catalog: Arc<TextValueCatalog>,
     /// Forward relation groups.
     pub groups: Vec<RelationGroup>,
-    /// `n × D` initial vectors (§3.1 tokenized centroids; zero rows for OOV).
-    pub w0: Matrix,
+    /// `n × D` initial vectors (§3.1 tokenized centroids; zero rows for
+    /// OOV). Append-only in `Arc`-shared chunks: a delta refresh's problem
+    /// shares every full chunk with the problem it extends, so cached
+    /// generations hold one `W0` between them, not one each. Read rows
+    /// with [`ChunkedRows::row`]; [`ChunkedRows::to_matrix`] copies it
+    /// whole for a caller that needs one contiguous buffer.
+    pub w0: ChunkedRows,
     /// Per value: true when the §3.1 tokenization found no vocabulary match.
     pub oov: Vec<bool>,
     /// Per *category*: the constant centroid `cᵢ` of Eq. 5 (centroid of the
@@ -83,22 +88,25 @@ impl RetrofitProblem {
     ) -> Self {
         let (n, m, dim) = (catalog.len(), catalog.category_count(), base.dim());
         let prev_n = prev.map_or(0, |p| p.len());
-        let mut w0 = Matrix::zeros(n, dim);
-        let mut oov = vec![false; n];
+        let mut oov = Vec::with_capacity(n);
         let mut category_centroids = Matrix::zeros(m, dim);
         if let Some(p) = prev {
-            w0.as_mut_slice()[..prev_n * dim].copy_from_slice(p.w0.as_slice());
-            oov[..prev_n].copy_from_slice(&p.oov);
+            oov.extend_from_slice(&p.oov);
             let rows = p.category_centroids.rows();
             category_centroids.as_mut_slice()[..rows * dim]
                 .copy_from_slice(p.category_centroids.as_slice());
         }
         let tokenizer = base.tokenizer();
-        for (id, flag) in oov.iter_mut().enumerate().skip(prev_n) {
+        let tokenize = |id: usize, row: &mut [f32]| {
             let (vec, is_oov) = tokenizer.initial_vector(base, catalog.text(id));
-            w0.set_row(id, &vec);
-            *flag = is_oov;
-        }
+            row.copy_from_slice(&vec);
+            oov.push(is_oov);
+        };
+        // `W0` only grows: a delta shares every full chunk of `prev`'s.
+        let w0 = match prev {
+            Some(p) => p.w0.extended(n - prev_n, tokenize),
+            None => ChunkedRows::from_fn(n, dim, tokenize),
+        };
 
         // Eq. 5: cᵢ is the centroid of the *original* vectors of the value's
         // category — constant across iterations, so computed once per

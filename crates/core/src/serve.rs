@@ -106,6 +106,7 @@ impl Snapshot {
         trace: &mut RefreshTrace,
     ) -> Self {
         let generation = prev.map_or(1, |prev| prev.generation + 1);
+        trace.w0_owned = output.problem.w0.owned_bytes(prev.map(|prev| &prev.output.problem.w0));
         let rows = output.embeddings.rows();
         let started = Instant::now();
         let (norms, index) = match (trace.kind, prev) {
@@ -146,6 +147,7 @@ impl Snapshot {
                 (norms, Arc::new(index))
             }
         };
+        trace.lists_owned = index.owned_list_bytes(prev.map(|prev| &*prev.index));
         Self { generation, write_version, threads, norms, index, output }
     }
 
@@ -266,12 +268,16 @@ pub struct RefreshTrace {
     pub kind: RefreshKind,
     /// Rows the delta plan re-solved (0 for full and no-change plans).
     pub dirty_rows: usize,
-    /// Planning under the database read guard, waiting for it included.
+    /// Planning under the database read guard, waiting for it included:
+    /// the change-log read, extraction and problem assembly. No `O(n·D)`
+    /// copy runs here: `W0` grows by shared chunks, and the warm seed is
+    /// built under `solve`.
     pub prepare: Duration,
     /// Freezing the generation's store, under the same guard: one
     /// [`Database`] clone, which shares every table.
     pub freeze: Duration,
-    /// The solve, with the database unlocked.
+    /// The solve, with the database unlocked, seeding included: the warm
+    /// seed's copy of the previous embeddings.
     pub solve: Duration,
     /// Patching the cached row norms (delta refreshes only; a full
     /// refresh counts its norms under `index`).
@@ -280,6 +286,12 @@ pub struct RefreshTrace {
     pub index: Duration,
     /// The index patch's counts, for a delta refresh.
     pub patch: Option<PatchStats>,
+    /// Bytes of `W0` chunks the generation does not share with its
+    /// predecessor (all of them for generation 1).
+    pub w0_owned: usize,
+    /// Bytes of IVF lists the generation does not share with its
+    /// predecessor ([`IvfIndex::owned_list_bytes`]).
+    pub lists_owned: usize,
 }
 
 impl RefreshTrace {
@@ -294,6 +306,8 @@ impl RefreshTrace {
             norms: zero,
             index: zero,
             patch: None,
+            w0_owned: 0,
+            lists_owned: 0,
         }
     }
 }
@@ -320,7 +334,8 @@ impl std::fmt::Display for RefreshTrace {
                 p.certified, p.reassigned, p.moved, p.lists_rebuilt, p.lists_shared
             )?;
         }
-        Ok(())
+        let mb = |bytes: usize| bytes as f64 / 1e6;
+        write!(f, "; owns W0 {:.2} MB, lists {:.2} MB", mb(self.w0_owned), mb(self.lists_owned))
     }
 }
 
@@ -1016,6 +1031,10 @@ mod tests {
         let service = EmbeddingService::start(shared(), base(), RetroConfig::default()).unwrap();
         let trace = service.last_trace().expect("generation 1 carries its trace");
         assert_eq!((trace.kind, trace.dirty_rows, trace.patch), (RefreshKind::Full, 0, None));
+        // Generation 1 owns all of its `W0` and lists.
+        let snap = service.snapshot();
+        assert_eq!(trace.w0_owned, snap.len() * snap.output().problem.dim() * size_of::<f32>());
+        assert_eq!(trace.lists_owned, snap.index().owned_list_bytes(None));
         service.tune_session(|s| s.delta_max_dirty_fraction = 1.0);
         insert_prometheus(service.database());
         service.refresh().unwrap();

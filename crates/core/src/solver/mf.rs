@@ -37,7 +37,7 @@ pub(crate) fn solve_mf(problem: &RetrofitProblem, iterations: usize) -> Matrix {
         adjacency[j as usize].push(i);
     }
 
-    let mut w = problem.w0.clone();
+    let mut w = problem.w0.to_matrix();
     let mut acc = vec![0.0f32; dim];
     for _ in 0..iterations {
         #[allow(clippy::needless_range_loop)] // in-place Gauss–Seidel order
@@ -124,6 +124,6 @@ mod tests {
     fn zero_iterations_returns_w0() {
         let p = problem(vec![(0, 2)]);
         let w = solve_mf(&p, 0);
-        assert_eq!(w.max_abs_diff(&p.w0), 0.0);
+        assert_eq!(w.max_abs_diff(&p.w0.to_matrix()), 0.0);
     }
 }

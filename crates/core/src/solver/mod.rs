@@ -424,8 +424,10 @@ pub(crate) trait RowKernel: Sync + Sized {
         if scratch.w.shape() != (n, dim) {
             scratch.w = Matrix::zeros(n, dim);
         }
-        let src = seed.unwrap_or(&self.problem().w0);
-        scratch.w.as_mut_slice().copy_from_slice(src.as_slice());
+        match seed {
+            Some(seed) => scratch.w.as_mut_slice().copy_from_slice(seed.as_slice()),
+            None => self.problem().w0.copy_into(&mut scratch.w),
+        }
         for it in 0..iterations {
             let Scratch { aggregates, w, next } = &mut scratch;
             sweep(self, it, threads, w, aggregates, next);
@@ -792,7 +794,7 @@ mod parallel {
                     take_peak_workers();
                     solve(&p, solver, &params, 2, None);
                     assert_eq!(take_peak_workers(), threads, "{solver:?} solve");
-                    let mut w = p.w0.clone();
+                    let mut w = p.w0.to_matrix();
                     solve_rows(&p, solver, &params, 2, &all, &mut w);
                     assert_eq!(take_peak_workers(), threads, "{solver:?} solve_rows");
                 }

@@ -440,7 +440,7 @@ mod tests {
         let fixed = kernel.run(None, 5, 1);
 
         let n = p.len();
-        let mut w = p.w0.clone();
+        let mut w = p.w0.to_matrix();
         let mut next = Matrix::zeros(n, dim);
         let mut centroids = Matrix::zeros(kernel.sched.live.len(), dim);
         for _ in 0..5 {

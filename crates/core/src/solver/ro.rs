@@ -532,7 +532,7 @@ mod tests {
         let p = tiny_problem();
         let params = Hyperparameters::new(2.0, 0.0, 0.0, 0.0);
         let w = solve(&p, Solver::Ro, &params, 15, None);
-        assert!(w.max_abs_diff(&p.w0) < 1e-5);
+        assert!(w.max_abs_diff(&p.w0.to_matrix()) < 1e-5);
     }
 
     #[test]
@@ -652,7 +652,7 @@ mod tests {
         let fixed = kernel.run(None, 5, 1);
 
         let n = p.len();
-        let mut w = p.w0.clone();
+        let mut w = p.w0.to_matrix();
         let mut next = Matrix::zeros(n, dim);
         let mut t_sums = Matrix::zeros(kernel.sched.live.len(), dim);
         for _ in 0..5 {

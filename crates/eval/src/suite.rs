@@ -185,7 +185,7 @@ impl EmbeddingSuite {
         };
 
         if want(EmbeddingKind::Pv) {
-            variants.insert(EmbeddingKind::Pv, problem.w0.clone());
+            variants.insert(EmbeddingKind::Pv, problem.w0.to_matrix());
         }
         if want(EmbeddingKind::Rn) {
             variants.insert(EmbeddingKind::Rn, rn_out.embeddings.clone());

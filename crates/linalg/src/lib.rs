@@ -9,6 +9,8 @@
 //!
 //! * [`Matrix`] — a row-major dense `f32` matrix with row views, BLAS-free
 //!   matrix multiply and row-wise operations,
+//! * [`ChunkedRows`] — append-only rows in `Arc`-shared chunks, so a grown
+//!   copy shares every full chunk with the original,
 //! * [`CsrMatrix`] — compressed sparse row matrices for adjacency/weight
 //!   operators, with `CSR × dense` products and transposition,
 //! * [`vector`] — free functions on `&[f32]` slices (dot, norms, axpy,
@@ -19,10 +21,12 @@
 //! Everything is deterministic and single-threaded; parallel drivers live in
 //! higher layers so this crate stays dependency-free.
 
+pub mod chunked;
 pub mod dense;
 pub mod sparse;
 pub mod stats;
 pub mod vector;
 
+pub use chunked::ChunkedRows;
 pub use dense::Matrix;
 pub use sparse::{CooMatrix, CsrMatrix};

@@ -817,15 +817,26 @@ impl IvfIndex {
     }
 
     /// The index's heap bytes: every list's codes, ids, code parameters
-    /// and norms (shared lists counted in full), plus the centroids, the
+    /// and norms (shared lists counted in full; see
+    /// [`IvfIndex::owned_list_bytes`]), plus the centroids, the
     /// assignments and the margins. `rows · (dim + 28) + 4 · nlist · dim`
     /// in all; the rows themselves are not held.
     pub fn bytes(&self) -> usize {
-        let lists: usize = self.lists.iter().map(|list| list.bytes()).sum();
-        lists
+        self.owned_list_bytes(None)
             + size_of_val(self.centroids.as_slice())
             + size_of_val(self.assignments.as_slice())
             + size_of_val(self.margins.as_slice())
+    }
+
+    /// Heap bytes of the lists this index does not share with `prev` (all
+    /// of them without one): what a patched index owns beyond the index it
+    /// patched, by `Arc` pointer identity.
+    pub fn owned_list_bytes(&self, prev: Option<&IvfIndex>) -> usize {
+        let shared = |l: usize, list: &Arc<InvertedList>| {
+            prev.and_then(|p| p.lists.get(l)).is_some_and(|old| Arc::ptr_eq(old, list))
+        };
+        let owned = self.lists.iter().enumerate().filter(|&(l, list)| !shared(l, list));
+        owned.map(|(_, list)| list.bytes()).sum()
     }
 }
 
@@ -1325,6 +1336,27 @@ mod tests {
         // an f32 norm, a u32 assignment and an f32 margin.
         assert_eq!(index.bytes(), rows * (dim + 28) + 4 * nlist * dim);
         assert!(index.bytes() < 4 * rows * dim, "the codes cost less than the f32 rows");
+    }
+
+    #[test]
+    fn owned_list_bytes_count_only_unshared_lists() {
+        let m = clustered(333, 12, 5);
+        let norms = m.row_norms();
+        let index = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()).with_nlist(6), 2);
+        let all: usize = index.lists.iter().map(|list| list.bytes()).sum();
+        assert_eq!(index.owned_list_bytes(None), all);
+        // An independent build of the same rows shares no list.
+        let twin = IvfIndex::build(&m, &norms, IvfConfig::auto(m.rows()).with_nlist(6), 1);
+        assert_eq!(twin.owned_list_bytes(Some(&index)), all);
+        // A patch of one row rebuilds only that row's list.
+        let mut moved = m.clone();
+        moved.row_mut(7).iter_mut().for_each(|v| *v *= 1.5);
+        let moved_norms = moved.row_norms();
+        let (patched, stats) = index.patched(&m, &moved, &moved_norms, &[7], 1);
+        assert_eq!(stats.lists_rebuilt, 1);
+        let list = patched.assignments()[7] as usize;
+        assert_eq!(patched.owned_list_bytes(Some(&index)), patched.lists[list].bytes());
+        assert_eq!(index.owned_list_bytes(Some(&index)), 0);
     }
 
     #[test]

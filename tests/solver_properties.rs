@@ -206,7 +206,7 @@ proptest! {
         let p = build_multi_group_problem(9, groups);
         let params = Hyperparameters::new(alpha, beta, gamma, delta);
         let w = Matrix::from_vec(p.len(), p.dim(), coords);
-        for w in [&p.w0, &w] {
+        for w in [&p.w0.to_matrix(), &w] {
             let l = evaluate_loss(&p, &params, w);
             let reference = pairwise_loss(&p, &params, w);
             let names = ["anchor", "categorial", "attraction", "repulsion"];
@@ -245,7 +245,7 @@ proptest! {
         let params = Hyperparameters::new(6.0, 0.5, 1.0, 0.2);
         let check = check_convexity(&p.groups, &p.relation_counts, &params, p.len());
         prop_assume!(check.convex);
-        let before = evaluate_loss(&p, &params, &p.w0).total();
+        let before = evaluate_loss(&p, &params, &p.w0.to_matrix()).total();
         let w = solve(&p, Solver::Ro, &params, 15, None);
         let after = evaluate_loss(&p, &params, &w).total();
         prop_assert!(after <= before + 1e-4, "loss rose: {before} -> {after}");
@@ -287,7 +287,7 @@ proptest! {
         // Every MF vector is an average of originals and neighbours, so the
         // max absolute coordinate can never exceed the initial max.
         let p = build_problem(5, 4, edges, coords);
-        let bound = p.w0.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let bound = p.w0.to_matrix().as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let w = solve(&p, Solver::Mf, &Hyperparameters::default(), 20, None);
         let out = w.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
         prop_assert!(out <= bound + 1e-5, "escaped hull: {out} > {bound}");
