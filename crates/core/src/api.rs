@@ -180,12 +180,21 @@ impl Retro {
 
     /// Extract, assemble and solve: the §2 end-to-end pipeline.
     pub fn retrofit(&self, db: &Database, base: &EmbeddingSet) -> Result<RetroOutput, RetroError> {
+        Ok(self.solve(self.problem(db, base)?))
+    }
+
+    /// Extract and assemble the whole problem under the configured skip
+    /// lists — the one place a full extraction happens, cold or warm.
+    pub(crate) fn problem(
+        &self,
+        db: &Database,
+        base: &EmbeddingSet,
+    ) -> Result<RetrofitProblem, RetroError> {
         if base.dim() == 0 {
             return Err(RetroError::EmptyEmbedding);
         }
         let (skip_cols, skip_rels) = self.config.skip_refs();
-        let problem = RetrofitProblem::build(db, base, &skip_cols, &skip_rels);
-        Ok(self.solve(problem))
+        Ok(RetrofitProblem::build(db, base, &skip_cols, &skip_rels))
     }
 
     /// Solve an already-assembled problem (used by incremental updates and

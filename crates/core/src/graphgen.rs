@@ -13,16 +13,12 @@ pub struct GeneratedGraph {
     /// The property graph: nodes `0..n` are text values (same ids as the
     /// catalog), nodes `n..n+m` are category blank nodes.
     pub graph: Graph,
-    /// Offset of the first category node (= number of text values).
+    /// Offset of the first category node (= number of text values). A
+    /// text value's node id is its value id.
     pub category_offset: usize,
 }
 
 impl GeneratedGraph {
-    /// The graph node id of a text value.
-    pub fn value_node(&self, value_id: usize) -> usize {
-        value_id
-    }
-
     /// The graph node id of a category blank node.
     pub fn category_node(&self, category_id: u32) -> usize {
         self.category_offset + category_id as usize

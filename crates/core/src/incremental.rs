@@ -115,20 +115,6 @@ impl RefreshPlan {
             _ => None,
         }
     }
-
-    /// Number of text values the refreshed output will cover.
-    pub fn len(&self) -> usize {
-        match &self.kind {
-            PlanKind::Full { problem, .. } => problem.len(),
-            PlanKind::Delta { extraction, .. } => extraction.problem.len(),
-            PlanKind::NoChange { current } => current.problem.len(),
-        }
-    }
-
-    /// True when the refreshed output will cover no text values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A retrofitting session that keeps its last solution for warm starts.
@@ -217,17 +203,6 @@ impl IncrementalRetro {
         self.state_version = Some(version);
         self.last_refresh = Some(kind);
         self.state.insert(out)
-    }
-
-    /// Full (cold) run.
-    pub fn full_run(
-        &mut self,
-        db: &Database,
-        base: &EmbeddingSet,
-    ) -> Result<&RetroOutput, RetroError> {
-        let version = db.write_version();
-        let out = self.engine.retrofit(db, base)?;
-        Ok(self.install(Arc::new(out), version, RefreshKind::Full))
     }
 
     /// Incremental refresh after database changes.
@@ -356,12 +331,8 @@ impl IncrementalRetro {
         db: &Database,
         base: &EmbeddingSet,
     ) -> Result<RefreshPlan, RetroError> {
-        if base.dim() == 0 {
-            return Err(RetroError::EmptyEmbedding);
-        }
         let db_version = db.write_version();
-        let (skip_cols, skip_rels) = self.engine.config.skip_refs();
-        let problem = RetrofitProblem::build(db, base, &skip_cols, &skip_rels);
+        let problem = self.engine.problem(db, base)?;
         let prev = self.state.clone();
         Ok(RefreshPlan { kind: PlanKind::Full { problem, prev }, db_version })
     }
@@ -408,7 +379,7 @@ impl IncrementalRetro {
                         self.engine.solve_seeded(problem, self.refresh_iterations, Some(&warm))
                     }
                     // No previous state: a cold full run at the engine's
-                    // configured iteration count, exactly like `full_run`.
+                    // configured iteration count, exactly like `Retro::retrofit`.
                     None => self.engine.solve(problem),
                 };
                 self.install(Arc::new(out), db_version, RefreshKind::Full)
@@ -504,7 +475,7 @@ mod tests {
             (0..2).for_each(|id| movie(&mut db, id));
             let mut inc = IncrementalRetro::new(RetroConfig::default().with_solver(solver));
             inc.delta_max_dirty_fraction = 1.0;
-            inc.full_run(&db, &base).unwrap();
+            inc.refresh(&db, &base).unwrap();
             for step in 0..3 {
                 let prev = inc.current_shared().unwrap();
                 (2 + 3 * step..5 + 3 * step).for_each(|id| movie(&mut db, id));
@@ -527,13 +498,36 @@ mod tests {
         }
     }
 
+    /// A cold refresh is the one cold run: bit for bit what
+    /// `Retro::retrofit` returns — embeddings, catalog order and the
+    /// convexity verdict — for every solver, and on more than one thread.
     #[test]
     fn refresh_without_prior_run_is_a_full_run() {
-        let mut inc = IncrementalRetro::new(RetroConfig::default());
         let db = db();
-        let out = inc.refresh(&db, &base()).unwrap();
-        assert_eq!(out.embeddings.rows(), 4);
-        assert_eq!(inc.last_refresh(), Some(RefreshKind::Full));
+        let rn2 = RetroConfig::default().with_params(Hyperparameters::paper_rn().with_threads(2));
+        let configs = [Solver::Rn, Solver::Ro, Solver::Mf]
+            .map(|solver| RetroConfig::default().with_solver(solver))
+            .into_iter()
+            .chain([rn2]);
+        for config in configs {
+            let label = format!("{:?} x{}", config.solver, config.params.threads);
+            let expected = Retro::new(config.clone()).retrofit(&db, &base()).unwrap();
+            let mut inc = IncrementalRetro::new(config);
+            inc.refresh(&db, &base()).unwrap();
+            assert_eq!(inc.last_refresh(), Some(RefreshKind::Full), "{label}");
+            let out = inc.current().unwrap();
+            assert_eq!(out.embeddings.rows(), 4, "{label}");
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out.embeddings), bits(&expected.embeddings), "{label}");
+            let order = |o: &RetroOutput| {
+                o.catalog
+                    .iter()
+                    .map(|(id, cat, text)| (id, cat, text.to_owned()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(order(out), order(&expected), "{label}");
+            assert_eq!(out.convexity, expected.convexity, "{label}");
+        }
     }
 
     #[test]
@@ -543,7 +537,7 @@ mod tests {
         // catalog; this test is about dispatch, not the budget.
         inc.delta_max_dirty_fraction = 1.0;
         let mut db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
         let out = inc.refresh(&db, &base()).unwrap();
         assert!(out.vector("movies", "title", "prometheus").is_some());
@@ -556,7 +550,7 @@ mod tests {
     fn unchanged_database_republishes_without_solving() {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         let db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         let before = inc.current_shared().unwrap();
         let plan = inc.prepare_refresh(&db, &base()).unwrap();
         assert_eq!(plan.kind(), RefreshKind::NoChange);
@@ -576,7 +570,7 @@ mod tests {
              INSERT INTO movies VALUES (1, 'valerian', 180.0), (2, 'alien', 11.0);",
         )
         .unwrap();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         db.update_rows("movies", &[(0, 2, retro_store::Value::Float(9.0))]).unwrap();
         let plan = inc.prepare_refresh(&db, &base()).unwrap();
         assert_eq!(plan.kind(), RefreshKind::NoChange);
@@ -586,7 +580,7 @@ mod tests {
     fn delete_falls_back_to_a_full_refresh() {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         let mut db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         db.delete_rows("movies", &[1]).unwrap();
         let plan = inc.prepare_refresh(&db, &base()).unwrap();
         assert_eq!(plan.kind(), RefreshKind::Full);
@@ -601,7 +595,7 @@ mod tests {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         inc.delta_max_dirty_fraction = 0.0;
         let mut db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
         inc.refresh(&db, &base()).unwrap();
         assert_eq!(inc.last_refresh(), Some(RefreshKind::Full));
@@ -611,7 +605,7 @@ mod tests {
     fn failed_refresh_preserves_previous_state() {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         let db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         let before = inc.current().expect("converged").embeddings.clone();
 
         // A zero-dim base is invalid; the refresh must fail WITHOUT
@@ -638,11 +632,10 @@ mod tests {
     fn prepare_refresh_does_not_mutate_the_session() {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         let db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         let before = inc.current().unwrap().embeddings.clone();
         let plan = inc.prepare_refresh(&db, &base()).unwrap();
         assert!(plan.is_warm());
-        assert!(!plan.is_empty());
         assert_eq!(inc.current().unwrap().embeddings.max_abs_diff(&before), 0.0);
         // Completing the plan is what installs the new state.
         let out = inc.complete_refresh(plan);
@@ -653,7 +646,7 @@ mod tests {
     fn split_refresh_matches_one_shot_refresh() {
         let mut db = db();
         let mut one_shot = IncrementalRetro::new(RetroConfig::default());
-        one_shot.full_run(&db, &base()).unwrap();
+        one_shot.refresh(&db, &base()).unwrap();
         let mut split = one_shot.clone();
 
         sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
@@ -674,7 +667,7 @@ mod tests {
         };
         let full_check = |db: &Database, alpha: f32| {
             let mut inc = IncrementalRetro::new(config(alpha));
-            inc.full_run(db, &base()).unwrap().convexity.clone()
+            inc.refresh(db, &base()).unwrap().convexity.clone()
         };
         let mut db = db();
         let mut appended = db.clone();
@@ -687,7 +680,7 @@ mod tests {
 
         let mut inc = IncrementalRetro::new(config(alpha));
         inc.delta_max_dirty_fraction = 1.0;
-        assert!(inc.full_run(&db, &base()).unwrap().convexity.convex);
+        assert!(inc.refresh(&db, &base()).unwrap().convexity.convex);
         sql::run_script(&mut db, insert).unwrap();
         let plan = inc.prepare_refresh(&db, &base()).unwrap();
         assert_eq!(plan.kind(), RefreshKind::Delta);
@@ -703,7 +696,7 @@ mod tests {
         let mut inc = IncrementalRetro::new(RetroConfig::default());
         inc.delta_max_dirty_fraction = 1.0;
         let mut db = db();
-        inc.full_run(&db, &base()).unwrap();
+        inc.refresh(&db, &base()).unwrap();
         let mut reference = inc.clone();
         sql::run_script(&mut db, "INSERT INTO movies VALUES (3, 'prometheus', 2)").unwrap();
         inc.refresh(&db, &base()).unwrap();

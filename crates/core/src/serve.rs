@@ -79,19 +79,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// A snapshot of `output` served by a ready `index` over its rows,
-    /// whose cached row norms are `norms`.
-    fn with_index(
-        generation: u64,
-        write_version: u64,
-        threads: usize,
-        norms: Vec<f32>,
-        index: IvfIndex,
-        output: Arc<RetroOutput>,
-    ) -> Self {
-        Self { generation, write_version, threads, norms, index: Arc::new(index), output }
-    }
-
     /// The generation after `prev` (generation 1 without one), serving the
     /// `output` the session completed on a plan of kind `trace.kind`, whose
     /// dirty rows are `dirty`. `prev.output` was the session's state before
@@ -213,19 +200,7 @@ impl Snapshot {
     /// lower probe counts trade recall for speed only through the
     /// candidate set.
     pub fn nearest(&self, query: &[f32], k: usize, mode: SearchMode) -> Vec<(usize, f32)> {
-        match mode {
-            SearchMode::Exact => nn::top_k_cosine(
-                &self.output.embeddings,
-                &self.norms,
-                query,
-                k,
-                self.threads,
-                |_| false,
-            ),
-            SearchMode::Approx { probes } => {
-                self.index.search(&self.output.embeddings, query, k, probes)
-            }
-        }
+        self.ranked(query, k, mode, |_| false)
     }
 
     /// Cosine top-`k` neighbours of the stored value `table.column = text`,
@@ -241,21 +216,27 @@ impl Snapshot {
         mode: SearchMode,
     ) -> Option<Vec<(usize, f32)>> {
         let id = self.output.catalog.lookup(table, column, text)?;
-        let query = self.output.embeddings.row(id);
-        Some(match mode {
-            SearchMode::Exact => nn::top_k_cosine(
-                &self.output.embeddings,
-                &self.norms,
-                query,
-                k,
-                self.threads,
-                |i| i == id,
-            ),
-            SearchMode::Approx { probes } => {
-                let rows = &self.output.embeddings;
-                self.index.search_filtered(rows, query, k, probes, |i| i == id)
+        Some(self.ranked(self.output.embeddings.row(id), k, mode, |i| i == id))
+    }
+
+    /// The one dispatch on `mode` behind both queries: cosine top-`k` of
+    /// `query` over the rows `exclude` does not reject.
+    fn ranked(
+        &self,
+        query: &[f32],
+        k: usize,
+        mode: SearchMode,
+        exclude: impl FnMut(usize) -> bool,
+    ) -> Vec<(usize, f32)> {
+        let rows = &self.output.embeddings;
+        match mode {
+            SearchMode::Exact => {
+                nn::top_k_cosine(rows, &self.norms, query, k, self.threads, exclude)
             }
-        })
+            SearchMode::Approx { probes } => {
+                self.index.search_filtered(rows, query, k, probes, exclude)
+            }
+        }
     }
 }
 
@@ -602,8 +583,9 @@ impl EmbeddingService {
     /// next refresh; concurrent refreshes are serialized against it.
     ///
     /// `tune` must leave the session's converged state alone (no
-    /// `refresh`, `full_run` or `restore`): the next generation derives
-    /// its norms and index from the newest one's, which serves that state.
+    /// `refresh`, `refresh_full`, `complete_refresh` or `restore`): the
+    /// next generation derives its norms and index from the newest one's,
+    /// which serves that state.
     pub fn tune_session(&self, tune: impl FnOnce(&mut IncrementalRetro)) {
         tune(&mut lock_write(&self.session));
     }
@@ -756,14 +738,17 @@ impl EmbeddingService {
         }
         let (norms, index) = indexed?;
         let output = Arc::new(RetroOutput::new(problem, embeddings, &config.params));
-        let snapshot = Arc::new(Snapshot::with_index(
+        // Recovery builds its snapshot beside `advance`, not through it:
+        // there is no plan and no solve, and the index comes from saved
+        // parts (or, for a v1 image, a fresh build).
+        let snapshot = Arc::new(Snapshot {
             generation,
             write_version,
             threads,
             norms,
-            index,
-            Arc::clone(&output),
-        ));
+            index: Arc::new(index),
+            output: Arc::clone(&output),
+        });
         let mut session = IncrementalRetro::new(config);
         session.restore(output, write_version);
         let store = Database::clone(&db.read());

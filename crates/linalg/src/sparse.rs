@@ -37,11 +37,6 @@ impl CooMatrix {
         }
     }
 
-    /// Number of recorded triplets (before duplicate merging).
-    pub fn nnz_upper_bound(&self) -> usize {
-        self.triplets.len()
-    }
-
     /// Convert to CSR, merging duplicate coordinates by summation.
     ///
     /// Rows are bucketed with a counting sort (O(nnz + rows), not a global

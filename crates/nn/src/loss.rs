@@ -72,13 +72,6 @@ impl Loss {
         }
         grad
     }
-
-    /// Whether the output gradient already includes the activation
-    /// derivative (true for every variant here — kept explicit so the
-    /// network knows not to backprop through the output activation twice).
-    pub fn is_fused(self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

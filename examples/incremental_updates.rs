@@ -15,10 +15,10 @@ fn main() {
     let data = TmdbDataset::generate(TmdbConfig { n_movies: 200, ..TmdbConfig::default() });
     let mut db = data.db.clone();
 
-    // Cold run.
+    // Cold run: a new session's first refresh is a full run.
     let mut session = IncrementalRetro::new(RetroConfig::default());
     let t0 = std::time::Instant::now();
-    session.full_run(&db, &data.base).expect("full run");
+    session.refresh(&db, &data.base).expect("cold run");
     let cold_secs = t0.elapsed().as_secs_f64();
     let n0 = session.current().expect("state").embeddings.rows();
     println!("cold run: {n0} embeddings in {cold_secs:.3}s");

@@ -201,7 +201,7 @@ fn run_sequence(solver: Solver, threads: usize, ops: &[u8]) {
     // as drift, and the contract is about the fixed points, not about
     // partially-converged intermediate states.
     delta.refresh_iterations = 15;
-    delta.full_run(&sim.db, &base).expect("seed run");
+    delta.refresh(&sim.db, &base).expect("seed run");
     let mut always_full = delta.clone();
     for &b in ops {
         sim.apply(b);
@@ -251,7 +251,7 @@ fn single_insert_takes_the_delta_path_and_stays_close() {
         let mut sim = Sim::new();
         let base = base();
         let mut session = IncrementalRetro::new(config(solver, 1));
-        session.full_run(&sim.db, &base).expect("seed run");
+        session.refresh(&sim.db, &base).expect("seed run");
         let mut reference = session.clone();
         sim.insert_movie(900);
         session.refresh(&sim.db, &base).expect("refresh");
@@ -267,7 +267,7 @@ fn numeric_only_update_republishes_without_solving() {
     let mut sim = Sim::new();
     let base = base();
     let mut session = IncrementalRetro::new(config(Solver::Rn, 1));
-    session.full_run(&sim.db, &base).expect("seed run");
+    session.refresh(&sim.db, &base).expect("seed run");
     let before = session.current().unwrap().embeddings.clone();
     sim.db.update_rows("movies", &[(0, 3, Value::Float(1e9))]).expect("update");
     session.refresh(&sim.db, &base).expect("refresh");
@@ -284,7 +284,7 @@ fn change_log_overflow_falls_back_to_an_exact_full_refresh() {
     sim.db.set_change_log_capacity(2);
     let base = base();
     let mut delta = IncrementalRetro::new(config(Solver::Rn, 1));
-    delta.full_run(&sim.db, &base).expect("seed run");
+    delta.refresh(&sim.db, &base).expect("seed run");
     let mut full = delta.clone();
     for k in 0..5 {
         sim.insert_movie(500 + k);
@@ -305,7 +305,7 @@ fn zero_dirty_budget_forces_the_full_path() {
     let base = base();
     let mut session = IncrementalRetro::new(config(Solver::Rn, 1));
     session.delta_max_dirty_fraction = 0.0;
-    session.full_run(&sim.db, &base).expect("seed run");
+    session.refresh(&sim.db, &base).expect("seed run");
     sim.insert_movie(700);
     session.refresh(&sim.db, &base).expect("refresh");
     assert_eq!(session.last_refresh(), Some(RefreshKind::Full));
@@ -350,7 +350,7 @@ fn refreshed_groups_equal_a_fresh_build_with_two_keys_into_one_table() {
         let base = base();
         let mut session = IncrementalRetro::new(config(Solver::Rn, 1));
         session.delta_max_dirty_fraction = 1.0;
-        session.full_run(&db, &base).expect("seed run");
+        session.refresh(&db, &base).expect("seed run");
         sql::run(&mut db, "INSERT INTO movies VALUES (12, 'lucy', 1, 3)").expect("insert");
         session.refresh(&db, &base).expect("refresh");
         assert_eq!(session.last_refresh(), Some(RefreshKind::Delta), "writer {writer}");
